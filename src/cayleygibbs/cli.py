@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from typing import Any, Sequence
@@ -19,6 +20,7 @@ from cayleygibbs.cosets import (
     check_cosets,
     coset_classes,
     label,
+    labelled_ball,
     neighbor_counts,
 )
 from cayleygibbs.invariance import (
@@ -37,10 +39,13 @@ from cayleygibbs.solver import (
     theta_sweep,
     verify_compatibility,
 )
-from cayleygibbs.words import enumerate_ball, word_from_str, word_to_str
+from cayleygibbs.words import ResourceLimitError, enumerate_ball, word_from_str, word_to_str
 
 USAGE_ERROR = 1
 VERIFICATION_FAILED = 2
+
+# largest theta grid --range may ask for
+MAX_GRID_POINTS = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -255,7 +260,14 @@ def _cmd_solve(args) -> int:
 def _parse_thetas(args) -> list[float]:
     if args.thetas:
         return [float(v) for v in args.thetas.split(",") if v.strip()]
-    lo, hi, step = (float(v) for v in args.range.split(":"))
+    parts = args.range.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"--range must be lo:hi:step, got {args.range!r}")
+    lo, hi, step = (float(v) for v in parts)
+    if not all(math.isfinite(v) for v in (lo, hi, step)) or step <= 0 or hi < lo:
+        raise ValueError(f"--range needs finite lo <= hi and step > 0, got {args.range!r}")
+    if (hi - lo) / step >= MAX_GRID_POINTS:
+        raise ValueError(f"--range {args.range!r} has more than {MAX_GRID_POINTS} points")
     values = []
     v = lo
     while v <= hi + 1e-12:
@@ -306,17 +318,20 @@ def _cmd_draw(args) -> int:
     k = spec.k if spec else args.k
     if k is None:
         raise ValueError("draw needs --spec or --k")
-    ball = enumerate_ball(k, args.radius)
+    if spec is None:
+        words = [(w, None) for w in enumerate_ball(k, args.radius).vertices()]
+    else:
+        words = list(labelled_ball(spec, args.radius))
     lines = [
         "graph cayley_ball {",
         "  // node fill encodes the coset class: 0 blue, 1 red, 2 black,",
         "  // further classes continue through a fixed palette",
         '  node [shape=circle, fontname="Helvetica"];',
     ]
-    for w in ball.vertices():
+    for w, p in words:
         name = word_to_str(w)
         if spec is not None:
-            residue = label(w, spec).residue
+            residue = p % spec.index
             fill = CLASS_COLORS[residue % len(CLASS_COLORS)]
             lines.append(
                 f'  "{name}" [style=filled, fillcolor="{fill}", '
@@ -324,9 +339,8 @@ def _cmd_draw(args) -> int:
             )
         else:
             lines.append(f'  "{name}";')
-    for sphere in ball.spheres[1:]:
-        for w in sphere:
-            lines.append(f'  "{word_to_str(w[:-1])}" -- "{word_to_str(w)}";')
+    for w, _ in words[1:]:
+        lines.append(f'  "{word_to_str(w[:-1])}" -- "{word_to_str(w)}";')
     lines.append("}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -428,7 +442,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except IllDefinedSystemError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return VERIFICATION_FAILED
-    except (ValueError, OSError, json.JSONDecodeError, ArithmeticError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, ArithmeticError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

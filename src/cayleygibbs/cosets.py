@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from cayleygibbs.words import (
     IDENTITY,
@@ -22,7 +22,6 @@ from cayleygibbs.words import (
     enumerate_ball,
     inverse,
     multiply,
-    neighborhood,
     reduce_word,
     word_to_str,
 )
@@ -53,6 +52,8 @@ class SubgroupSpec:
         self._validate()
 
     def _validate(self) -> None:
+        if type(self.k) is not int or type(self.s) is not int:
+            raise SpecError(f"k and s must be integers, got k={self.k!r}, s={self.s!r}")
         if self.k < 1:
             raise SpecError(f"k must be >= 1, got {self.k}")
         if self.s < 1:
@@ -108,7 +109,10 @@ class SubgroupSpec:
         missing = {"k", "s", "A1", "A2"} - payload.keys()
         if missing:
             raise SpecError(f"spec JSON missing keys: {sorted(missing)}")
-        return cls(k=payload["k"], s=payload["s"], a1=payload["A1"], a2=payload["A2"])
+        try:
+            return cls(k=payload["k"], s=payload["s"], a1=payload["A1"], a2=payload["A2"])
+        except TypeError:
+            raise SpecError("spec A1 and A2 must be lists of generator indices") from None
 
 
 @dataclass(frozen=True)
@@ -195,45 +199,58 @@ def fold_alternating(w: Word, spec: SubgroupSpec) -> CosetLabel:
     return fold_alternating(multiply(w[: -2 * s], folded.rep), spec)
 
 
-def _image_state(x: Word, spec: SubgroupSpec) -> tuple[int, int]:
-    """(first letter, length) of project(x, spec), without building the word.
+def step(p: int, letter: int, spec: SubgroupSpec) -> int:
+    """Signed image position after appending one letter.
 
-    The reduced image alternates between the two generators, so it is fully
-    determined by its first letter and its length; appending one collapsed
-    letter either extends it or cancels its last letter.
+    The position p of a word is +len(image) when its image starts with the
+    A1 generator and -len(image) otherwise; the class is p mod 2s+1.  An A1
+    letter extends the alternating image or cancels its last letter, which
+    is p ^ 1 for either sign; an A2 letter is the mirror image, and a
+    residual letter leaves p alone.  Every letter is an involution, so a
+    word's parent sits at the step by the word's last letter.
     """
-    a1, a2 = spec.a1, spec.a2
-    m1 = spec.m1
-    start = 0  # 0 = empty, 1 = starts with m1, 2 = starts with m2
-    length = 0
+    if letter in spec.a1:
+        return p ^ 1
+    if letter in spec.a2:
+        return -((-p) ^ 1)
+    if 1 <= letter <= spec.k + 1:
+        return p
+    raise ValueError(f"generator index {letter} out of range 1..{spec.k + 1}")
+
+
+def position(x: Word, spec: SubgroupSpec) -> int:
+    """Signed image position of a word, stepped letter by letter from the root."""
+    p = 0
     for c in x:
-        if c in a1:
-            sym = 1
-        elif c in a2:
-            sym = 2
-        elif 1 <= c <= spec.k + 1:
-            continue
-        else:
-            raise ValueError(f"generator index {c} out of range 1..{spec.k + 1}")
-        if length == 0:
-            start = sym
-            length = 1
-        else:
-            last = start if length % 2 == 1 else 3 - start
-            if sym == last:
-                length -= 1
-                if length == 0:
-                    start = 0
-            else:
-                length += 1
-    return start, length
+        p = step(p, c, spec)
+    return p
+
+
+def neighbor_classes(p: int, spec: SubgroupSpec) -> tuple[int, ...]:
+    """Classes of the k+1 neighbours x*a_1 .. x*a_(k+1) of a word at position p."""
+    return tuple(step(p, i, spec) % spec.index for i in range(1, spec.k + 2))
+
+
+def labelled_ball(
+    spec: SubgroupSpec, radius: int, max_vertices: int | None = None
+) -> Iterator[tuple[Word, int]]:
+    """Every word of the ball with its position, in ball enumeration order.
+
+    Each word is its parent's position stepped by its last letter, so the
+    walk costs one step per word instead of a rescan from the root.
+    """
+    ball = enumerate_ball(spec.k, radius, max_vertices)
+    positions = [0]
+    yield IDENTITY, 0
+    for parents, sphere in zip(ball.spheres, ball.spheres[1:]):
+        fan = len(sphere) // len(parents)  # each parent's children are adjacent
+        positions = [step(positions[j // fan], w[-1], spec) for j, w in enumerate(sphere)]
+        yield from zip(sphere, positions)
 
 
 def label(x: Word, spec: SubgroupSpec) -> CosetLabel:
     """Coset class of a word, by the signed length residue of its image."""
-    start, length = _image_state(x, spec)
-    n = spec.index
-    residue = length % n if start != 2 else (-length) % n
+    residue = position(x, spec) % spec.index
     return CosetLabel(residue, class_representative(residue, spec))
 
 
@@ -251,8 +268,8 @@ def coset_classes(spec: SubgroupSpec, radius: int, max_vertices: int | None = No
     if radius < 2 * spec.s:
         raise ValueError(f"radius must be >= 2s = {2 * spec.s} to populate every class")
     classes: dict[int, list[Word]] = {r: [] for r in range(spec.index)}
-    for x in enumerate_ball(spec.k, radius, max_vertices).vertices():
-        classes[label(x, spec).residue].append(x)
+    for x, p in labelled_ball(spec, radius, max_vertices):
+        classes[p % spec.index].append(x)
     return classes
 
 
@@ -309,10 +326,8 @@ def check_cosets(spec: SubgroupSpec, radius: int, max_vertices: int | None = Non
 
 def neighbor_counts(x: Word, spec: SubgroupSpec) -> tuple[int, ...]:
     """How many of the k+1 nearest neighbors fall in each coset class."""
-    counts = [0] * spec.index
-    for y in neighborhood(x, spec.k):
-        counts[label(y, spec).residue] += 1
-    return tuple(counts)
+    near = neighbor_classes(position(x, spec), spec)
+    return tuple(near.count(r) for r in range(spec.index))
 
 
 def matching_permutation(base: tuple[int, ...], other: tuple[int, ...]) -> tuple[int, ...] | None:

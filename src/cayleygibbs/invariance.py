@@ -4,8 +4,20 @@ The load-bearing fact: for specs whose A1 and A2 are singletons, the coset
 classes of a vertex's successors are determined by the pair (class of the
 vertex, class of its parent).  That makes the successor-class counts per
 state pair well defined, which is exactly the coefficient table of the
-weakly periodic field equations.  Non-singleton specs break the property;
-the checker reports witnesses and the derivation refuses to certify.
+weakly periodic field equations.
+
+The property holds exactly when |A1| = |A2|, singletons included.  From
+position p (see cosets.step) the A1 letters step to p+1 and the A2 letters
+to p-1 when p is even, and the reverse when p is odd; the class p mod 2s+1
+does not fix that parity.  With |A1| = |A2| = m the successors of a vertex
+at class r are m-1 at the parent's class, m at the other side and |A0| at
+r, or m on each side and |A0|-1 at r when the parent is at class r, for
+either parity.  With |A1| != |A2| the two parities give different profiles
+for one state; the checker reports the witnesses and the derivation refuses
+to certify.  On every letter choice with k <= 4 and s <= 2 the ball walks
+agree: the 36 choices with |A1| = |A2| = 2 hold and derive, as singletons
+do, and every other non-singleton spec breaks.  Plain derivation still
+accepts only singleton specs.
 """
 
 from __future__ import annotations
@@ -14,8 +26,15 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from cayleygibbs.cosets import CosetLabel, SubgroupSpec, label
-from cayleygibbs.words import IDENTITY, Word, enumerate_ball, parent, successors
+from cayleygibbs.cosets import (
+    CosetLabel,
+    SubgroupSpec,
+    label,
+    labelled_ball,
+    neighbor_classes,
+    step,
+)
+from cayleygibbs.words import IDENTITY, Word, parent, successors
 
 StatePair = tuple[int, int]
 
@@ -27,6 +46,11 @@ class IllDefinedSystemError(RuntimeError):
 def successor_labels(x: Word, spec: SubgroupSpec) -> tuple[CosetLabel, ...]:
     """Coset classes of the successors of x, in ascending generator order."""
     return tuple(label(y, spec) for y in successors(x, spec.k))
+
+
+def _drop_parent(near: tuple[int, ...], x: Word) -> tuple[int, ...]:
+    """Successor classes: the neighbour classes without the parent's entry."""
+    return near[: x[-1] - 1] + near[x[-1] :]
 
 
 def state_of(x: Word, spec: SubgroupSpec) -> StatePair:
@@ -68,27 +92,21 @@ def check_invariance(
     first_rep: dict[StatePair, tuple[Word, tuple[int, ...], tuple[int, ...]]] = {}
     violations: list[InvarianceViolation] = []
     words_checked = 0
-    for x in enumerate_ball(spec.k, radius, max_vertices).vertices():
+    for x, p in labelled_ball(spec, radius, max_vertices):
         if x == IDENTITY:
             continue
         words_checked += 1
-        st = state_of(x, spec)
-        profile = tuple(lab.residue for lab in successor_labels(x, spec))
-        key = tuple(sorted(profile))
+        near = neighbor_classes(p, spec)
+        st = (p % spec.index, near[x[-1] - 1])
+        profile = _drop_parent(near, x)
         if st not in first_rep:
-            first_rep[st] = (x, key, profile)
+            first_rep[st] = (x, near, profile)
             continue
-        rep, rep_key, rep_profile = first_rep[st]
-        if key != rep_key:
-            violations.append(
-                InvarianceViolation(
-                    x=rep,
-                    y=x,
-                    profile_x=rep_profile,
-                    profile_y=profile,
-                    shared_positions_equal=_shared_positions_equal(rep, x, spec),
-                )
-            )
+        rep, rep_near, rep_profile = first_rep[st]
+        if sorted(profile) != sorted(rep_profile):
+            skip = {rep[-1] - 1, x[-1] - 1}
+            shared = all(a == b for i, (a, b) in enumerate(zip(rep_near, near)) if i not in skip)
+            violations.append(InvarianceViolation(rep, x, rep_profile, profile, shared))
     return InvarianceReport(
         holds=not violations,
         radius=radius,
@@ -96,17 +114,6 @@ def check_invariance(
         states_seen=len(first_rep),
         violations=tuple(violations),
     )
-
-
-def _shared_positions_equal(x: Word, y: Word, spec: SubgroupSpec) -> bool:
-    """Compare successor classes at the generator indices both words keep."""
-    skip = {x[-1], y[-1]}
-    for i in range(1, spec.k + 2):
-        if i in skip:
-            continue
-        if label(x + (i,), spec).residue != label(y + (i,), spec).residue:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -133,10 +140,10 @@ def check_class_counts(
     vectors: dict[int, tuple[int, ...]] = {}
     passed = True
     permutations = True
-    for x in enumerate_ball(spec.k, radius, max_vertices).vertices():
-        r = label(x, spec).residue
-        q = neighbor_counts(x, spec)
-        if vectors.setdefault(r, q) != q:
+    for _, p in labelled_ball(spec, radius, max_vertices):
+        near = neighbor_classes(p, spec)
+        q = tuple(near.count(r) for r in range(spec.index))
+        if vectors.setdefault(p % spec.index, q) != q:
             passed = False
         if matching_permutation(base, q) is None:
             permutations = False
@@ -186,24 +193,79 @@ class WeaklyPeriodicSystem:
             "k": self.k,
             "s": self.s,
         }
+        if self.spec is not None:
+            payload["spec"] = json.loads(self.spec.to_json())
         return json.dumps(payload)
 
     @classmethod
     def from_json(cls, text: str) -> "WeaklyPeriodicSystem":
+        """Parse a system file, rejecting malformed input with ValueError.
+
+        Every state must be a pair of classes in 0..2s, every count a
+        non-negative integer between listed states, and every row must sum
+        to k.  The subgroup spec is read back when the file carries one.
+        """
         payload = json.loads(text)
-        states = tuple(tuple(st) for st in payload["states"])
+        if not isinstance(payload, dict) or not {"states", "counts", "k", "s"} <= payload.keys():
+            raise ValueError("system JSON must be an object with keys states, counts, k, s")
+        k, s = payload["k"], payload["s"]
+        if not (_is_int(k) and k >= 1 and _is_int(s) and s >= 1):
+            raise ValueError(f"system k and s must be positive integers, got k={k!r}, s={s!r}")
+        spec = None
+        if "spec" in payload:
+            spec = SubgroupSpec.from_json(json.dumps(payload["spec"]))
+            if (spec.k, spec.s) != (k, s):
+                raise ValueError(f"system spec has k={spec.k}, s={spec.s}; the system has k={k}, s={s}")
+        if not isinstance(payload["states"], list) or not payload["states"]:
+            raise ValueError("system states must be a nonempty list")
+        classes = 2 * s + 1
+        states = tuple(_parse_state(st, classes) for st in payload["states"])
         index = {st: i for i, st in enumerate(states)}
+        if len(index) != len(states):
+            raise ValueError("system states must not repeat")
         counts = [[0] * len(states) for _ in states]
+        if not isinstance(payload["counts"], dict):
+            raise ValueError("system counts must be an object of rows")
         for key, row in payload["counts"].items():
-            i = index[tuple(int(p) for p in key.split(","))]
+            i = _state_index(index, key, classes)
+            if not isinstance(row, dict):
+                raise ValueError(f"row of state {key!r} must be an object")
             for target, n in row.items():
-                counts[i][index[tuple(int(p) for p in target.split(","))]] = n
+                if not _is_int(n) or n < 0:
+                    raise ValueError(f"count {key} -> {target} is {n!r}, not a non-negative integer")
+                counts[i][_state_index(index, target, classes)] = n
+        for st, row in zip(states, counts):
+            if sum(row) != k:
+                raise ValueError(f"row of state {st} sums to {sum(row)}, expected k={k}")
         return cls(
-            k=payload["k"],
-            s=payload["s"],
+            k=k,
+            s=s,
             states=states,
             counts=tuple(tuple(r) for r in counts),
+            spec=spec,
         )
+
+
+def _is_int(value: object) -> bool:
+    """A JSON integer; bool is an int subclass and does not count."""
+    return type(value) is int
+
+
+def _parse_state(value: object, n: int) -> StatePair:
+    """A state, [i, j] in the state list or "i,j" as a counts key, classes in 0..n-1."""
+    pair = value
+    if isinstance(value, str):
+        pair = [int(p) if p.strip().isdigit() else p for p in value.split(",")]
+    if isinstance(pair, list) and len(pair) == 2 and all(_is_int(c) and 0 <= c < n for c in pair):
+        return tuple(pair)
+    raise ValueError(f"bad state {value!r}: expected two classes in 0..{n - 1}")
+
+
+def _state_index(index: dict[StatePair, int], key: object, n: int) -> int:
+    st = _parse_state(key, n)
+    if st not in index:
+        raise ValueError(f"unknown state {key!r}: not in the system's states")
+    return index[st]
 
 
 def derive_system(
@@ -228,18 +290,17 @@ def derive_system(
         )
     if radius is None:
         radius = 4 * spec.s + 4
-    reps: dict[StatePair, list[Word]] = {}
-    frontier: list[Word] = [IDENTITY]
+    reps: dict[StatePair, list[tuple[Word, int]]] = {}
+    frontier: list[tuple[Word, int]] = [(IDENTITY, 0)]
     for _ in range(radius):
-        nxt: list[Word] = []
-        for w in frontier:
-            parent_residue = label(w, spec).residue
+        nxt: list[tuple[Word, int]] = []
+        for w, p in frontier:
             for child in successors(w, spec.k):
-                st = (label(child, spec).residue, parent_residue)
-                bucket = reps.setdefault(st, [])
+                q = step(p, child[-1], spec)
+                bucket = reps.setdefault((q % spec.index, p % spec.index), [])
                 if len(bucket) < rep_cap:
-                    bucket.append(child)
-                    nxt.append(child)
+                    bucket.append((child, q))
+                    nxt.append((child, q))
         frontier = nxt
 
     states = tuple(sorted(reps))
@@ -251,11 +312,14 @@ def derive_system(
             raise IllDefinedSystemError(
                 f"state {st} has only {len(bucket)} representatives within radius {radius}"
             )
-        per_rep = [_successor_state_counts(x, spec) for x in bucket]
-        for other, rep_word in zip(per_rep[1:], bucket[1:]):
+        per_rep = [
+            Counter((r, st[0]) for r in _drop_parent(neighbor_classes(p, spec), x))
+            for x, p in bucket
+        ]
+        for other, (rep_word, _) in zip(per_rep[1:], bucket[1:]):
             if other != per_rep[0]:
                 raise IllDefinedSystemError(
-                    f"state {st}: representative {bucket[0]} gives {dict(per_rep[0])} "
+                    f"state {st}: representative {bucket[0][0]} gives {dict(per_rep[0])} "
                     f"but {rep_word} gives {dict(other)}; successor counts are "
                     "representative-dependent, so the invariance property fails"
                 )
@@ -277,13 +341,6 @@ def derive_system(
         counts=tuple(rows),
         spec=spec,
         reps_checked=tuple(checked),
-    )
-
-
-def _successor_state_counts(x: Word, spec: SubgroupSpec) -> Counter:
-    own = label(x, spec).residue
-    return Counter(
-        (label(child, spec).residue, own) for child in successors(x, spec.k)
     )
 
 

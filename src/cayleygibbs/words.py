@@ -124,9 +124,11 @@ def _vertex_cap(max_vertices: int | None) -> int:
     if max_vertices is not None:
         return max_vertices
     env = os.environ.get("CAYLEYGIBBS_MAX_BALL")
-    if env is not None:
-        return int(env)
-    return MAX_BALL_VERTICES
+    if env is None:
+        return MAX_BALL_VERTICES
+    if not env.strip().isdigit() or int(env) < 1:
+        raise ValueError(f"CAYLEYGIBBS_MAX_BALL must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def enumerate_ball(k: int, radius: int, max_vertices: int | None = None) -> Ball:

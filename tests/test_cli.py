@@ -5,10 +5,17 @@ output bytes are part of the contract.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cayleygibbs
 from cayleygibbs.cli import main
+from cayleygibbs.cosets import SubgroupSpec
+from cayleygibbs.invariance import derive_system
 
 STANDARD = '{"k": 2, "s": 1, "A1": [1], "A2": [2]}'
 SPLIT = '{"k": 2, "s": 1, "A1": [1, 3], "A2": [2]}'
@@ -98,6 +105,21 @@ def test_derive_solve_roundtrip(capsys, tmp_path):
     assert len(doc["solutions"]) == 3
     assert all(s["kind"] == "translation-invariant" for s in doc["solutions"])
     assert list(doc["solutions"][0]["fields"]) == doc["states"]
+
+
+def test_derive_file_feeds_compat(capsys, tmp_path):
+    system_file = tmp_path / "system.json"
+    code, _ = run(capsys, "derive", "--spec", STANDARD, "--out", str(system_file))
+    assert code == 0
+    assert json.loads(system_file.read_text())["spec"] == json.loads(STANDARD)
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps([0.0] * 9))
+    code, out = run(
+        capsys, "compat", "--system", str(system_file), "--theta", "0.8",
+        "--n", "2", "--fields", str(zero),
+    )
+    assert code == 0
+    assert json.loads(out)["passed"] is True
 
 
 def test_solve_output_deterministic(capsys):
@@ -219,3 +241,83 @@ def test_bad_spec_reports_error(capsys):
 def test_bad_theta_reports_error(capsys):
     code = main(["solve", "--spec", STANDARD, "--theta", "1.5"])
     assert code == 1
+
+
+def _drop_state(doc):
+    doc["states"].remove([2, 2])
+
+
+def _set_count(value):
+    def edit(doc):
+        doc["counts"]["0,1"]["0,0"] = value
+    return edit
+
+
+SWEEP = ["sweep", "--spec", STANDARD, "--starts", "5", "--range"]
+BALL = ["ball", "--k", "2", "--radius", "3"]
+
+# (id, edit of the derived STANDARD system file or None, argv, environment,
+# text the error message must hold)
+BAD_INPUTS = [
+    ("unknown-state", _drop_state, ["solve", "--theta", "0.8"], {}, "unknown state '2,2'"),
+    ("negative-count", _set_count(-1), ["solve", "--theta", "0.8"], {}, "not a non-negative integer"),
+    ("fractional-count", _set_count(0.5), ["solve", "--theta", "0.8"], {}, "not a non-negative integer"),
+    ("row-sum", _set_count(6), ["solve", "--theta", "0.8"], {}, "sums to 7, expected k=2"),
+    ("range-zero-step", None, SWEEP + ["0.3:0.5:0"], {}, "step > 0"),
+    ("range-negative-step", None, SWEEP + ["0.3:0.5:-0.1"], {}, "step > 0"),
+    ("range-reversed", None, SWEEP + ["0.5:0.3:0.1"], {}, "lo <= hi"),
+    ("range-too-fine", None, SWEEP + ["0.1:0.9:1e-9"], {}, "more than 10000 points"),
+    ("range-two-parts", None, SWEEP + ["0.3:0.5"], {}, "lo:hi:step"),
+    ("range-infinite", None, SWEEP + ["0.3:inf:0.1"], {}, "finite"),
+    ("max-ball-text", None, BALL, {"CAYLEYGIBBS_MAX_BALL": "abc"}, "CAYLEYGIBBS_MAX_BALL"),
+    ("max-ball-zero", None, BALL, {"CAYLEYGIBBS_MAX_BALL": "0"}, "CAYLEYGIBBS_MAX_BALL"),
+    ("max-ball-negative", None, BALL, {"CAYLEYGIBBS_MAX_BALL": "-3"}, "CAYLEYGIBBS_MAX_BALL"),
+    ("ball-over-cap", None, BALL, {"CAYLEYGIBBS_MAX_BALL": "5"}, "cap is 5"),
+    ("spec-text-k", None, ["label", "--word", "e", "--spec", '{k:"2",s:1,A1:[1],A2:[2]}'], {},
+     "k and s must be integers"),
+    ("spec-scalar-set", None, ["label", "--word", "e", "--spec", "{k:2,s:1,A1:1,A2:[2]}"], {},
+     "must be lists"),
+]
+
+
+def _run_subprocess(argv, env):
+    """The CLI in a child process, with a timeout and a 2 GiB address-space cap.
+
+    A grid that never ends would hang and grow a list, so the child is
+    bounded in time and memory rather than run in process.
+    """
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(cayleygibbs.__file__).resolve().parents[1])
+    child_env = {**os.environ, **env, "OPENBLAS_NUM_THREADS": "1"}
+    child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "cayleygibbs.cli", *argv],
+        env=child_env, capture_output=True, text=True, timeout=60, preexec_fn=limit,
+    )
+    return done.returncode, done.stderr
+
+
+@pytest.mark.parametrize(
+    "edit, argv, env, message", [case[1:] for case in BAD_INPUTS], ids=[case[0] for case in BAD_INPUTS]
+)
+def test_bad_input_exits_1_with_message(capsys, monkeypatch, tmp_path, edit, argv, env, message):
+    if edit is not None:
+        doc = json.loads(derive_system(SubgroupSpec.from_json(STANDARD)).to_json())
+        edit(doc)
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + ["--system", str(path)]
+    if "--range" in argv:
+        code, err = _run_subprocess(argv, env)
+    else:
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        code = main(argv)
+        err = capsys.readouterr().err
+    assert code == 1
+    assert message in err
+    assert "Traceback" not in err

@@ -12,15 +12,20 @@ from cayleygibbs.cosets import (
     fold_alternating,
     is_member,
     label,
+    labelled_ball,
     matching_permutation,
     neighbor_counts,
+    position,
     project,
+    step,
 )
 from cayleygibbs.words import (
     IDENTITY,
     enumerate_ball,
     inverse,
     multiply,
+    neighborhood,
+    parent,
     reduce_word,
 )
 
@@ -290,6 +295,48 @@ def test_neighbor_counts_by_class():
         assert seen[0] == (k - 1, 1, 1)
         assert seen[1] == (1, k - 1, 1)
         assert seen[2] == (1, 1, k - 1)
+
+
+# === the per-letter position rule ===
+
+RULE_SPECS = (
+    STANDARD,
+    SubgroupSpec(k=3, s=2, a1={2}, a2={4}),
+    SPLIT,
+    SubgroupSpec(k=3, s=1, a1={1, 2}, a2={3, 4}),
+    SubgroupSpec(k=4, s=2, a1={2, 5}, a2={1}),
+)
+
+
+def test_step_is_an_involution():
+    for spec in RULE_SPECS:
+        for x in enumerate_ball(spec.k, 6).vertices():
+            p = position(x, spec)
+            for i in range(1, spec.k + 2):
+                assert step(step(p, i, spec), i, spec) == p
+
+
+def test_step_by_last_letter_gives_parent_position():
+    for spec in RULE_SPECS:
+        for x in enumerate_ball(spec.k, 6).vertices():
+            if x:
+                assert step(position(x, spec), x[-1], spec) == position(parent(x), spec)
+
+
+def test_labelled_ball_carries_positions():
+    for spec in RULE_SPECS:
+        pairs = list(labelled_ball(spec, 6))
+        assert [x for x, _ in pairs] == list(enumerate_ball(spec.k, 6).vertices())
+        assert all(p == position(x, spec) for x, p in pairs)
+
+
+def test_neighbor_counts_match_folded_projection():
+    for spec in RULE_SPECS:
+        for x in enumerate_ball(spec.k, 6).vertices():
+            counts = [0] * spec.index
+            for y in neighborhood(x, spec.k):
+                counts[fold_alternating(project(y, spec), spec).residue] += 1
+            assert neighbor_counts(x, spec) == tuple(counts)
 
 
 def test_matching_permutation():

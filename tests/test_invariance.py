@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from cayleygibbs.cosets import SubgroupSpec, label
@@ -12,10 +14,11 @@ from cayleygibbs.invariance import (
     state_of,
     successor_labels,
 )
-from cayleygibbs.words import parent, word_from_str
+from cayleygibbs.words import IDENTITY, enumerate_ball, parent, successors, word_from_str
 
 STANDARD = SubgroupSpec(k=2, s=1, a1={1}, a2={2})
 SPLIT = SubgroupSpec(k=2, s=1, a1={1, 3}, a2={2})
+PAIRS = SubgroupSpec(k=3, s=1, a1={1, 2}, a2={3, 4})  # non-singleton, |A1| = |A2|
 
 
 # === successor profiles ===
@@ -62,6 +65,65 @@ def test_invariance_fails_for_split_spec():
     assert any({v.x, v.y} == witness for v in report.violations)
     bad = next(v for v in report.violations if {v.x, v.y} == witness)
     assert sorted(bad.profile_x) != sorted(bad.profile_y)
+
+
+def relabelling_walk(spec, radius):
+    """Test oracle: label every word and every successor from the root.
+
+    Returns (states seen, violations as (x, y, profile_x, profile_y,
+    shared_positions_equal)), comparing each word with the first word of
+    its state.
+    """
+    first = {}
+    violations = []
+    for x in enumerate_ball(spec.k, radius).vertices():
+        if x == IDENTITY:
+            continue
+        st = (label(x, spec).residue, label(parent(x), spec).residue)
+        profile = tuple(label(y, spec).residue for y in successors(x, spec.k))
+        if st not in first:
+            first[st] = (x, profile)
+            continue
+        rep, rep_profile = first[st]
+        if sorted(profile) != sorted(rep_profile):
+            shared = all(
+                label(rep + (i,), spec) == label(x + (i,), spec)
+                for i in range(1, spec.k + 2)
+                if i not in (rep[-1], x[-1])
+            )
+            violations.append((rep, x, rep_profile, profile, shared))
+    return len(first), violations
+
+
+SPLIT_K3 = SubgroupSpec(k=3, s=2, a1={1, 3}, a2={2})  # A0 = {4}: classes agree at that letter
+
+
+@pytest.mark.parametrize("spec", [PAIRS, SPLIT, SPLIT_K3], ids=["pairs", "split", "split-k3"])
+def test_invariance_matches_relabelling_oracle(spec):
+    states_seen, expected = relabelling_walk(spec, radius=6)
+    report = check_invariance(spec, radius=6)
+    got = [
+        (v.x, v.y, v.profile_x, v.profile_y, v.shared_positions_equal)
+        for v in report.violations
+    ]
+    assert report.states_seen == states_seen
+    assert got == expected
+    assert report.holds == (not expected)
+    assert bool(expected) == (spec is not PAIRS)
+
+
+def test_equal_size_letter_sets_hold_and_derive():
+    report = check_invariance(PAIRS, radius=7)
+    assert report.holds
+    # A0 is empty, so no vertex shares its parent's class: 3 * 2 states.
+    assert report.states_seen == 6
+    system = derive_system(PAIRS, allow_nonsingleton=True)
+    assert len(system.states) == 6
+    assert all(sum(row) == PAIRS.k for row in system.counts)
+    assert min(system.reps_checked) >= 3
+    # |A1| = |A2| = 2, A0 empty: a vertex whose parent sits one class up has
+    # one successor there and two one class down.
+    assert system.row((0, 1)) == {(1, 0): 1, (2, 0): 2}
 
 
 def test_invariance_radius_guard():
@@ -176,13 +238,17 @@ def test_system_json_round_trip():
         assert loaded.s == system.s
         assert loaded.states == system.states
         assert loaded.counts == system.counts
-        assert loaded.spec is None and loaded.reps_checked is None
+        assert loaded.spec == spec
+        assert loaded.reps_checked is None
+    # files written before the spec was stored still load, without one
+    payload = json.loads(derive_system(STANDARD).to_json())
+    del payload["spec"]
+    assert WeaklyPeriodicSystem.from_json(json.dumps(payload)).spec is None
 
 
 def test_system_json_shape():
-    import json
-
     payload = json.loads(derive_system(STANDARD).to_json())
-    assert sorted(payload) == ["counts", "k", "s", "states"]
+    assert sorted(payload) == ["counts", "k", "s", "spec", "states"]
+    assert payload["spec"] == {"k": 2, "s": 1, "A1": [1], "A2": [2]}
     assert payload["k"] == 2 and payload["s"] == 1
     assert payload["counts"]["0,1"] == {"0,0": 1, "2,0": 1}
