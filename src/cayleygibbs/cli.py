@@ -103,7 +103,7 @@ def _load_system(args: argparse.Namespace) -> WeaklyPeriodicSystem:
         with open(args.system) as fh:
             return WeaklyPeriodicSystem.from_json(fh.read())
     spec = _parse_spec(args.spec)
-    return derive_system(spec, radius=getattr(args, "radius", None))
+    return derive_system(spec)
 
 
 def _label_json(word_text: str, lab: CosetLabel) -> dict:
@@ -244,7 +244,7 @@ def _cmd_qvec(args) -> int:
 
 def _cmd_derive(args) -> int:
     spec = _parse_spec(args.spec)
-    system = derive_system(spec, radius=args.radius, rep_cap=args.rep_cap)
+    system = derive_system(spec)
     _emit(_format_json(json.loads(system.to_json())) + "\n", args.out)
     return 0
 
@@ -390,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("derive", _cmd_derive, "derive the weakly periodic system")
     p.add_argument("--spec", required=True)
-    p.add_argument("--radius", type=int, default=None)
-    p.add_argument("--rep-cap", type=int, default=12)
 
     p = add("solve", _cmd_solve, "multistart Newton on the field equations")
     p.add_argument("--spec")

@@ -14,16 +14,21 @@ at class r are m-1 at the parent's class, m at the other side and |A0| at
 r, or m on each side and |A0|-1 at r when the parent is at class r, for
 either parity.  With |A1| != |A2| the two parities give different profiles
 for one state; the checker reports the witnesses and the derivation refuses
-to certify.  On every letter choice with k <= 4 and s <= 2 the ball walks
-agree: the 36 choices with |A1| = |A2| = 2 hold and derive, as singletons
-do, and every other non-singleton spec breaks.  Plain derivation still
-accepts only singleton specs.
+to certify.  On every letter choice with k <= 4 and s <= 2 the ball walk and
+the derivation agree: the 36 choices with |A1| = |A2| = 2 hold and derive,
+as singletons do, and every other non-singleton spec breaks.  Plain
+derivation still accepts only singleton specs.
+
+The checker samples a ball; the derivation does not.  A vertex's subtree is
+fixed by its type (position mod 2(2s+1), last letter), the reachable types
+are finite, and derive_system expands each once, so its verdict and its
+rows hold on the whole infinite tree.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from cayleygibbs.cosets import (
@@ -32,9 +37,10 @@ from cayleygibbs.cosets import (
     label,
     labelled_ball,
     neighbor_classes,
+    position,
     step,
 )
-from cayleygibbs.words import IDENTITY, Word, parent, successors
+from cayleygibbs.words import IDENTITY, Word, successors, word_to_str
 
 StatePair = tuple[int, int]
 
@@ -55,11 +61,25 @@ def _drop_parent(near: tuple[int, ...], x: Word) -> tuple[int, ...]:
 
 def state_of(x: Word, spec: SubgroupSpec) -> StatePair:
     """(class of x, class of its parent); undefined for the root."""
-    return (label(x, spec).residue, label(parent(x), spec).residue)
+    if not x:
+        raise ValueError("the root word has no parent, so no state")
+    p = position(x, spec)
+    return (p % spec.index, step(p, x[-1], spec) % spec.index)
 
 
 @dataclass(frozen=True)
 class InvarianceViolation:
+    """Two words of one state whose successor class profiles differ.
+
+    ``shared_positions_equal`` tells whether the neighbour classes agree at
+    every letter neither word ends in.  It is always False.  Two words of
+    one state at positions of equal parity sit at equal positions mod
+    2(2s+1) and have equal profiles, so a violation puts them at opposite
+    parities.  It also needs |A1| != |A2|, so A1 and A2 hold at least three
+    letters, one of which neither word ends in, and that letter steps the
+    two words to opposite sides of their class.
+    """
+
     x: Word
     y: Word
     profile_x: tuple[int, ...]
@@ -85,7 +105,8 @@ def check_invariance(
     parent classes: profiles are compared as multisets of class residues
     (the first representative of each state stands in for x).  Each
     violation also records whether the profiles agree at the generator
-    positions both words share, as a positional diagnostic.
+    positions both words share; by parity that is never so (see
+    InvarianceViolation).
     """
     if radius < 2:
         raise ValueError(f"radius must be >= 2, got {radius}")
@@ -160,9 +181,7 @@ class WeaklyPeriodicSystem:
     """States (class, parent class) with successor-class-count rows.
 
     ``counts[i][j]`` is how many successors of a vertex in ``states[i]``
-    land in ``states[j]``.  Rows sum to k.  ``reps_checked`` records how
-    many ball representatives confirmed each row (the well-definedness
-    certificate); it is None for systems loaded from JSON.
+    land in ``states[j]``.  Rows sum to k.
     """
 
     k: int
@@ -170,7 +189,6 @@ class WeaklyPeriodicSystem:
     states: tuple[StatePair, ...]
     counts: tuple[tuple[int, ...], ...]
     spec: SubgroupSpec | None = None
-    reps_checked: tuple[int, ...] | None = None
 
     def state_index(self, state: StatePair) -> int:
         return self.states.index(state)
@@ -268,19 +286,19 @@ def _state_index(index: dict[StatePair, int], key: object, n: int) -> int:
     return index[st]
 
 
-def derive_system(
-    spec: SubgroupSpec,
-    radius: int | None = None,
-    rep_cap: int = 12,
-    allow_nonsingleton: bool = False,
-) -> WeaklyPeriodicSystem:
-    """Derive the weakly periodic system by walking the tree.
+def derive_system(spec: SubgroupSpec, allow_nonsingleton: bool = False) -> WeaklyPeriodicSystem:
+    """Derive the weakly periodic system by closing the finite type automaton.
 
-    Breadth-first walk from the root collects up to ``rep_cap``
-    representatives of every state pair within the radius (default 4s+4)
-    and counts the successor states of each.  Every state must be
-    confirmed by at least three representatives with identical counts,
-    otherwise the system is rejected as ill defined.
+    A vertex's subtree is fixed by its type, (position mod 2(2s+1), last
+    letter): a step reads only the parity and the class of the position,
+    and the last letter is the one successor the vertex lacks.  Expanding
+    the root's children into every type reachable by appending another
+    letter visits each of the about 2(2s+1)(k+1) types once.  A type's
+    state is (its class, its parent's class) and its row counts its
+    children's states.  The system is well defined exactly when every type
+    of one state gives the same row, so the result is certified on the
+    whole infinite tree; otherwise IllDefinedSystemError names the first
+    word, in breadth-first order, to reach each of two disagreeing types.
     """
     if spec.k == 1:
         raise ValueError("k = 1 gives a line graph with no branching; unsupported")
@@ -288,59 +306,37 @@ def derive_system(
         raise ValueError(
             "derivation requires singleton A1 and A2 (pass allow_nonsingleton to probe anyway)"
         )
-    if radius is None:
-        radius = 4 * spec.s + 4
-    reps: dict[StatePair, list[tuple[Word, int]]] = {}
-    frontier: list[tuple[Word, int]] = [(IDENTITY, 0)]
-    for _ in range(radius):
-        nxt: list[tuple[Word, int]] = []
-        for w, p in frontier:
-            for child in successors(w, spec.k):
-                q = step(p, child[-1], spec)
-                bucket = reps.setdefault((q % spec.index, p % spec.index), [])
-                if len(bucket) < rep_cap:
-                    bucket.append((child, q))
-                    nxt.append((child, q))
-        frontier = nxt
-
-    states = tuple(sorted(reps))
-    rows: list[tuple[int, ...]] = []
-    checked: list[int] = []
-    for st in states:
-        bucket = reps[st]
-        if len(bucket) < 3:
+    n, period = spec.index, 2 * spec.index
+    letters = range(1, spec.k + 2)
+    witness: dict[tuple[int, int], Word] = {(step(0, c, spec) % period, c): (c,) for c in letters}
+    queue = deque(witness)
+    rows: dict[StatePair, tuple[Counter, Word]] = {}
+    while queue:
+        p, last = t = queue.popleft()
+        row: Counter = Counter()
+        for c in letters:
+            if c == last:
+                continue
+            child = (step(p, c, spec) % period, c)
+            row[(child[0] % n, p % n)] += 1
+            if child not in witness:
+                witness[child] = witness[t] + (c,)
+                queue.append(child)
+        st = (p % n, step(p, last, spec) % n)
+        first_row, first_word = rows.setdefault(st, (row, witness[t]))
+        if row != first_row:
             raise IllDefinedSystemError(
-                f"state {st} has only {len(bucket)} representatives within radius {radius}"
+                f"state {st}: {word_to_str(first_word)} gives {dict(first_row)} "
+                f"but {word_to_str(witness[t])} gives {dict(row)}; successor counts "
+                "depend on the vertex, so the invariance property fails"
             )
-        per_rep = [
-            Counter((r, st[0]) for r in _drop_parent(neighbor_classes(p, spec), x))
-            for x, p in bucket
-        ]
-        for other, (rep_word, _) in zip(per_rep[1:], bucket[1:]):
-            if other != per_rep[0]:
-                raise IllDefinedSystemError(
-                    f"state {st}: representative {bucket[0][0]} gives {dict(per_rep[0])} "
-                    f"but {rep_word} gives {dict(other)}; successor counts are "
-                    "representative-dependent, so the invariance property fails"
-                )
-        row = [0] * len(states)
-        for target, n in per_rep[0].items():
-            if target[1] != st[0]:
-                raise IllDefinedSystemError(
-                    f"successor state {target} of {st} does not descend from class {st[0]}"
-                )
-            row[states.index(target)] = n
-        if sum(row) != spec.k:
-            raise IllDefinedSystemError(f"state {st}: row sums to {sum(row)}, expected {spec.k}")
-        rows.append(tuple(row))
-        checked.append(len(bucket))
+    states = tuple(sorted(rows))
     return WeaklyPeriodicSystem(
         k=spec.k,
         s=spec.s,
         states=states,
-        counts=tuple(rows),
+        counts=tuple(tuple(rows[st][0][su] for su in states) for st in states),
         spec=spec,
-        reps_checked=tuple(checked),
     )
 
 

@@ -280,18 +280,17 @@ class InvariantPattern:
 
     id: str
     blocks: tuple[tuple[int, ...], ...]
-    requires_k2: bool
 
 
 INVARIANT_PATTERNS: dict[str, InvariantPattern] = {
     p.id: p
     for p in (
-        InvariantPattern("I0", ((0, 1, 2, 3, 4, 5, 6, 7, 8),), False),
-        InvariantPattern("I1", ((0, 1, 3, 4), (2, 5), (6, 7), (8,)), False),
-        InvariantPattern("I2", ((0,), (1, 2), (3, 6), (4, 5, 7, 8)), False),
-        InvariantPattern("I3", ((0, 5, 7), (1, 2, 3, 4, 6, 8)), True),
-        InvariantPattern("I4", ((0, 1, 3, 5, 7, 8), (2, 4, 6)), True),
-        InvariantPattern("I5", ((0, 2, 4, 5, 6, 7), (1, 3, 8)), True),
+        InvariantPattern("I0", ((0, 1, 2, 3, 4, 5, 6, 7, 8),)),
+        InvariantPattern("I1", ((0, 1, 3, 4), (2, 5), (6, 7), (8,))),
+        InvariantPattern("I2", ((0,), (1, 2), (3, 6), (4, 5, 7, 8))),
+        InvariantPattern("I3", ((0, 5, 7), (1, 2, 3, 4, 6, 8))),
+        InvariantPattern("I4", ((0, 1, 3, 5, 7, 8), (2, 4, 6))),
+        InvariantPattern("I5", ((0, 2, 4, 5, 6, 7), (1, 3, 8))),
     )
 }
 
@@ -458,23 +457,19 @@ def solve_i1_exact(
     disc, roots = quadratic_branch(a)
     boundary = abs(disc) <= BOUNDARY_DISC_EPS
     M = count_matrix(system)
-    vectors: list[tuple[float, ...]] = [tuple([0.0] * 9)]  # the x = 1 branch
-    kept_roots: list[float] = []
+    # field vector -> the root it was rebuilt from; zero is the x = 1 branch
+    branches: dict[tuple[float, ...], float] = {tuple([0.0] * 9): 1.0}
     if not boundary:
-        for x in roots:
-            vec = _reconstruct_from_root(x, a)
-            residual = float(np.max(np.abs(np.array(vec) - M @ edge_field(np.array(vec), theta))))
-            if residual > residual_tol:
-                raise ArithmeticError(
-                    f"reconstructed branch for x={x} misses the full system "
-                    f"(residual {residual:.3e})"
-                )
-            vectors.append(vec)
-            kept_roots.append(x)
+        branches.update((_reconstruct_from_root(x, a), x) for x in roots)
     solutions = []
-    for vec in sorted(vectors):
+    for vec in sorted(branches):
         arr = np.array(vec)
         residual = float(np.max(np.abs(arr - M @ edge_field(arr, theta))))
+        if residual > residual_tol:
+            raise ArithmeticError(
+                f"reconstructed branch for x={branches[vec]} misses the full system "
+                f"(residual {residual:.3e})"
+            )
         solutions.append(
             Solution(
                 fields=vec,
@@ -487,7 +482,7 @@ def solve_i1_exact(
         theta=theta.value,
         a=a,
         discriminant=disc,
-        roots=tuple(kept_roots),
+        roots=() if boundary else roots,
         boundary_degenerate=boundary,
         solution_set=SolutionSet(
             theta=theta.value, states=NINE_STATES, solutions=tuple(solutions)

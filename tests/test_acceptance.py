@@ -11,6 +11,7 @@ tests/test_solver.py).
 import itertools
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ from cayleygibbs.solver import (
     translation_invariant_fields,
     verify_compatibility,
 )
-from cayleygibbs.words import IDENTITY, enumerate_ball, parent, word_from_str
+from cayleygibbs.words import IDENTITY, enumerate_ball, parent, successors, word_from_str
 
 STANDARD = SubgroupSpec(k=2, s=1, a1={1}, a2={2})
 THETA_GRID = [round(0.10 + 0.05 * i, 2) for i in range(18)]  # 0.10 .. 0.95
@@ -169,8 +170,10 @@ def test_criterion_05_neighbor_count_vectors():
 def test_criterion_06_system_derivation_matches_reference():
     """Derived coefficient tables equal the nine-state reference exactly.
 
-    Integer equality for k in {2,3,4,5}, with at least three independent
-    representatives certifying each state's row.
+    Integer equality for k in {2,3,4,5}.  Independently of the derivation,
+    the radius-6 ball, labelled word by word from the root, holds exactly
+    the derived states, each with at least three representatives, and every
+    representative's successor-state counts equal the derived row.
     """
     for k in (2, 3, 4, 5):
         spec = SubgroupSpec(k=k, s=1, a1={1}, a2={2})
@@ -179,8 +182,17 @@ def test_criterion_06_system_derivation_matches_reference():
         expected = reference_counts(k)
         for state in system.states:
             assert system.row(state) == expected[state], f"row {state} at k={k}"
-        assert system.reps_checked is not None
-        assert min(system.reps_checked) >= 3
+        ball: dict = {}  # state -> successor-state counts of each representative
+        for x in enumerate_ball(k, 6).vertices():
+            if x == IDENTITY:
+                continue
+            own = label(x, spec).residue
+            counts = Counter((label(y, spec).residue, own) for y in successors(x, k))
+            ball.setdefault((own, label(parent(x), spec).residue), []).append(counts)
+        assert set(ball) == set(system.states)
+        for state in system.states:
+            assert len(ball[state]) >= 3, f"state {state} at k={k}"
+            assert all(dict(c) == system.row(state) for c in ball[state]), f"row {state} at k={k}"
     print("PASS criterion 6: derived tables match the reference for k in 2..5")
 
 

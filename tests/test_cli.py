@@ -277,6 +277,10 @@ BAD_INPUTS = [
      "k and s must be integers"),
     ("spec-scalar-set", None, ["label", "--word", "e", "--spec", "{k:2,s:1,A1:1,A2:[2]}"], {},
      "must be lists"),
+    ("derive-radius", None, ["derive", "--spec", STANDARD, "--radius", "-1"], {},
+     "unrecognized arguments: --radius -1"),
+    ("derive-rep-cap", None, ["derive", "--spec", STANDARD, "--rep-cap", "3"], {},
+     "unrecognized arguments: --rep-cap 3"),
 ]
 
 
@@ -316,7 +320,10 @@ def test_bad_input_exits_1_with_message(capsys, monkeypatch, tmp_path, edit, arg
     else:
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the command line itself
+            code = exc.code
         err = capsys.readouterr().err
     assert code == 1
     assert message in err

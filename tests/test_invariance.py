@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -39,6 +40,12 @@ def test_state_of():
     assert state_of((1,), STANDARD) == (1, 0)
     assert state_of((1, 2), STANDARD) == (2, 1)
     assert state_of((1, 3), STANDARD) == (1, 1)
+    for spec in (STANDARD, SPLIT, PAIRS):
+        for x in enumerate_ball(spec.k, 4).vertices():
+            if x != IDENTITY:
+                assert state_of(x, spec) == (label(x, spec).residue, label(parent(x), spec).residue)
+    with pytest.raises(ValueError):
+        state_of(IDENTITY, STANDARD)
 
 
 # === invariance dichotomy ===
@@ -95,6 +102,32 @@ def relabelling_walk(spec, radius):
     return len(first), violations
 
 
+def ball_rows(spec, radius):
+    """Test oracle: successor-state counts of every ball word, by state.
+
+    Labels every word and every successor from the root, as
+    relabelling_walk does; each state maps to one Counter per word.
+    """
+    rows = {}
+    for x in enumerate_ball(spec.k, radius).vertices():
+        if x == IDENTITY:
+            continue
+        own = label(x, spec).residue
+        st = (own, label(parent(x), spec).residue)
+        counts = Counter((label(y, spec).residue, own) for y in successors(x, spec.k))
+        rows.setdefault(st, []).append(counts)
+    return rows
+
+
+def assert_ball_certifies(system, spec, radius):
+    """The ball holds exactly the derived states, each with >= 3 words giving its row."""
+    rows = ball_rows(spec, radius)
+    assert set(rows) == set(system.states)
+    for st in system.states:
+        assert len(rows[st]) >= 3, st
+        assert all(dict(counts) == system.row(st) for counts in rows[st]), st
+
+
 SPLIT_K3 = SubgroupSpec(k=3, s=2, a1={1, 3}, a2={2})  # A0 = {4}: classes agree at that letter
 
 
@@ -110,6 +143,9 @@ def test_invariance_matches_relabelling_oracle(spec):
     assert got == expected
     assert report.holds == (not expected)
     assert bool(expected) == (spec is not PAIRS)
+    # Differing profiles put the two words at opposite parities, and an A1 or
+    # A2 letter neither ends in sends them to opposite sides: never all equal.
+    assert not any(v.shared_positions_equal for v in report.violations)
 
 
 def test_equal_size_letter_sets_hold_and_derive():
@@ -120,7 +156,7 @@ def test_equal_size_letter_sets_hold_and_derive():
     system = derive_system(PAIRS, allow_nonsingleton=True)
     assert len(system.states) == 6
     assert all(sum(row) == PAIRS.k for row in system.counts)
-    assert min(system.reps_checked) >= 3
+    assert_ball_certifies(system, PAIRS, radius=7)
     # |A1| = |A2| = 2, A0 empty: a vertex whose parent sits one class up has
     # one successor there and two one class down.
     assert system.row((0, 1)) == {(1, 0): 1, (2, 0): 2}
@@ -158,7 +194,7 @@ def test_derive_standard_system():
     assert system.states == tuple((i, j) for i in range(3) for j in range(3))
     for row in system.counts:
         assert sum(row) == 2
-    assert min(system.reps_checked) >= 3
+    assert_ball_certifies(system, STANDARD, radius=6)
     assert matches_reference(system)
 
 
@@ -221,6 +257,34 @@ def test_derive_detects_ill_defined_counts():
         derive_system(SPLIT, allow_nonsingleton=True)
 
 
+ORACLE_SPECS = [
+    STANDARD,
+    *(SubgroupSpec(k=k, s=s, a1={k + 1}, a2={1}) for k in (2, 3, 4, 5) for s in (1, 2)),
+    PAIRS,
+    SPLIT,
+    SPLIT_K3,
+    SubgroupSpec(k=4, s=1, a1={1, 2}, a2={3, 4}),
+]
+
+
+def _spec_id(spec):
+    letters = ["".join(map(str, sorted(a))) for a in (spec.a1, spec.a2)]
+    return f"k{spec.k}s{spec.s}-A1={letters[0]}-A2={letters[1]}"
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=_spec_id)
+def test_derive_matches_ball_oracle(spec):
+    radius = 7 if spec == PAIRS else 6
+    rows = ball_rows(spec, radius)
+    well_defined = all(counts == reps[0] for reps in rows.values() for counts in reps)
+    assert well_defined == (len(spec.a1) == len(spec.a2))
+    if not well_defined:
+        with pytest.raises(IllDefinedSystemError):
+            derive_system(spec, allow_nonsingleton=True)
+        return
+    assert_ball_certifies(derive_system(spec, allow_nonsingleton=True), spec, radius)
+
+
 def test_derive_deterministic():
     a = derive_system(STANDARD)
     b = derive_system(STANDARD)
@@ -239,7 +303,6 @@ def test_system_json_round_trip():
         assert loaded.states == system.states
         assert loaded.counts == system.counts
         assert loaded.spec == spec
-        assert loaded.reps_checked is None
     # files written before the spec was stored still load, without one
     payload = json.loads(derive_system(STANDARD).to_json())
     del payload["spec"]

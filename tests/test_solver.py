@@ -273,6 +273,14 @@ def test_exact_path_at_08(nine_state):
         assert s.kind == "translation-invariant"
 
 
+def test_exact_path_rejects_a_branch_off_the_system(nine_state, monkeypatch):
+    import cayleygibbs.solver as solver
+
+    monkeypatch.setattr(solver, "_reconstruct_from_root", lambda x, a: (0.5,) * 9)
+    with pytest.raises(ArithmeticError, match="misses the full system"):
+        solve_i1_exact(Theta(0.8), nine_state)
+
+
 def test_exact_path_boundary_degenerate():
     result = solve_i1_exact(Theta(0.5))
     assert result.boundary_degenerate
