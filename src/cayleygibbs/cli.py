@@ -46,6 +46,8 @@ VERIFICATION_FAILED = 2
 
 # largest theta grid --range may ask for
 MAX_GRID_POINTS = 10_000
+# most Newton starts --starts may ask for per theta
+MAX_STARTS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -249,9 +251,15 @@ def _cmd_derive(args) -> int:
     return 0
 
 
+def _solver_config(args, **extra) -> SolverConfig:
+    if args.starts > MAX_STARTS:
+        raise ValueError(f"--starts {args.starts} is more than {MAX_STARTS}")
+    return SolverConfig(starts=args.starts, rng_seed=args.seed, **extra)
+
+
 def _cmd_solve(args) -> int:
     system = _load_system(args)
-    cfg = SolverConfig(starts=args.starts, rng_seed=args.seed, tol=args.tol)
+    cfg = _solver_config(args, tol=args.tol)
     found = solve_fixed_points(system, Theta(args.theta), cfg)
     _emit(_format_json(_solution_set_json(found)) + "\n", args.out)
     return 0
@@ -278,7 +286,7 @@ def _parse_thetas(args) -> list[float]:
 
 def _cmd_sweep(args) -> int:
     system = _load_system(args)
-    cfg = SolverConfig(starts=args.starts, rng_seed=args.seed)
+    cfg = _solver_config(args)
     rows = theta_sweep(system, _parse_thetas(args), cfg)
     _emit(sweep_to_csv(rows), args.out)
     return 0

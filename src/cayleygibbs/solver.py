@@ -7,9 +7,13 @@ solves those equations three independent ways: multistart damped Newton on
 the full system, exact reduction on the four-block invariant subspace of
 the nine-state system (k = 2), and scalar root finding for constant
 solutions; and it verifies solutions against the finite-volume definition
-of the measure.  On the four-block subspace the quadratic branch is the
-nonzero translation-invariant pair and the quartic cofactor has no
-positive root, so that subspace holds no non-constant fixed point.
+of the measure.  Multistart Newton runs batched, all starts of a chunk in
+one stacked iteration; each start still reaches the root a start-by-start
+iteration reaches, bit for bit, because the residual is one np.matmul
+matrix-vector product per start (see _residual_map).  On the four-block
+subspace the quadratic branch is the nonzero translation-invariant pair
+and the quartic cofactor has no positive root, so that subspace holds no
+non-constant fixed point.
 """
 
 from __future__ import annotations
@@ -122,67 +126,122 @@ class SolutionSet:
 
 # === Newton iteration ===
 
-
-def _jacobian(F, u: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    dim = len(u)
-    J = np.empty((dim, dim))
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = step
-        J[:, j] = (F(u + e) - F(u - e)) / (2 * step)
-    return J
+# elements in one stacked (starts, dim, dim) array: a chunk of starts holds
+# max(1, STACK_BUDGET // dim**2) of them, so memory does not grow with starts
+STACK_BUDGET = 1 << 16
+FD_STEP = 1e-6
+LINE_SEARCH_HALVINGS = 30
 
 
-def _newton(F, u0: np.ndarray, tol: float, max_iter: int) -> np.ndarray | None:
-    u = u0.astype(float)
+def _residual_map(M: np.ndarray, theta: Theta):
+    """F(u) = u - M f(u) on the last axis of a vector or a stack of vectors.
+
+    np.matmul against f(u)[..., None] makes one matrix-vector product per
+    stacked vector, bit for bit the product M @ f(u) of a single vector.
+    u @ M.T, einsum and (M @ f(U).T).T sum in another order, which changes
+    the last bit once a row has three nonzero counts (k >= 3).
+    """
+
+    def F(U: np.ndarray) -> np.ndarray:
+        return U - np.matmul(M, edge_field(U, theta)[..., None])[..., 0]
+
+    return F
+
+
+def _solve_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps J[b]^-1 rhs[b] and a mask of the starts that got one."""
+    try:
+        return np.linalg.solve(J, rhs[..., None])[..., 0], np.ones(len(J), dtype=bool)
+    except np.linalg.LinAlgError:
+        steps = np.zeros_like(rhs)
+        ok = np.ones(len(J), dtype=bool)
+        for b in range(len(J)):
+            try:
+                steps[b] = np.linalg.solve(J[b], rhs[b])
+            except np.linalg.LinAlgError:
+                ok[b] = False
+        return steps, ok
+
+
+def _newton_batch(F, U0: np.ndarray, tol: float, max_iter: int) -> list[np.ndarray | None]:
+    """Damped Newton from every row of U0 at once: one root or None per row.
+
+    Each row follows the scalar rule exactly: stop at a residual max-norm
+    <= tol, fail at a non-finite norm or a singular Jacobian, take the
+    central-difference Jacobian with step FD_STEP, halve the step up to
+    LINE_SEARCH_HALVINGS times until the norm strictly drops (else fail),
+    and after max_iter iterations keep the point only if its norm <= tol.
+    Rows leave the live set when they converge or fail.
+    """
+    U = U0.astype(float)
+    out: list[np.ndarray | None] = [None] * len(U)
+    live = np.arange(len(U))
+    E = FD_STEP * np.eye(U.shape[1])
     for _ in range(max_iter):
+        u = U[live]
         r = F(u)
-        norm = np.max(np.abs(r))
-        if not np.isfinite(norm):
-            return None
-        if norm <= tol:
-            return u
-        try:
-            step = np.linalg.solve(_jacobian(F, u), -r)
-        except np.linalg.LinAlgError:
-            return None
+        norm = np.max(np.abs(r), axis=1)
+        finite = np.isfinite(norm)
+        for b in live[finite & (norm <= tol)]:
+            out[b] = U[b]
+        keep = finite & (norm > tol)
+        live, u, r, norm = live[keep], u[keep], r[keep], norm[keep]
+        if not live.size:
+            return out
+        # column j of each Jacobian is the central difference along e_j
+        stack = u[:, None, :]
+        J = ((F(stack + E) - F(stack - E)) / (2 * FD_STEP)).transpose(0, 2, 1)
+        steps, solved = _solve_steps(J, -r)
+        pending = solved.copy()
         lam = 1.0
-        for _ in range(30):
-            trial = u + lam * step
-            if np.max(np.abs(F(trial))) < norm:
-                u = trial
+        for _ in range(LINE_SEARCH_HALVINGS):
+            idx = np.flatnonzero(pending)
+            if not idx.size:
                 break
+            trial = u[idx] + lam * steps[idx]
+            better = np.max(np.abs(F(trial)), axis=1) < norm[idx]
+            u[idx[better]] = trial[better]
+            pending[idx[better]] = False
             lam *= 0.5
-        else:
-            return None
-    r = F(u)
-    return u if np.max(np.abs(r)) <= tol else None
+        moved = solved & ~pending
+        live = live[moved]
+        U[live] = u[moved]
+    if live.size:
+        norm = np.max(np.abs(F(U[live])), axis=1)
+        for b in live[norm <= tol]:
+            out[b] = U[b]
+    return out
 
 
 def _multistart(M: np.ndarray, theta: Theta, cfg: SolverConfig) -> list[np.ndarray]:
     """Deterministic multistart Newton on u = M f(u); deduped solutions.
+
+    The zero start and cfg.starts uniform draws from start_box run through
+    the batched kernel in chunks of max(1, STACK_BUDGET // dim**2) starts;
+    each start's root is bit for bit the one a start-by-start iteration
+    gives, because the residual is taken as np.matmul(M, f(U)[..., None])
+    (see _residual_map) and every other step is elementwise or per start.
 
     Plain distance dedupe, plus a flatness merge: when two candidates are
     within flat_merge_radius and the residual at their midpoint is still
     below flat_merge_residual, nothing separates them at working precision
     and the one with smaller residual represents both.
     """
-
-    def F(u: np.ndarray) -> np.ndarray:
-        return u - M @ edge_field(u, theta)
+    F = _residual_map(M, theta)
 
     def resid(u: np.ndarray) -> float:
         return float(np.max(np.abs(F(u))))
 
     dim = M.shape[0]
     rng = np.random.default_rng(cfg.rng_seed)
-    starts = [np.zeros(dim)]
     lo, hi = cfg.start_box
-    starts.extend(rng.uniform(lo, hi, size=(cfg.starts, dim)))
+    starts = np.vstack([np.zeros(dim), rng.uniform(lo, hi, size=(cfg.starts, dim))])
+    chunk = max(1, STACK_BUDGET // (dim * dim))
     candidates = [
         u
-        for u0 in starts
-        if (u := _newton(F, u0, cfg.tol, cfg.newton_max_iter)) is not None
+        for i in range(0, len(starts), chunk)
+        for u in _newton_batch(F, starts[i : i + chunk], cfg.tol, cfg.newton_max_iter)
+        if u is not None
     ]
     candidates.sort(key=lambda v: tuple(v))
     found: list[np.ndarray] = []
@@ -441,9 +500,10 @@ def solve_i1_exact(
     x = 1 reconstructs the zero solution.  The quadratic factor contributes
     two reciprocal positive roots exactly when theta >= 1/2; each root is
     reconstructed through the Moebius edge map and verified against the full
-    nine-state system.  These are the nonzero translation-invariant pair:
-    at a root of the quadratic all nine coordinates equal log(x).  The
-    quartic cofactor never has positive roots, so no solution in the
+    nine-state system; the root x < 1 gives the exact negation of the
+    vector of the root x > 1.  These are the nonzero translation-invariant
+    pair: at a root of the quadratic all nine coordinates equal log(x).
+    The quartic cofactor never has positive roots, so no solution in the
     pattern is non-constant.  At theta = 1/2 the quadratic degenerates to
     the double root x = 1 and is reported as boundary-degenerate with no
     extra branch.
@@ -459,8 +519,14 @@ def solve_i1_exact(
     M = count_matrix(system)
     # field vector -> the root it was rebuilt from; zero is the x = 1 branch
     branches: dict[tuple[float, ...], float] = {tuple([0.0] * 9): 1.0}
-    if not boundary:
-        branches.update((_reconstruct_from_root(x, a), x) for x in roots)
+    if roots and not boundary:
+        # the pair is +-h* (odd equations), so the x < 1 vector is the exact
+        # negation; rebuilt through the Moebius inverses it loses ~1e-8 at
+        # theta = 0.99
+        x_big, x_small = roots
+        vec = _reconstruct_from_root(x_big, a)
+        branches[vec] = x_big
+        branches[tuple(-v for v in vec)] = x_small
     solutions = []
     for vec in sorted(branches):
         arr = np.array(vec)

@@ -139,6 +139,35 @@ def test_sweep_csv(capsys):
     assert lines[2].startswith("0.8,3,")
 
 
+# the sweep CSV of the commit before the batched Newton kernel, on the
+# benchmark's grid (--starts 50, two seeds) and criterion 7's grid (the
+# defaults: 200 starts, seed 0); it prints only counts, so it does not
+# depend on the BLAS build
+SWEEP_GOLDEN = "theta,n_ti,n_wp_I1,n_wp_I2,agreement\n" + "".join(
+    f"{theta:g},{1 if theta <= 0.5 else 3},0,0,true\n"
+    for theta in (round(0.10 + 0.05 * i, 2) for i in range(18))
+)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--starts", "50", "--seed", "1"], ["--starts", "50", "--seed", "7"], []],
+    ids=["bench-seed1", "bench-seed7", "criterion7"],
+)
+def test_sweep_csv_golden(capsys, extra):
+    code, out = run(capsys, "sweep", "--spec", STANDARD, "--range", "0.1:0.95:0.05", *extra)
+    assert code == 0
+    assert out == SWEEP_GOLDEN
+
+
+def test_sweep_at_large_theta(capsys):
+    code, out = run(
+        capsys, "sweep", "--spec", STANDARD, "--thetas", "0.97,0.99", "--starts", "20"
+    )
+    assert code == 0
+    assert out.split("\n")[1:] == ["0.97,3,0,0,true", "0.99,3,0,0,true", ""]
+
+
 def test_sweep_range_grid(capsys):
     code, out = run(
         capsys, "sweep", "--spec", STANDARD, "--range", "0.3:0.5:0.1", "--starts", "10"
@@ -162,6 +191,20 @@ def test_poly_branch(capsys):
     doc = json.loads(out)
     assert doc["boundary_degenerate"] is True
     assert doc["roots"] == []
+
+
+def test_poly_branches_close_under_negation(capsys):
+    # the x < 1 branch is the exact negation of the x > 1 one, and both
+    # solve the nine-state system to 1e-10 up to theta = 0.99
+    for i in range(51, 100):
+        theta = f"{i / 100:.2f}"
+        code, out = run(capsys, "poly", "--theta", theta)
+        assert code == 0, theta
+        solutions = json.loads(out)["solutions"]
+        vectors = {tuple(sol["fields"].values()) for sol in solutions}
+        assert len(vectors) == 3, theta
+        assert {tuple(-v for v in vec) for vec in vectors} == vectors, theta
+        assert all(sol["residual"] <= 1e-10 for sol in solutions), theta
 
 
 def test_compat_exit_codes(capsys, tmp_path):
@@ -269,6 +312,10 @@ BAD_INPUTS = [
     ("range-too-fine", None, SWEEP + ["0.1:0.9:1e-9"], {}, "more than 10000 points"),
     ("range-two-parts", None, SWEEP + ["0.3:0.5"], {}, "lo:hi:step"),
     ("range-infinite", None, SWEEP + ["0.3:inf:0.1"], {}, "finite"),
+    ("solve-starts-over-cap", None, ["solve", "--spec", STANDARD, "--theta", "0.8", "--starts", "100001"],
+     {}, "more than 100000"),
+    ("sweep-starts-over-cap", None, ["sweep", "--spec", STANDARD, "--thetas", "0.8", "--starts", "1000000000"],
+     {}, "more than 100000"),
     ("max-ball-text", None, BALL, {"CAYLEYGIBBS_MAX_BALL": "abc"}, "CAYLEYGIBBS_MAX_BALL"),
     ("max-ball-zero", None, BALL, {"CAYLEYGIBBS_MAX_BALL": "0"}, "CAYLEYGIBBS_MAX_BALL"),
     ("max-ball-negative", None, BALL, {"CAYLEYGIBBS_MAX_BALL": "-3"}, "CAYLEYGIBBS_MAX_BALL"),
@@ -287,7 +334,8 @@ BAD_INPUTS = [
 def _run_subprocess(argv, env):
     """The CLI in a child process, with a timeout and a 2 GiB address-space cap.
 
-    A grid that never ends would hang and grow a list, so the child is
+    A grid that never ends would hang and grow a list, and an uncapped
+    --starts would draw and iterate that many starts, so the child is
     bounded in time and memory rather than run in process.
     """
     import resource
@@ -315,7 +363,7 @@ def test_bad_input_exits_1_with_message(capsys, monkeypatch, tmp_path, edit, arg
         path = tmp_path / "system.json"
         path.write_text(json.dumps(doc))
         argv = argv + ["--system", str(path)]
-    if "--range" in argv:
+    if "--range" in argv or "--starts" in argv:
         code, err = _run_subprocess(argv, env)
     else:
         for name, value in env.items():

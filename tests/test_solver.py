@@ -1,8 +1,9 @@
 """Tests for the field-equation solver.
 
 Oracles: the scalar edge map is checked against its log form, the constant
-fixed point against a closed form, and the finite-volume distribution
-against a brute-force dictionary implementation.
+fixed point against a closed form, the batched Newton kernel against the
+start-by-start iteration in tests/oracles.py, and the finite-volume
+distribution against a brute-force dictionary implementation.
 """
 
 import itertools
@@ -10,7 +11,9 @@ import math
 
 import numpy as np
 import pytest
+from oracles import _jacobian, _newton
 
+import cayleygibbs.solver as solver
 from cayleygibbs.cosets import SubgroupSpec
 from cayleygibbs.invariance import derive_system
 from cayleygibbs.solver import (
@@ -21,6 +24,7 @@ from cayleygibbs.solver import (
     Theta,
     apply_recursion,
     check_quartic_positivity,
+    count_matrix,
     edge_field,
     finite_volume_probability,
     invariant_sets_containing,
@@ -238,6 +242,107 @@ def test_reduced_i1_solutions_are_constant(nine_state):
     reduced3 = restrict(nine_state, "I3")
     for fields, residual in solve_reduced(reduced3, Theta(0.8), SolverConfig(starts=120)):
         assert max(fields) - min(fields) < 1e-9
+
+
+# === the batched Newton kernel against the start-by-start oracle ===
+
+
+def _starts(dim, seed, n=50):
+    rng = np.random.default_rng(seed)
+    return np.vstack([np.zeros(dim), rng.uniform(-5.0, 5.0, size=(n, dim))])
+
+
+def _oracle_roots(M, theta, starts, tol=1e-12, max_iter=200):
+    def F(u):
+        return u - M @ edge_field(u, theta)
+
+    return [_newton(F, u0, tol, max_iter) for u0 in starts]
+
+
+def _assert_same_roots(got, expect):
+    assert len(got) == len(expect)
+    for i, (g, e) in enumerate(zip(got, expect)):
+        if e is None:
+            assert g is None, f"start {i}: oracle fails, kernel gives {g}"
+        else:
+            assert g is not None and np.array_equal(g, e), f"start {i}: {g} != {e}"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("theta", [0.2, 0.5, 0.55, 0.8, 0.97])
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_batched_newton_matches_oracle_bit_for_bit(k, s, theta, seed):
+    # at k >= 3 any residual but np.matmul(M, f(U)[..., None]) rounds
+    # differently from M @ f(u) and moves the roots in the last bit
+    M = count_matrix(derive_system(SubgroupSpec(k=k, s=s, a1={1}, a2={2})))
+    th = Theta(theta)
+    starts = _starts(M.shape[0], seed)
+    got = solver._newton_batch(solver._residual_map(M, th), starts, 1e-12, 200)
+    _assert_same_roots(got, _oracle_roots(M, th, starts))
+
+
+def test_batched_newton_drops_a_non_finite_start_alone(nine_state):
+    M = count_matrix(nine_state)
+    th = Theta(0.8)
+    starts = _starts(9, 3, n=12)
+    starts[4, 2] = np.inf
+    starts[7, 0] = np.nan
+    got = solver._newton_batch(solver._residual_map(M, th), starts, 1e-12, 200)
+    assert got[4] is None and got[7] is None
+    expect = _oracle_roots(M, th, starts)
+    _assert_same_roots(got, expect)
+    assert sum(r is not None for r in expect) >= 10
+
+
+def test_batched_newton_drops_a_singular_start_alone(nine_state, monkeypatch):
+    # the stacked solve raises, so the kernel solves start by start; the one
+    # start whose first Jacobian is declared singular fails, no other moves
+    M = count_matrix(nine_state)
+    th = Theta(0.8)
+    starts = _starts(9, 5, n=12)
+    clean = _oracle_roots(M, th, starts)
+    singular = _jacobian(lambda u: u - M @ edge_field(u, th), starts[6])
+    real_solve = np.linalg.solve
+    stacked_calls = []
+
+    def solve(a, b):
+        if a.ndim == 3:
+            stacked_calls.append(len(a))
+            raise np.linalg.LinAlgError("Singular matrix")
+        if np.array_equal(a, singular):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    got = solver._newton_batch(solver._residual_map(M, th), starts, 1e-12, 200)
+    assert stacked_calls
+    assert clean[6] is not None and got[6] is None
+    _assert_same_roots(got[:6] + got[7:], clean[:6] + clean[7:])
+
+
+def test_multistart_in_several_chunks_matches_oracle(nine_state, monkeypatch):
+    M = count_matrix(nine_state)
+    th = Theta(0.8)
+    cfg = SolverConfig(starts=40, rng_seed=11)
+    monkeypatch.setattr(solver, "STACK_BUDGET", 7 * 81 + 5)  # 7 starts a chunk
+    chunks, roots = [], []
+    batch = solver._newton_batch
+
+    def recording(F, U0, tol, max_iter):
+        chunks.append(len(U0))
+        out = batch(F, U0, tol, max_iter)
+        roots.extend(out)
+        return out
+
+    monkeypatch.setattr(solver, "_newton_batch", recording)
+    found = solver._multistart(M, th, cfg)
+    assert chunks == [7] * 5 + [6]
+    _assert_same_roots(roots, _oracle_roots(M, th, _starts(9, 11, n=40)))
+    monkeypatch.setattr(solver, "STACK_BUDGET", 1 << 16)
+    whole = solver._multistart(M, th, cfg)
+    assert len(found) == len(whole) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(found, whole))
 
 
 # === the exact polynomial path ===
