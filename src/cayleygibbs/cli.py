@@ -258,6 +258,10 @@ def _solver_config(args, **extra) -> SolverConfig:
 
 
 def _cmd_solve(args) -> int:
+    # the flatness merge needs tol below its fixed residual threshold
+    limit = SolverConfig.flat_merge_residual
+    if not 0 < args.tol < limit:
+        raise ValueError(f"--tol must lie in (0, {limit:g}), got {args.tol:g}")
     system = _load_system(args)
     cfg = _solver_config(args, tol=args.tol)
     found = solve_fixed_points(system, Theta(args.theta), cfg)

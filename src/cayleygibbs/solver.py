@@ -243,22 +243,24 @@ def _multistart(M: np.ndarray, theta: Theta, cfg: SolverConfig) -> list[np.ndarr
         for u in _newton_batch(F, starts[i : i + chunk], cfg.tol, cfg.newton_max_iter)
         if u is not None
     ]
-    candidates.sort(key=lambda v: tuple(v))
-    found: list[np.ndarray] = []
-    for u in candidates:
-        for i, v in enumerate(found):
+    # each candidate's residual once, in one stacked call (row for row what
+    # resid gives), kept next to it while deduping
+    norms = np.max(np.abs(F(np.reshape(candidates, (-1, dim)))), axis=1)
+    found: list[tuple[np.ndarray, float]] = []
+    for u, norm in sorted(zip(candidates, norms), key=lambda c: tuple(c[0])):
+        for i, (v, v_norm) in enumerate(found):
             gap = float(np.max(np.abs(u - v)))
             if gap < cfg.dedupe_eps or (
                 gap <= cfg.flat_merge_radius
                 and resid(0.5 * (u + v)) <= cfg.flat_merge_residual
             ):
-                if resid(u) < resid(v):
-                    found[i] = u
+                if norm < v_norm:
+                    found[i] = (u, norm)
                 break
         else:
-            found.append(u)
-    found.sort(key=lambda v: tuple(v))
-    return found
+            found.append((u, norm))
+    found.sort(key=lambda c: tuple(c[0]))
+    return [u for u, _ in found]
 
 
 def _classify(fields: np.ndarray) -> str:
@@ -720,32 +722,45 @@ def _volume_distribution(
     """Probabilities of all spin configurations on the radius-n ball.
 
     Vertices are in ball enumeration order with the root as the most
-    significant bit of the configuration index.  The boundary mapping must
-    provide a field for every vertex of the outer sphere; fields elsewhere
-    are zero.
+    significant bit of the configuration index; bit 1 is spin +1.  The
+    boundary mapping must provide a field for every vertex of the outer
+    sphere; fields elsewhere are zero.
+
+    The log weights are built by prefix doubling, with no spin matrix.
+    Once the spins of vertices 0..j-1 are fixed, the edge terms among them
+    are known; vertex j's parent p comes before it in ball order, so the
+    array over the first j spins, viewed as (2^p, 2, rest), doubles into
+    (2^p, 2, rest, 2) by adding +beta where the two spins agree and -beta
+    where they differ.  The outer sphere holds the low bits, so each
+    boundary term, in sphere order, is one broadcast add of the 2^|outer|
+    row of +-b_w.  Every configuration thus receives the same IEEE
+    additions in the same order as summing beta * s_p * s_w over the
+    vertices and then b_w * s_w over the outer sphere (a - beta is
+    a + (-beta)), so the result is identical bit for bit to that sum, kept
+    in tests/oracles.py.
     """
     ball = enumerate_ball(k, n)
     verts = list(ball.vertices())
-    bits = len(verts)
-    if bits > MAX_CONFIG_BITS:
-        raise ValueError(f"{bits} spins exceed the {MAX_CONFIG_BITS}-bit config cap")
+    if len(verts) > MAX_CONFIG_BITS:
+        raise ValueError(f"{len(verts)} spins exceed the {MAX_CONFIG_BITS}-bit config cap")
     outer = ball.spheres[-1]
     missing = [w for w in outer if w not in boundary]
     if missing:
         raise ValueError(f"boundary field missing for {len(missing)} outer vertices")
     index = {w: i for i, w in enumerate(verts)}
-    codes = np.arange(1 << bits, dtype=np.int64)
-    shifts = (bits - 1 - np.arange(bits)).astype(np.int64)
-    spins = (((codes[:, None] >> shifts[None, :]) & 1) * 2 - 1).astype(np.int8)
-    log_weight = np.zeros(len(codes))
-    beta = theta.beta
+    # edge[parent bit, 0, child bit] = beta * s_parent * s_child, each exactly +-beta
+    edge = theta.beta * np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :]
+    log_weight = np.zeros(2)
     for w in verts[1:]:
-        log_weight += beta * (spins[:, index[parent(w)]] * spins[:, index[w]])
-    for w in outer:
-        log_weight += boundary[w] * spins[:, index[w]]
+        log_weight = (log_weight.reshape(1 << index[parent(w)], 2, -1, 1) + edge).reshape(-1)
+    low = np.arange(1 << len(outer))
+    by_outer = log_weight.reshape(-1, len(low))  # a view; one row per inner configuration
+    for i, w in enumerate(outer):
+        by_outer += np.where((low >> (len(outer) - 1 - i)) & 1, boundary[w], -boundary[w])
     log_weight -= log_weight.max()
-    weight = np.exp(log_weight)
-    return verts, weight / weight.sum()
+    np.exp(log_weight, out=log_weight)
+    log_weight /= log_weight.sum()
+    return verts, log_weight
 
 
 def finite_volume_probability(

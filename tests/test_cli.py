@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ import cayleygibbs
 from cayleygibbs.cli import main
 from cayleygibbs.cosets import SubgroupSpec
 from cayleygibbs.invariance import derive_system
+from cayleygibbs.solver import Theta, solve_i1_exact, verify_compatibility
 
 STANDARD = '{"k": 2, "s": 1, "A1": [1], "A2": [2]}'
 SPLIT = '{"k": 2, "s": 1, "A1": [1, 3], "A2": [2]}'
@@ -228,6 +230,52 @@ def test_compat_exit_codes(capsys, tmp_path):
     assert json.loads(out)["passed"] is False
 
 
+# compat --n 3 stdout of the commit before the prefix-doubling distribution
+# (spin matrix), for the three poly vectors at theta = 0.8 and the last one
+# with "1,1" raised by 0.05; the same bytes come out with numpy's x86 SIMD
+# extensions disabled (NPY_DISABLE_CPU_FEATURES)
+COMPAT_N3_GOLDEN = [
+    (0, "5.5511151231257827e-16", "true"),
+    (0, "3.8857805861880479e-16", "true"),
+    (0, "2.7321894746634712e-17", "true"),
+    (2, "0.00016729140094210761", "false"),
+]
+
+
+def test_compat_n3_golden(capsys, tmp_path):
+    _, out = run(capsys, "poly", "--theta", "0.8")
+    vectors = [sol["fields"] for sol in json.loads(out)["solutions"]]
+    assert len(vectors) == 3
+    perturbed = dict(vectors[-1])
+    perturbed["1,1"] += 0.05
+    for i, (fields, (want_code, deviation, passed)) in enumerate(
+        zip(vectors + [perturbed], COMPAT_N3_GOLDEN)
+    ):
+        path = tmp_path / f"fields{i}.json"
+        path.write_text(json.dumps(fields))
+        code = main(
+            ["compat", "--spec", STANDARD, "--theta", "0.8", "--n", "3", "--fields", str(path)]
+        )
+        captured = capsys.readouterr()
+        assert code == want_code
+        assert captured.out == (
+            f'{{\n  "passed": {passed},\n  "n": 3,\n  "max_deviation": {deviation},\n'
+            '  "configs_checked": 4194304\n}\n'
+        )
+        assert captured.err == ""
+    # 2^22 configurations in float64 are 32 MB; the spin-matrix construction
+    # peaked at about 824 MB
+    system = derive_system(SubgroupSpec.from_json(STANDARD))
+    fields = solve_i1_exact(Theta(0.8), system).solution_set.solutions[-1].fields
+    tracemalloc.start()
+    try:
+        verify_compatibility(fields, system, Theta(0.8), n=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2**20
+
+
 def test_compat_accepts_dense_list(capsys, tmp_path):
     dense = tmp_path / "dense.json"
     dense.write_text(json.dumps([0.0] * 9))
@@ -316,6 +364,10 @@ BAD_INPUTS = [
      {}, "more than 100000"),
     ("sweep-starts-over-cap", None, ["sweep", "--spec", STANDARD, "--thetas", "0.8", "--starts", "1000000000"],
      {}, "more than 100000"),
+    ("solve-tol-too-large", None, ["solve", "--spec", STANDARD, "--theta", "0.7", "--tol", "1e-10"],
+     {}, "--tol must lie in (0, 1e-10), got 1e-10"),
+    ("solve-tol-nonpositive", None, ["solve", "--spec", STANDARD, "--theta", "0.7", "--tol", "0"],
+     {}, "--tol must lie in (0, 1e-10), got 0"),
     ("max-ball-text", None, BALL, {"CAYLEYGIBBS_MAX_BALL": "abc"}, "CAYLEYGIBBS_MAX_BALL"),
     ("max-ball-zero", None, BALL, {"CAYLEYGIBBS_MAX_BALL": "0"}, "CAYLEYGIBBS_MAX_BALL"),
     ("max-ball-negative", None, BALL, {"CAYLEYGIBBS_MAX_BALL": "-3"}, "CAYLEYGIBBS_MAX_BALL"),

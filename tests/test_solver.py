@@ -3,7 +3,8 @@
 Oracles: the scalar edge map is checked against its log form, the constant
 fixed point against a closed form, the batched Newton kernel against the
 start-by-start iteration in tests/oracles.py, and the finite-volume
-distribution against a brute-force dictionary implementation.
+distribution against a brute-force dictionary implementation and, bit for
+bit, against the spin-matrix construction in tests/oracles.py.
 """
 
 import itertools
@@ -12,6 +13,7 @@ import math
 import numpy as np
 import pytest
 from oracles import _jacobian, _newton
+from oracles import _volume_distribution as spin_matrix_distribution
 
 import cayleygibbs.solver as solver
 from cayleygibbs.cosets import SubgroupSpec
@@ -537,6 +539,23 @@ def test_probability_matches_brute_force():
         sigma = dict(zip(verts, spins))
         got = finite_volume_probability(sigma, boundary, th, n, k)
         assert got == pytest.approx(expect, abs=1e-14)
+
+
+@pytest.mark.parametrize("k, n", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_volume_distribution_matches_spin_matrix_bit_for_bit(k, n):
+    # prefix doubling adds, per configuration, the same +-beta and +-b_w
+    # terms in the same order as the spin-matrix sum, so the probabilities
+    # must be equal, not merely close
+    rng = np.random.default_rng(100 * k + n)
+    outer = enumerate_ball(k, n).spheres[-1]
+    for value in (0.05, 0.3, 0.5, 0.8, 0.99):
+        for scale in (0.01, 1.0, 25.0):
+            boundary = {w: float(b) for w, b in zip(outer, rng.normal(0.0, scale, len(outer)))}
+            verts, probs = solver._volume_distribution(k, n, Theta(value), boundary)
+            want_verts, want = spin_matrix_distribution(k, n, Theta(value), boundary)
+            assert verts == want_verts
+            assert probs.dtype == want.dtype
+            assert np.array_equal(probs, want), (value, scale)
 
 
 def test_probability_normalisation():
