@@ -30,6 +30,7 @@ from cayleygibbs.invariance import (
     derive_system,
 )
 from cayleygibbs.solver import (
+    FLAT_MERGE_RESIDUAL,
     SolutionSet,
     SolverConfig,
     Theta,
@@ -252,16 +253,19 @@ def _cmd_derive(args) -> int:
 
 
 def _solver_config(args, **extra) -> SolverConfig:
+    if args.starts < 0:
+        raise ValueError(f"--starts must be >= 0, got {args.starts}")
     if args.starts > MAX_STARTS:
         raise ValueError(f"--starts {args.starts} is more than {MAX_STARTS}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     return SolverConfig(starts=args.starts, rng_seed=args.seed, **extra)
 
 
 def _cmd_solve(args) -> int:
     # the flatness merge needs tol below its fixed residual threshold
-    limit = SolverConfig.flat_merge_residual
-    if not 0 < args.tol < limit:
-        raise ValueError(f"--tol must lie in (0, {limit:g}), got {args.tol:g}")
+    if not 0 < args.tol < FLAT_MERGE_RESIDUAL:
+        raise ValueError(f"--tol must lie in (0, {FLAT_MERGE_RESIDUAL:g}), got {args.tol:g}")
     system = _load_system(args)
     cfg = _solver_config(args, tol=args.tol)
     found = solve_fixed_points(system, Theta(args.theta), cfg)
@@ -271,7 +275,10 @@ def _cmd_solve(args) -> int:
 
 def _parse_thetas(args) -> list[float]:
     if args.thetas:
-        return [float(v) for v in args.thetas.split(",") if v.strip()]
+        values = [float(v) for v in args.thetas.split(",") if v.strip()]
+        if not values:
+            raise ValueError(f"--thetas needs at least one value, got {args.thetas!r}")
+        return values
     parts = args.range.split(":")
     if len(parts) != 3:
         raise ValueError(f"--range must be lo:hi:step, got {args.range!r}")
@@ -312,6 +319,8 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_compat(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol:g}")
     system = _load_system(args)
     fields = _read_fields(args.fields, system)
     report = verify_compatibility(fields, system, Theta(args.theta), args.n, args.tol)

@@ -231,15 +231,13 @@ def neighbor_classes(p: int, spec: SubgroupSpec) -> tuple[int, ...]:
     return tuple(step(p, i, spec) % spec.index for i in range(1, spec.k + 2))
 
 
-def labelled_ball(
-    spec: SubgroupSpec, radius: int, max_vertices: int | None = None
-) -> Iterator[tuple[Word, int]]:
+def labelled_ball(spec: SubgroupSpec, radius: int) -> Iterator[tuple[Word, int]]:
     """Every word of the ball with its position, in ball enumeration order.
 
     Each word is its parent's position stepped by its last letter, so the
     walk costs one step per word instead of a rescan from the root.
     """
-    ball = enumerate_ball(spec.k, radius, max_vertices)
+    ball = enumerate_ball(spec.k, radius)
     positions = [0]
     yield IDENTITY, 0
     for parents, sphere in zip(ball.spheres, ball.spheres[1:]):
@@ -259,7 +257,7 @@ def is_member(x: Word, spec: SubgroupSpec) -> bool:
     return label(x, spec).residue == 0
 
 
-def coset_classes(spec: SubgroupSpec, radius: int, max_vertices: int | None = None) -> dict[int, list[Word]]:
+def coset_classes(spec: SubgroupSpec, radius: int) -> dict[int, list[Word]]:
     """Partition the ball of the given radius into coset classes.
 
     Radius must be at least 2s so every class is populated; the result maps
@@ -268,7 +266,7 @@ def coset_classes(spec: SubgroupSpec, radius: int, max_vertices: int | None = No
     if radius < 2 * spec.s:
         raise ValueError(f"radius must be >= 2s = {2 * spec.s} to populate every class")
     classes: dict[int, list[Word]] = {r: [] for r in range(spec.index)}
-    for x, p in labelled_ball(spec, radius, max_vertices):
+    for x, p in labelled_ball(spec, radius):
         classes[p % spec.index].append(x)
     return classes
 
@@ -284,14 +282,14 @@ class CosetCheckReport:
     first_violation: tuple[Word, Word] | None
 
 
-def check_cosets(spec: SubgroupSpec, radius: int, max_vertices: int | None = None) -> CosetCheckReport:
+def check_cosets(spec: SubgroupSpec, radius: int) -> CosetCheckReport:
     """Verify label classes against the subgroup by direct word arithmetic.
 
     For every pair x, y in the ball: label(x) == label(y) iff y^-1 x is a
     member, which is the left-coset relation.  Additionally members must be
     closed under x y^-1.
     """
-    words = list(enumerate_ball(spec.k, radius, max_vertices).vertices())
+    words = list(enumerate_ball(spec.k, radius).vertices())
     residues = [label(x, spec).residue for x in words]
     pairs = 0
     violation = None

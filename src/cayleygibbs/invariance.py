@@ -96,9 +96,7 @@ class InvarianceReport:
     violations: tuple[InvarianceViolation, ...]
 
 
-def check_invariance(
-    spec: SubgroupSpec, radius: int, max_vertices: int | None = None
-) -> InvarianceReport:
+def check_invariance(spec: SubgroupSpec, radius: int) -> InvarianceReport:
     """Test whether successor class profiles depend only on the state pair.
 
     Equivalent to checking every pair x, y with equal classes and equal
@@ -113,7 +111,7 @@ def check_invariance(
     first_rep: dict[StatePair, tuple[Word, tuple[int, ...], tuple[int, ...]]] = {}
     violations: list[InvarianceViolation] = []
     words_checked = 0
-    for x, p in labelled_ball(spec, radius, max_vertices):
+    for x, p in labelled_ball(spec, radius):
         if x == IDENTITY:
             continue
         words_checked += 1
@@ -145,9 +143,7 @@ class ClassCountReport:
     permutations_found: bool
 
 
-def check_class_counts(
-    spec: SubgroupSpec, radius: int, max_vertices: int | None = None
-) -> ClassCountReport:
+def check_class_counts(spec: SubgroupSpec, radius: int) -> ClassCountReport:
     """Verify neighbor-class counts are constant on each coset class.
 
     Also verifies a coordinate permutation matching every vertex's count
@@ -161,7 +157,7 @@ def check_class_counts(
     vectors: dict[int, tuple[int, ...]] = {}
     passed = True
     permutations = True
-    for _, p in labelled_ball(spec, radius, max_vertices):
+    for _, p in labelled_ball(spec, radius):
         near = neighbor_classes(p, spec)
         q = tuple(near.count(r) for r in range(spec.index))
         if vectors.setdefault(p % spec.index, q) != q:

@@ -10,10 +10,16 @@ solutions; and it verifies solutions against the finite-volume definition
 of the measure.  Multistart Newton runs batched, all starts of a chunk in
 one stacked iteration; each start still reaches the root a start-by-start
 iteration reaches, bit for bit, because the residual is one np.matmul
-matrix-vector product per start (see _residual_map).  On the four-block
-subspace the quadratic branch is the nonzero translation-invariant pair
-and the quartic cofactor has no positive root, so that subspace holds no
-non-constant fixed point.
+matrix-vector product per start (see _residual_map).  That one map also
+gives every reported residual.  On the four-block subspace the quadratic
+branch is the nonzero translation-invariant pair and the quartic cofactor
+has no positive root, so that subspace holds no non-constant fixed point.
+
+A run sets only SolverConfig (tol, starts, rng_seed).  The rest are
+constants: NEWTON_MAX_ITER, FD_STEP, LINE_SEARCH_HALVINGS, START_BOX,
+STACK_BUDGET, DEDUPE_EPS, FLAT_MERGE_RADIUS, FLAT_MERGE_RESIDUAL,
+TI_SPREAD (constant vectors and pattern blocks), EXACT_RESIDUAL_TOL and
+SWEEP_MATCH_TOL.
 """
 
 from __future__ import annotations
@@ -77,30 +83,18 @@ def apply_recursion(system: WeaklyPeriodicSystem, h: Sequence[float], theta: The
 
 @dataclass(frozen=True)
 class SolverConfig:
-    # flat_merge_*: at a degenerate root (e.g. the critical k*theta = 1)
-    # Newton converges to a cloud of points the residual cannot separate;
-    # candidates closer than flat_merge_radius whose midpoint still solves
-    # the system to flat_merge_residual count as one root.
+    """What a multistart Newton run varies: tolerance, random starts, seed."""
+
     tol: float = 1e-12
-    newton_max_iter: int = 200
     starts: int = 200
-    start_box: tuple[float, float] = (-5.0, 5.0)
-    dedupe_eps: float = 1e-8
-    flat_merge_radius: float = 1e-2
-    flat_merge_residual: float = 1e-10
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.tol <= 0 or self.dedupe_eps <= self.tol:
-            raise ValueError("need 0 < tol < dedupe_eps")
-        if self.flat_merge_radius < self.dedupe_eps or self.flat_merge_residual <= self.tol:
-            raise ValueError(
-                "need flat_merge_radius >= dedupe_eps and flat_merge_residual > tol"
-            )
-        if self.newton_max_iter < 1 or self.starts < 0:
-            raise ValueError("newton_max_iter must be >= 1 and starts >= 0")
-        if not self.start_box[0] < self.start_box[1]:
-            raise ValueError("start_box must be an increasing pair")
+        # the flatness merge separates candidates only above tol
+        if not 0 < self.tol < FLAT_MERGE_RESIDUAL:
+            raise ValueError(f"need 0 < tol < {FLAT_MERGE_RESIDUAL:g}")
+        if self.starts < 0:
+            raise ValueError("starts must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -131,6 +125,17 @@ class SolutionSet:
 STACK_BUDGET = 1 << 16
 FD_STEP = 1e-6
 LINE_SEARCH_HALVINGS = 30
+NEWTON_MAX_ITER = 200
+# random starts are uniform on this interval in every coordinate
+START_BOX = (-5.0, 5.0)
+# candidates closer than this in max-norm are one root
+DEDUPE_EPS = 1e-8
+# at a degenerate root (e.g. the critical k*theta = 1) Newton converges to a
+# cloud of points the residual cannot separate; candidates closer than
+# FLAT_MERGE_RADIUS whose midpoint still solves the system to
+# FLAT_MERGE_RESIDUAL count as one root
+FLAT_MERGE_RADIUS = 1e-2
+FLAT_MERGE_RESIDUAL = 1e-10
 
 
 def _residual_map(M: np.ndarray, theta: Theta):
@@ -163,21 +168,21 @@ def _solve_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
         return steps, ok
 
 
-def _newton_batch(F, U0: np.ndarray, tol: float, max_iter: int) -> list[np.ndarray | None]:
+def _newton_batch(F, U0: np.ndarray, tol: float) -> list[np.ndarray | None]:
     """Damped Newton from every row of U0 at once: one root or None per row.
 
     Each row follows the scalar rule exactly: stop at a residual max-norm
     <= tol, fail at a non-finite norm or a singular Jacobian, take the
     central-difference Jacobian with step FD_STEP, halve the step up to
     LINE_SEARCH_HALVINGS times until the norm strictly drops (else fail),
-    and after max_iter iterations keep the point only if its norm <= tol.
-    Rows leave the live set when they converge or fail.
+    and after NEWTON_MAX_ITER iterations keep the point only if its norm is
+    <= tol.  Rows leave the live set when they converge or fail.
     """
     U = U0.astype(float)
     out: list[np.ndarray | None] = [None] * len(U)
     live = np.arange(len(U))
     E = FD_STEP * np.eye(U.shape[1])
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         u = U[live]
         r = F(u)
         norm = np.max(np.abs(r), axis=1)
@@ -213,46 +218,42 @@ def _newton_batch(F, U0: np.ndarray, tol: float, max_iter: int) -> list[np.ndarr
     return out
 
 
-def _multistart(M: np.ndarray, theta: Theta, cfg: SolverConfig) -> list[np.ndarray]:
-    """Deterministic multistart Newton on u = M f(u); deduped solutions.
+def _multistart(M: np.ndarray, theta: Theta, cfg: SolverConfig) -> list[tuple[np.ndarray, float]]:
+    """Deterministic multistart Newton on u = M f(u): deduped (root, residual).
 
-    The zero start and cfg.starts uniform draws from start_box run through
+    The zero start and cfg.starts uniform draws from START_BOX run through
     the batched kernel in chunks of max(1, STACK_BUDGET // dim**2) starts;
     each start's root is bit for bit the one a start-by-start iteration
     gives, because the residual is taken as np.matmul(M, f(U)[..., None])
     (see _residual_map) and every other step is elementwise or per start.
+    The residual returned with a root is its max-norm under that map, bit
+    for bit max|u - M @ f(u)| of the root alone.
 
     Plain distance dedupe, plus a flatness merge: when two candidates are
-    within flat_merge_radius and the residual at their midpoint is still
-    below flat_merge_residual, nothing separates them at working precision
+    within FLAT_MERGE_RADIUS and the residual at their midpoint is still
+    below FLAT_MERGE_RESIDUAL, nothing separates them at working precision
     and the one with smaller residual represents both.
     """
     F = _residual_map(M, theta)
-
-    def resid(u: np.ndarray) -> float:
-        return float(np.max(np.abs(F(u))))
-
     dim = M.shape[0]
     rng = np.random.default_rng(cfg.rng_seed)
-    lo, hi = cfg.start_box
-    starts = np.vstack([np.zeros(dim), rng.uniform(lo, hi, size=(cfg.starts, dim))])
+    starts = np.vstack([np.zeros(dim), rng.uniform(*START_BOX, size=(cfg.starts, dim))])
     chunk = max(1, STACK_BUDGET // (dim * dim))
     candidates = [
         u
         for i in range(0, len(starts), chunk)
-        for u in _newton_batch(F, starts[i : i + chunk], cfg.tol, cfg.newton_max_iter)
+        for u in _newton_batch(F, starts[i : i + chunk], cfg.tol)
         if u is not None
     ]
-    # each candidate's residual once, in one stacked call (row for row what
-    # resid gives), kept next to it while deduping
+    # each candidate's residual once, in one stacked call, kept next to it
     norms = np.max(np.abs(F(np.reshape(candidates, (-1, dim)))), axis=1)
     found: list[tuple[np.ndarray, float]] = []
-    for u, norm in sorted(zip(candidates, norms), key=lambda c: tuple(c[0])):
+    for u, norm in sorted(zip(candidates, norms.tolist()), key=lambda c: tuple(c[0])):
         for i, (v, v_norm) in enumerate(found):
             gap = float(np.max(np.abs(u - v)))
-            if gap < cfg.dedupe_eps or (
-                gap <= cfg.flat_merge_radius
-                and resid(0.5 * (u + v)) <= cfg.flat_merge_residual
+            if gap < DEDUPE_EPS or (
+                gap <= FLAT_MERGE_RADIUS
+                and float(np.max(np.abs(F(0.5 * (u + v))))) <= FLAT_MERGE_RESIDUAL
             ):
                 if norm < v_norm:
                     found[i] = (u, norm)
@@ -260,7 +261,7 @@ def _multistart(M: np.ndarray, theta: Theta, cfg: SolverConfig) -> list[np.ndarr
         else:
             found.append((u, norm))
     found.sort(key=lambda c: tuple(c[0]))
-    return [u for u, _ in found]
+    return found
 
 
 def _classify(fields: np.ndarray) -> str:
@@ -277,10 +278,8 @@ def solve_fixed_points(
     solution is classified by coordinate spread and annotated with the
     equality patterns it satisfies.
     """
-    M = count_matrix(system)
     solutions = []
-    for u in _multistart(M, theta, cfg):
-        residual = float(np.max(np.abs(u - M @ edge_field(u, theta))))
+    for u, residual in _multistart(count_matrix(system), theta, cfg):
         fields = tuple(float(v) for v in u)
         solutions.append(
             Solution(
@@ -357,9 +356,9 @@ INVARIANT_PATTERNS: dict[str, InvariantPattern] = {
 
 
 def invariant_sets_containing(
-    fields: Sequence[float], states: tuple[StatePair, ...], eps: float = TI_SPREAD
+    fields: Sequence[float], states: tuple[StatePair, ...]
 ) -> tuple[str, ...]:
-    """Pattern ids whose blocks the field vector satisfies within eps."""
+    """Pattern ids whose blocks the field vector satisfies within TI_SPREAD."""
     if tuple(states) != NINE_STATES:
         return ()
     hits = []
@@ -367,7 +366,7 @@ def invariant_sets_containing(
         ok = True
         for block in pattern.blocks:
             vals = [fields[i] for i in block]
-            if max(vals) - min(vals) >= eps:
+            if max(vals) - min(vals) >= TI_SPREAD:
                 ok = False
                 break
         if ok:
@@ -430,11 +429,7 @@ def solve_reduced(
 ) -> list[tuple[tuple[float, ...], float]]:
     """Multistart Newton on a block-collapsed system: (block values, residual)."""
     M = np.array(reduced.matrix, dtype=float)
-    out = []
-    for u in _multistart(M, theta, cfg):
-        residual = float(np.max(np.abs(u - M @ edge_field(u, theta))))
-        out.append((tuple(float(v) for v in u), residual))
-    return out
+    return [(tuple(float(v) for v in u), residual) for u, residual in _multistart(M, theta, cfg)]
 
 
 # === exact solution on the four-block pattern (k = 2) ===
@@ -476,6 +471,8 @@ def quartic_coefficients(a: float) -> tuple[float, float, float, float, float]:
 
 
 BOUNDARY_DISC_EPS = 1e-12
+# largest residual a rebuilt branch may leave on the full nine-state system
+EXACT_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -491,9 +488,7 @@ class ExactBranchResult:
 
 
 def solve_i1_exact(
-    theta: Theta,
-    system: WeaklyPeriodicSystem | None = None,
-    residual_tol: float = 1e-10,
+    theta: Theta, system: WeaklyPeriodicSystem | None = None
 ) -> ExactBranchResult:
     """Solve the four-block restriction of the k = 2 nine-state system exactly.
 
@@ -518,7 +513,7 @@ def solve_i1_exact(
     a = theta.a
     disc, roots = quadratic_branch(a)
     boundary = abs(disc) <= BOUNDARY_DISC_EPS
-    M = count_matrix(system)
+    F = _residual_map(count_matrix(system), theta)
     # field vector -> the root it was rebuilt from; zero is the x = 1 branch
     branches: dict[tuple[float, ...], float] = {tuple([0.0] * 9): 1.0}
     if roots and not boundary:
@@ -532,8 +527,8 @@ def solve_i1_exact(
     solutions = []
     for vec in sorted(branches):
         arr = np.array(vec)
-        residual = float(np.max(np.abs(arr - M @ edge_field(arr, theta))))
-        if residual > residual_tol:
+        residual = float(np.max(np.abs(F(arr))))
+        if residual > EXACT_RESIDUAL_TOL:
             raise ArithmeticError(
                 f"reconstructed branch for x={branches[vec]} misses the full system "
                 f"(residual {residual:.3e})"
@@ -633,6 +628,9 @@ def check_quartic_positivity(
 
 # === theta sweep ===
 
+# exact-branch and Newton solutions agree when this close in max-norm
+SWEEP_MATCH_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -648,7 +646,6 @@ def theta_sweep(
     system: WeaklyPeriodicSystem,
     theta_values: Iterable[float],
     cfg: SolverConfig = SolverConfig(),
-    match_tol: float = 1e-8,
 ) -> list[SweepRow]:
     """Count solution kinds per theta and cross-check the exact branch.
 
@@ -656,8 +653,8 @@ def theta_sweep(
     and lie in the respective pattern; for the k = 2 nine-state system
     n_wp_i1 is 0 at every theta, since every fixed point in I1 is constant.
     Agreement means the exact-branch solutions and the Newton solutions
-    match pairwise within match_tol; for systems without an exact path the
-    Newton result stands alone and agreement is vacuously true.
+    match pairwise within SWEEP_MATCH_TOL; for systems without an exact
+    path the Newton result stands alone and agreement is vacuously true.
     """
     rows = []
     has_exact = system.k == 2 and system.states == NINE_STATES
@@ -675,11 +672,11 @@ def theta_sweep(
         if has_exact:
             exact = solve_i1_exact(theta, system).solution_set
             for sol in exact.solutions:
-                if _nearest_distance(sol.fields, found.solutions) > match_tol:
+                if _nearest_distance(sol.fields, found.solutions) > SWEEP_MATCH_TOL:
                     agreement = False
             for sol in found.solutions:
                 if "I1" in sol.invariant_sets:
-                    if _nearest_distance(sol.fields, exact.solutions) > match_tol:
+                    if _nearest_distance(sol.fields, exact.solutions) > SWEEP_MATCH_TOL:
                         agreement = False
         rows.append(
             SweepRow(

@@ -17,7 +17,7 @@ Word = tuple[int, ...]
 
 IDENTITY: Word = ()
 
-# Guard for ball enumeration; override per call or via CAYLEYGIBBS_MAX_BALL.
+# Guard for ball enumeration; override via CAYLEYGIBBS_MAX_BALL.
 MAX_BALL_VERTICES = 10_000_000
 
 
@@ -120,9 +120,7 @@ class Ball:
         return sum(len(sphere) for sphere in self.spheres)
 
 
-def _vertex_cap(max_vertices: int | None) -> int:
-    if max_vertices is not None:
-        return max_vertices
+def _vertex_cap() -> int:
     env = os.environ.get("CAYLEYGIBBS_MAX_BALL")
     if env is None:
         return MAX_BALL_VERTICES
@@ -131,7 +129,7 @@ def _vertex_cap(max_vertices: int | None) -> int:
     return int(env)
 
 
-def enumerate_ball(k: int, radius: int, max_vertices: int | None = None) -> Ball:
+def enumerate_ball(k: int, radius: int) -> Ball:
     """Breadth-first enumeration of all words of length <= radius.
 
     Spheres come out in lexicographic order because parents are visited in
@@ -142,7 +140,7 @@ def enumerate_ball(k: int, radius: int, max_vertices: int | None = None) -> Ball
         raise ValueError(f"k must be >= 1, got {k}")
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    cap = _vertex_cap(max_vertices)
+    cap = _vertex_cap()
     total = ball_size(k, radius)
     if total > cap:
         raise ResourceLimitError(

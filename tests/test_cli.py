@@ -346,6 +346,8 @@ def _set_count(value):
 
 SWEEP = ["sweep", "--spec", STANDARD, "--starts", "5", "--range"]
 BALL = ["ball", "--k", "2", "--radius", "3"]
+# fields.json holds the zero vector, a true fixed point (written per test)
+COMPAT = ["compat", "--spec", STANDARD, "--theta", "0.8", "--fields", "fields.json"]
 
 # (id, edit of the derived STANDARD system file or None, argv, environment,
 # text the error message must hold)
@@ -364,6 +366,16 @@ BAD_INPUTS = [
      {}, "more than 100000"),
     ("sweep-starts-over-cap", None, ["sweep", "--spec", STANDARD, "--thetas", "0.8", "--starts", "1000000000"],
      {}, "more than 100000"),
+    ("solve-starts-negative", None, ["solve", "--spec", STANDARD, "--theta", "0.8", "--starts", "-1"],
+     {}, "--starts must be >= 0, got -1"),
+    ("sweep-starts-negative", None, ["sweep", "--spec", STANDARD, "--thetas", "0.8", "--starts", "-1"],
+     {}, "--starts must be >= 0, got -1"),
+    ("solve-seed-negative", None, ["solve", "--spec", STANDARD, "--theta", "0.8", "--seed", "-1"],
+     {}, "--seed must be >= 0, got -1"),
+    ("sweep-thetas-empty", None, ["sweep", "--spec", STANDARD, "--thetas", ","], {},
+     "--thetas needs at least one value"),
+    ("compat-tol-negative", None, COMPAT + ["--tol", "-1"], {}, "--tol must be finite and >= 0, got -1"),
+    ("compat-tol-nan", None, COMPAT + ["--tol", "nan"], {}, "--tol must be finite and >= 0, got nan"),
     ("solve-tol-too-large", None, ["solve", "--spec", STANDARD, "--theta", "0.7", "--tol", "1e-10"],
      {}, "--tol must lie in (0, 1e-10), got 1e-10"),
     ("solve-tol-nonpositive", None, ["solve", "--spec", STANDARD, "--theta", "0.7", "--tol", "0"],
@@ -409,6 +421,8 @@ def _run_subprocess(argv, env):
     "edit, argv, env, message", [case[1:] for case in BAD_INPUTS], ids=[case[0] for case in BAD_INPUTS]
 )
 def test_bad_input_exits_1_with_message(capsys, monkeypatch, tmp_path, edit, argv, env, message):
+    (tmp_path / "fields.json").write_text(json.dumps([0.0] * 9))
+    monkeypatch.chdir(tmp_path)
     if edit is not None:
         doc = json.loads(derive_system(SubgroupSpec.from_json(STANDARD)).to_json())
         edit(doc)

@@ -76,9 +76,9 @@ def test_theta_derived_parameters():
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(tol=1e-6, dedupe_eps=1e-8)
+        SolverConfig(tol=1e-6)
     with pytest.raises(ValueError):
-        SolverConfig(start_box=(3.0, -3.0))
+        SolverConfig(starts=-1)
 
 
 def test_edge_field_log_identity():
@@ -254,7 +254,7 @@ def _starts(dim, seed, n=50):
     return np.vstack([np.zeros(dim), rng.uniform(-5.0, 5.0, size=(n, dim))])
 
 
-def _oracle_roots(M, theta, starts, tol=1e-12, max_iter=200):
+def _oracle_roots(M, theta, starts, tol=1e-12, max_iter=solver.NEWTON_MAX_ITER):
     def F(u):
         return u - M @ edge_field(u, theta)
 
@@ -276,12 +276,18 @@ def _assert_same_roots(got, expect):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_batched_newton_matches_oracle_bit_for_bit(k, s, theta, seed):
     # at k >= 3 any residual but np.matmul(M, f(U)[..., None]) rounds
-    # differently from M @ f(u) and moves the roots in the last bit
-    M = count_matrix(derive_system(SubgroupSpec(k=k, s=s, a1={1}, a2={2})))
+    # differently from M @ f(u) and moves the roots, and the reported
+    # residuals, in the last bit
+    system = derive_system(SubgroupSpec(k=k, s=s, a1={1}, a2={2}))
+    M = count_matrix(system)
     th = Theta(theta)
     starts = _starts(M.shape[0], seed)
-    got = solver._newton_batch(solver._residual_map(M, th), starts, 1e-12, 200)
+    got = solver._newton_batch(solver._residual_map(M, th), starts, 1e-12)
     _assert_same_roots(got, _oracle_roots(M, th, starts))
+    found = solve_fixed_points(system, th, SolverConfig(starts=50, rng_seed=seed))
+    for sol in found.solutions:
+        u = np.array(sol.fields)
+        assert sol.residual == float(np.max(np.abs(u - M @ edge_field(u, th))))
 
 
 def test_batched_newton_drops_a_non_finite_start_alone(nine_state):
@@ -290,7 +296,7 @@ def test_batched_newton_drops_a_non_finite_start_alone(nine_state):
     starts = _starts(9, 3, n=12)
     starts[4, 2] = np.inf
     starts[7, 0] = np.nan
-    got = solver._newton_batch(solver._residual_map(M, th), starts, 1e-12, 200)
+    got = solver._newton_batch(solver._residual_map(M, th), starts, 1e-12)
     assert got[4] is None and got[7] is None
     expect = _oracle_roots(M, th, starts)
     _assert_same_roots(got, expect)
@@ -317,7 +323,7 @@ def test_batched_newton_drops_a_singular_start_alone(nine_state, monkeypatch):
         return real_solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", solve)
-    got = solver._newton_batch(solver._residual_map(M, th), starts, 1e-12, 200)
+    got = solver._newton_batch(solver._residual_map(M, th), starts, 1e-12)
     assert stacked_calls
     assert clean[6] is not None and got[6] is None
     _assert_same_roots(got[:6] + got[7:], clean[:6] + clean[7:])
@@ -331,9 +337,9 @@ def test_multistart_in_several_chunks_matches_oracle(nine_state, monkeypatch):
     chunks, roots = [], []
     batch = solver._newton_batch
 
-    def recording(F, U0, tol, max_iter):
+    def recording(F, U0, tol):
         chunks.append(len(U0))
-        out = batch(F, U0, tol, max_iter)
+        out = batch(F, U0, tol)
         roots.extend(out)
         return out
 
@@ -344,7 +350,7 @@ def test_multistart_in_several_chunks_matches_oracle(nine_state, monkeypatch):
     monkeypatch.setattr(solver, "STACK_BUDGET", 1 << 16)
     whole = solver._multistart(M, th, cfg)
     assert len(found) == len(whole) == 3
-    assert all(np.array_equal(a, b) for a, b in zip(found, whole))
+    assert all(np.array_equal(a, b) and r == q for (a, r), (b, q) in zip(found, whole))
 
 
 # === the exact polynomial path ===
@@ -386,6 +392,16 @@ def test_exact_path_rejects_a_branch_off_the_system(nine_state, monkeypatch):
     monkeypatch.setattr(solver, "_reconstruct_from_root", lambda x, a: (0.5,) * 9)
     with pytest.raises(ArithmeticError, match="misses the full system"):
         solve_i1_exact(Theta(0.8), nine_state)
+
+
+def test_exact_path_residual_is_the_plain_residual(nine_state):
+    # the printed residual of every branch, bit for bit, on poly's theta grid
+    M = count_matrix(nine_state)
+    for i in range(51, 100):
+        th = Theta(i / 100)
+        for sol in solve_i1_exact(th, nine_state).solution_set.solutions:
+            u = np.array(sol.fields)
+            assert sol.residual == float(np.max(np.abs(u - M @ edge_field(u, th)))), th
 
 
 def test_exact_path_boundary_degenerate():

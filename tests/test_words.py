@@ -208,9 +208,6 @@ def test_ball_deterministic():
 def test_ball_resource_cap():
     with pytest.raises(ResourceLimitError):
         enumerate_ball(2, 40)
-    with pytest.raises(ResourceLimitError):
-        enumerate_ball(2, 5, max_vertices=10)
-    assert len(enumerate_ball(2, 5, max_vertices=94)) == 94
 
 
 def test_ball_cap_env_override(monkeypatch):
