@@ -275,14 +275,20 @@ def _cmd_solve(args) -> int:
 
 def _parse_thetas(args) -> list[float]:
     if args.thetas:
-        values = [float(v) for v in args.thetas.split(",") if v.strip()]
+        try:
+            values = [float(v) for v in args.thetas.split(",") if v.strip()]
+        except ValueError:
+            raise ValueError(f"--thetas must be comma-separated numbers, got {args.thetas!r}") from None
         if not values:
             raise ValueError(f"--thetas needs at least one value, got {args.thetas!r}")
         return values
     parts = args.range.split(":")
     if len(parts) != 3:
         raise ValueError(f"--range must be lo:hi:step, got {args.range!r}")
-    lo, hi, step = (float(v) for v in parts)
+    try:
+        lo, hi, step = (float(v) for v in parts)
+    except ValueError:
+        raise ValueError(f"--range lo:hi:step must be numbers, got {args.range!r}") from None
     if not all(math.isfinite(v) for v in (lo, hi, step)) or step <= 0 or hi < lo:
         raise ValueError(f"--range needs finite lo <= hi and step > 0, got {args.range!r}")
     if (hi - lo) / step >= MAX_GRID_POINTS:

@@ -19,10 +19,13 @@ the derivation agree: the 36 choices with |A1| = |A2| = 2 hold and derive,
 as singletons do, and every other non-singleton spec breaks.  Plain
 derivation still accepts only singleton specs.
 
-The checker samples a ball; the derivation does not.  A vertex's subtree is
-fixed by its type (position mod 2(2s+1), last letter), the reachable types
-are finite, and derive_system expands each once, so its verdict and its
-rows hold on the whole infinite tree.
+Both rest on one reduction.  A vertex's subtree is fixed by its type
+(position mod 2(2s+1), last letter), and the reachable types are finite.
+derive_system expands each type once, so its verdict and its rows hold on
+the whole infinite tree.  check_invariance still walks a ball, because its
+violations name words in ball order, but it works out each type's verdict
+once, when the walk first meets the type; every other word costs one
+lookup of its type.
 """
 
 from __future__ import annotations
@@ -100,31 +103,34 @@ def check_invariance(spec: SubgroupSpec, radius: int) -> InvarianceReport:
     """Test whether successor class profiles depend only on the state pair.
 
     Equivalent to checking every pair x, y with equal classes and equal
-    parent classes: profiles are compared as multisets of class residues
-    (the first representative of each state stands in for x).  Each
-    violation also records whether the profiles agree at the generator
-    positions both words share; by parity that is never so (see
-    InvarianceViolation).
+    parent classes: profiles are compared as multisets of class residues,
+    and the first word of each state in ball order stands in for x.  A
+    word's neighbour classes, and so its state and profile, are fixed by its
+    type (position mod 2(2s+1), last letter), and so is the first word of
+    its state.  The verdict against that word is therefore worked out once
+    per type, when the walk first meets it, and every other word costs one
+    lookup of its type.  Each violation also records whether the profiles
+    agree at the generator positions both words share; by parity that is
+    never so (see InvarianceViolation).
     """
     if radius < 2:
         raise ValueError(f"radius must be >= 2, got {radius}")
+    period = 2 * spec.index
     first_rep: dict[StatePair, tuple[Word, tuple[int, ...], tuple[int, ...]]] = {}
+    verdicts: dict[tuple[int, int], tuple | None] = {}
     violations: list[InvarianceViolation] = []
     words_checked = 0
     for x, p in labelled_ball(spec, radius):
         if x == IDENTITY:
             continue
         words_checked += 1
-        near = neighbor_classes(p, spec)
-        st = (p % spec.index, near[x[-1] - 1])
-        profile = _drop_parent(near, x)
-        if st not in first_rep:
-            first_rep[st] = (x, near, profile)
-            continue
-        rep, rep_near, rep_profile = first_rep[st]
-        if sorted(profile) != sorted(rep_profile):
-            skip = {rep[-1] - 1, x[-1] - 1}
-            shared = all(a == b for i, (a, b) in enumerate(zip(rep_near, near)) if i not in skip)
+        t = (p % period, x[-1])
+        try:
+            verdict = verdicts[t]
+        except KeyError:
+            verdict = verdicts[t] = _type_verdict(x, p, spec, first_rep)
+        if verdict is not None:
+            rep, rep_profile, profile, shared = verdict
             violations.append(InvarianceViolation(rep, x, rep_profile, profile, shared))
     return InvarianceReport(
         holds=not violations,
@@ -133,6 +139,32 @@ def check_invariance(spec: SubgroupSpec, radius: int) -> InvarianceReport:
         states_seen=len(first_rep),
         violations=tuple(violations),
     )
+
+
+def _type_verdict(
+    x: Word,
+    p: int,
+    spec: SubgroupSpec,
+    first_rep: dict[StatePair, tuple[Word, tuple[int, ...], tuple[int, ...]]],
+) -> tuple[Word, tuple[int, ...], tuple[int, ...], bool] | None:
+    """How every word of x's type compares with the first word of its state.
+
+    x is the first word of its type in ball order; if its state is new, x
+    becomes that state's first word.  None when the profiles agree as
+    multisets, else (first word, its profile, x's profile, shared flag).
+    """
+    near = neighbor_classes(p, spec)
+    st = (p % spec.index, near[x[-1] - 1])
+    profile = _drop_parent(near, x)
+    if st not in first_rep:
+        first_rep[st] = (x, near, profile)
+        return None
+    rep, rep_near, rep_profile = first_rep[st]
+    if sorted(profile) == sorted(rep_profile):
+        return None
+    skip = {rep[-1] - 1, x[-1] - 1}
+    shared = all(a == b for i, (a, b) in enumerate(zip(rep_near, near)) if i not in skip)
+    return rep, rep_profile, profile, shared
 
 
 @dataclass(frozen=True)

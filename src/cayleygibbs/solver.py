@@ -36,6 +36,9 @@ from cayleygibbs.words import Word, enumerate_ball, parent
 
 # coordinate spread below this means a constant (translation-invariant) vector
 TI_SPREAD = 1e-8
+# bisection for a constant field stops once its bracket is this narrow,
+# relative to max(1, midpoint)
+TI_BISECT_TOL = 1e-14
 
 NINE_STATES: tuple[StatePair, ...] = tuple((i, j) for i in range(3) for j in range(3))
 
@@ -292,7 +295,7 @@ def solve_fixed_points(
     return SolutionSet(theta=theta.value, states=system.states, solutions=tuple(solutions))
 
 
-def translation_invariant_fields(k: int, theta: Theta, tol: float = 1e-14) -> list[float]:
+def translation_invariant_fields(k: int, theta: Theta) -> list[float]:
     """All real roots of h = k f(h, theta), by sign-change scan and bisection.
 
     Always contains 0; for k theta > 1 a symmetric nonzero pair appears.
@@ -314,7 +317,7 @@ def translation_invariant_fields(k: int, theta: Theta, tol: float = 1e-14) -> li
             lo_h, hi_h = float(grid[i]), float(grid[i + 1])
             for _ in range(200):
                 mid = 0.5 * (lo_h + hi_h)
-                if hi_h - lo_h <= tol * max(1.0, mid):
+                if hi_h - lo_h <= TI_BISECT_TOL * max(1.0, mid):
                     break
                 if g(lo_h) * g(mid) <= 0:
                     hi_h = mid

@@ -8,14 +8,26 @@ _volume_distribution is the spin-matrix construction the prefix-doubling
 one in cayleygibbs.solver replaced, kept verbatim: both must return the
 same vertices and the same probabilities bit for bit.  It holds a
 2^bits x bits int64 array, so keep it to small balls.
+
+check_invariance is the word-by-word ball walk that the per-type lookup in
+cayleygibbs.invariance replaced, kept verbatim: it builds the neighbour
+classes, state and profile of every word and compares each with the first
+word of its state.  Both must return equal reports, violations included.
 """
 
 from collections.abc import Mapping
 
 import numpy as np
 
+from cayleygibbs.cosets import SubgroupSpec, labelled_ball, neighbor_classes
+from cayleygibbs.invariance import (
+    InvarianceReport,
+    InvarianceViolation,
+    StatePair,
+    _drop_parent,
+)
 from cayleygibbs.solver import MAX_CONFIG_BITS, Theta
-from cayleygibbs.words import Word, enumerate_ball, parent
+from cayleygibbs.words import IDENTITY, Word, enumerate_ball, parent
 
 
 def _jacobian(F, u: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -86,3 +98,42 @@ def _volume_distribution(
     log_weight -= log_weight.max()
     weight = np.exp(log_weight)
     return verts, weight / weight.sum()
+
+
+def check_invariance(spec: SubgroupSpec, radius: int) -> InvarianceReport:
+    """Test whether successor class profiles depend only on the state pair.
+
+    Equivalent to checking every pair x, y with equal classes and equal
+    parent classes: profiles are compared as multisets of class residues
+    (the first representative of each state stands in for x).  Each
+    violation also records whether the profiles agree at the generator
+    positions both words share; by parity that is never so (see
+    InvarianceViolation).
+    """
+    if radius < 2:
+        raise ValueError(f"radius must be >= 2, got {radius}")
+    first_rep: dict[StatePair, tuple[Word, tuple[int, ...], tuple[int, ...]]] = {}
+    violations: list[InvarianceViolation] = []
+    words_checked = 0
+    for x, p in labelled_ball(spec, radius):
+        if x == IDENTITY:
+            continue
+        words_checked += 1
+        near = neighbor_classes(p, spec)
+        st = (p % spec.index, near[x[-1] - 1])
+        profile = _drop_parent(near, x)
+        if st not in first_rep:
+            first_rep[st] = (x, near, profile)
+            continue
+        rep, rep_near, rep_profile = first_rep[st]
+        if sorted(profile) != sorted(rep_profile):
+            skip = {rep[-1] - 1, x[-1] - 1}
+            shared = all(a == b for i, (a, b) in enumerate(zip(rep_near, near)) if i not in skip)
+            violations.append(InvarianceViolation(rep, x, rep_profile, profile, shared))
+    return InvarianceReport(
+        holds=not violations,
+        radius=radius,
+        words_checked=words_checked,
+        states_seen=len(first_rep),
+        violations=tuple(violations),
+    )

@@ -362,6 +362,7 @@ BAD_INPUTS = [
     ("range-too-fine", None, SWEEP + ["0.1:0.9:1e-9"], {}, "more than 10000 points"),
     ("range-two-parts", None, SWEEP + ["0.3:0.5"], {}, "lo:hi:step"),
     ("range-infinite", None, SWEEP + ["0.3:inf:0.1"], {}, "finite"),
+    ("range-text", None, SWEEP + ["0.1:abc:0.1"], {}, "--range lo:hi:step must be numbers, got '0.1:abc:0.1'"),
     ("solve-starts-over-cap", None, ["solve", "--spec", STANDARD, "--theta", "0.8", "--starts", "100001"],
      {}, "more than 100000"),
     ("sweep-starts-over-cap", None, ["sweep", "--spec", STANDARD, "--thetas", "0.8", "--starts", "1000000000"],
@@ -374,6 +375,8 @@ BAD_INPUTS = [
      {}, "--seed must be >= 0, got -1"),
     ("sweep-thetas-empty", None, ["sweep", "--spec", STANDARD, "--thetas", ","], {},
      "--thetas needs at least one value"),
+    ("sweep-thetas-text", None, ["sweep", "--spec", STANDARD, "--thetas", "abc"], {},
+     "--thetas must be comma-separated numbers, got 'abc'"),
     ("compat-tol-negative", None, COMPAT + ["--tol", "-1"], {}, "--tol must be finite and >= 0, got -1"),
     ("compat-tol-nan", None, COMPAT + ["--tol", "nan"], {}, "--tol must be finite and >= 0, got nan"),
     ("solve-tol-too-large", None, ["solve", "--spec", STANDARD, "--theta", "0.7", "--tol", "1e-10"],

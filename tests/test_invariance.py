@@ -1,6 +1,8 @@
 import json
 from collections import Counter
+from itertools import combinations
 
+import oracles
 import pytest
 
 from cayleygibbs.cosets import SubgroupSpec, label
@@ -146,6 +148,54 @@ def test_invariance_matches_relabelling_oracle(spec):
     # Differing profiles put the two words at opposite parities, and an A1 or
     # A2 letter neither ends in sends them to opposite sides: never all equal.
     assert not any(v.shared_positions_equal for v in report.violations)
+
+
+def letter_choices(k):
+    """Every (A1, A2) of disjoint nonempty letter sets; |A0| <= k-1 follows."""
+    letters = range(1, k + 2)
+    for n1 in range(1, k + 1):
+        for a1 in combinations(letters, n1):
+            rest = [c for c in letters if c not in a1]
+            for n2 in range(1, len(rest) + 1):
+                for a2 in combinations(rest, n2):
+                    yield set(a1), set(a2)
+
+
+ORACLE_RADIUS = {2: 8, 3: 5, 4: 4}
+
+
+def test_invariance_matches_word_by_word_oracle_on_every_small_spec():
+    specs = [
+        SubgroupSpec(k=k, s=s, a1=a1, a2=a2)
+        for k in ORACLE_RADIUS
+        for s in (1, 2)
+        for a1, a2 in letter_choices(k)
+    ]
+    assert len(specs) == 484
+    broken = 0
+    for spec in specs:
+        report = check_invariance(spec, ORACLE_RADIUS[spec.k])
+        assert report == oracles.check_invariance(spec, ORACLE_RADIUS[spec.k]), spec
+        broken += not report.holds
+    assert broken == 336
+
+
+@pytest.mark.parametrize(
+    "spec, radius",
+    [
+        (SubgroupSpec(k=2, s=1, a1={1, 3}, a2={2}), 11),
+        (SubgroupSpec(k=2, s=2, a1={2}, a2={3}), 11),
+        (SubgroupSpec(k=3, s=1, a1={1, 2}, a2={3}), 7),
+        (SubgroupSpec(k=3, s=2, a1={1, 2}, a2={3, 4}), 7),
+        (SubgroupSpec(k=4, s=2, a1={1}, a2={3}), 6),
+        (SubgroupSpec(k=4, s=1, a1={1, 2, 5}, a2={4}), 6),
+    ],
+    ids=["k2-split", "k2-single", "k3-split", "k3-pairs", "k4-single", "k4-triple"],
+)
+def test_invariance_matches_word_by_word_oracle_at_workload_radii(spec, radius):
+    report = check_invariance(spec, radius)
+    assert report == oracles.check_invariance(spec, radius)
+    assert report.holds == (len(spec.a1) == len(spec.a2))
 
 
 def test_equal_size_letter_sets_hold_and_derive():
