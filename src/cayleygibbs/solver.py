@@ -731,28 +731,40 @@ def _volume_distribution(
     are known; vertex j's parent p comes before it in ball order, so the
     array over the first j spins, viewed as (2^p, 2, rest), doubles into
     (2^p, 2, rest, 2) by adding +beta where the two spins agree and -beta
-    where they differ.  The outer sphere holds the low bits, so each
-    boundary term, in sphere order, is one broadcast add of the 2^|outer|
-    row of +-b_w.  Every configuration thus receives the same IEEE
-    additions in the same order as summing beta * s_p * s_w over the
-    vertices and then b_w * s_w over the outer sphere (a - beta is
-    a + (-beta)), so the result is identical bit for bit to that sum, kept
-    in tests/oracles.py.
+    where they differ.  Each doubling is two adds, one per child spin, each
+    over the whole array with the long ``rest`` axis innermost, written
+    into memory allocated once: ``full`` (2^V values) and ``half``
+    (2^(V-1)).  Doubling j reads the buffer the previous one wrote and
+    fills the first 2^(j+1) values of ``full`` when V-1-j is even, of
+    ``half`` otherwise, so the last doubling lands in ``full``.  The outer
+    sphere holds the low bits, so each boundary term, in sphere order, is
+    one broadcast add of the 2^|outer| row of +-b_w.  Every configuration
+    thus receives the same IEEE additions in the same order as summing
+    beta * s_p * s_w over the vertices and then b_w * s_w over the outer
+    sphere (a - beta is a + (-beta)), so the result is identical bit for
+    bit to that sum, kept in tests/oracles.py.
     """
     ball = enumerate_ball(k, n)
     verts = list(ball.vertices())
-    if len(verts) > MAX_CONFIG_BITS:
-        raise ValueError(f"{len(verts)} spins exceed the {MAX_CONFIG_BITS}-bit config cap")
+    bits = len(verts)
+    if bits > MAX_CONFIG_BITS:
+        raise ValueError(f"{bits} spins exceed the {MAX_CONFIG_BITS}-bit config cap")
     outer = ball.spheres[-1]
     missing = [w for w in outer if w not in boundary]
     if missing:
         raise ValueError(f"boundary field missing for {len(missing)} outer vertices")
     index = {w: i for i, w in enumerate(verts)}
-    # edge[parent bit, 0, child bit] = beta * s_parent * s_child, each exactly +-beta
-    edge = theta.beta * np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :]
-    log_weight = np.zeros(2)
-    for w in verts[1:]:
-        log_weight = (log_weight.reshape(1 << index[parent(w)], 2, -1, 1) + edge).reshape(-1)
+    # edge[parent bit, child bit] = beta * s_parent * s_child, each exactly +-beta
+    edge = theta.beta * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    full = np.empty(1 << bits)
+    buffers = (full, np.empty(1 << (bits - 1)))  # indexed by the parity of bits-1-j
+    buffers[(bits - 1) % 2][:2] = 0.0
+    for j, w in enumerate(verts[1:], start=1):
+        prev = buffers[(bits - j) % 2][: 1 << j].reshape(1 << index[parent(w)], 2, -1)
+        doubled = buffers[(bits - 1 - j) % 2][: 2 << j].reshape(*prev.shape, 2)
+        for child in (0, 1):
+            np.add(prev, edge[:, child, None], out=doubled[..., child])
+    log_weight = full
     low = np.arange(1 << len(outer))
     by_outer = log_weight.reshape(-1, len(low))  # a view; one row per inner configuration
     for i, w in enumerate(outer):
@@ -771,12 +783,12 @@ def finite_volume_probability(
     k: int,
 ) -> float:
     """Probability of one spin configuration on the radius-n ball."""
-    verts, probs = _volume_distribution(k, n, theta, boundary)
     code = 0
-    for w in verts:
+    for w in enumerate_ball(k, n).vertices():
         if w not in sigma or sigma[w] not in (-1, 1):
             raise ValueError(f"configuration must assign +-1 to every vertex; bad at {w}")
         code = (code << 1) | (sigma[w] == 1)
+    _, probs = _volume_distribution(k, n, theta, boundary)
     return float(probs[code])
 
 

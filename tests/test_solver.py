@@ -557,11 +557,13 @@ def test_probability_matches_brute_force():
         assert got == pytest.approx(expect, abs=1e-14)
 
 
-@pytest.mark.parametrize("k, n", [(2, 1), (2, 2), (3, 1), (3, 2)])
+@pytest.mark.parametrize("k, n", [(2, 0), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
 def test_volume_distribution_matches_spin_matrix_bit_for_bit(k, n):
     # prefix doubling adds, per configuration, the same +-beta and +-b_w
     # terms in the same order as the spin-matrix sum, so the probabilities
-    # must be equal, not merely close
+    # must be equal, not merely close; (2, 0) has one vertex and no
+    # doubling, and the 1, 4, 5, 6, 10 and 17 vertex counts start the
+    # doubling in either buffer
     rng = np.random.default_rng(100 * k + n)
     outer = enumerate_ball(k, n).spheres[-1]
     for value in (0.05, 0.3, 0.5, 0.8, 0.99):
@@ -634,6 +636,20 @@ def test_boundary_must_cover_outer_sphere():
     sigma = {w: 1 for w in enumerate_ball(2, 1).vertices()}
     with pytest.raises(ValueError):
         finite_volume_probability(sigma, boundary, th, 1, 2)
+
+
+def test_bad_sigma_rejected_before_the_distribution_is_built(monkeypatch):
+    th = Theta(0.5)
+    verts = list(enumerate_ball(2, 1).vertices())
+    boundary = {w: 0.0 for w in enumerate_ball(2, 1).spheres[-1]}
+
+    def unreachable(*args):
+        raise AssertionError("distribution built for a bad configuration")
+
+    monkeypatch.setattr(solver, "_volume_distribution", unreachable)
+    for bad in ({**dict.fromkeys(verts, 1), verts[-1]: 0}, dict.fromkeys(verts[:-1], 1)):
+        with pytest.raises(ValueError, match="bad at"):
+            finite_volume_probability(bad, boundary, th, 1, 2)
 
 
 def test_word_from_str_helper_used_in_cli_paths():
