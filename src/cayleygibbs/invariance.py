@@ -14,18 +14,19 @@ at class r are m-1 at the parent's class, m at the other side and |A0| at
 r, or m on each side and |A0|-1 at r when the parent is at class r, for
 either parity.  With |A1| != |A2| the two parities give different profiles
 for one state; the checker reports the witnesses and the derivation refuses
-to certify.  On every letter choice with k <= 4 and s <= 2 the ball walk and
+to certify.  On every letter choice with k <= 4 and s <= 2 the checker and
 the derivation agree: the 36 choices with |A1| = |A2| = 2 hold and derive,
 as singletons do, and every other non-singleton spec breaks.  Plain
 derivation still accepts only singleton specs.
 
 Both rest on one reduction.  A vertex's subtree is fixed by its type
 (position mod 2(2s+1), last letter), and the reachable types are finite.
-derive_system expands each type once, so its verdict and its rows hold on
-the whole infinite tree.  check_invariance still walks a ball, because its
-violations name words in ball order, but it works out each type's verdict
-once, when the walk first meets the type; every other word costs one
-lookup of its type.
+Both walk the types breadth-first (_type_walk), which meets each type first
+at its first word in ball order.  derive_system expands every reachable
+type, so its verdict and its rows hold on the whole infinite tree.
+check_invariance stops at the radius and works out each type's verdict once;
+it walks the ball only when some verdict fails, to name the violating words
+in ball order, and then every word costs one lookup of its type.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from dataclasses import dataclass
+from typing import Iterator
 
 from cayleygibbs.cosets import (
     CosetLabel,
@@ -43,7 +45,7 @@ from cayleygibbs.cosets import (
     position,
     step,
 )
-from cayleygibbs.words import IDENTITY, Word, successors, word_to_str
+from cayleygibbs.words import IDENTITY, Word, check_ball_cap, successors, word_to_str
 
 StatePair = tuple[int, int]
 
@@ -103,35 +105,38 @@ def check_invariance(spec: SubgroupSpec, radius: int) -> InvarianceReport:
     """Test whether successor class profiles depend only on the state pair.
 
     Equivalent to checking every pair x, y with equal classes and equal
-    parent classes: profiles are compared as multisets of class residues,
-    and the first word of each state in ball order stands in for x.  A
-    word's neighbour classes, and so its state and profile, are fixed by its
-    type (position mod 2(2s+1), last letter), and so is the first word of
-    its state.  The verdict against that word is therefore worked out once
-    per type, when the walk first meets it, and every other word costs one
-    lookup of its type.  Each violation also records whether the profiles
-    agree at the generator positions both words share; by parity that is
-    never so (see InvarianceViolation).
+    parent classes of the ball: profiles are compared as multisets of class
+    residues, and the first word of each state in ball order stands in for
+    x.  A word's neighbour classes, and so its state and profile, are fixed
+    by its type (position mod 2(2s+1), last letter), and so is the first
+    word of its state.  The verdict is therefore worked out once per type
+    within the radius, on the type's first word, and the ball is walked only
+    when a verdict fails, to list each violating word in ball order.  Each
+    violation also records whether the profiles agree at the generator
+    positions both words share; by parity that is never so (see
+    InvarianceViolation).
     """
     if radius < 2:
         raise ValueError(f"radius must be >= 2, got {radius}")
-    period = 2 * spec.index
+    words_checked = check_ball_cap(spec.k, radius) - 1
     first_rep: dict[StatePair, tuple[Word, tuple[int, ...], tuple[int, ...]]] = {}
-    verdicts: dict[tuple[int, int], tuple | None] = {}
-    violations: list[InvarianceViolation] = []
-    words_checked = 0
-    for x, p in labelled_ball(spec, radius):
-        if x == IDENTITY:
-            continue
-        words_checked += 1
-        t = (p % period, x[-1])
-        try:
-            verdict = verdicts[t]
-        except KeyError:
-            verdict = verdicts[t] = _type_verdict(x, p, spec, first_rep)
+    broken: dict[tuple[int, int], tuple] = {}
+    for t, x in _type_walk(spec):
+        if len(x) > radius:
+            break
+        verdict = _type_verdict(x, t[0], spec, first_rep)
         if verdict is not None:
-            rep, rep_profile, profile, shared = verdict
-            violations.append(InvarianceViolation(rep, x, rep_profile, profile, shared))
+            broken[t] = verdict
+    violations: list[InvarianceViolation] = []
+    if broken:
+        period = 2 * spec.index
+        walk = labelled_ball(spec, radius)
+        next(walk)  # the root has no type
+        for x, p in walk:
+            verdict = broken.get((p % period, x[-1]))
+            if verdict is not None:
+                rep, rep_profile, profile, shared = verdict
+                violations.append(InvarianceViolation(rep, x, rep_profile, profile, shared))
     return InvarianceReport(
         holds=not violations,
         radius=radius,
@@ -139,6 +144,32 @@ def check_invariance(spec: SubgroupSpec, radius: int) -> InvarianceReport:
         states_seen=len(first_rep),
         violations=tuple(violations),
     )
+
+
+def _type_walk(spec: SubgroupSpec) -> Iterator[tuple[tuple[int, int], Word]]:
+    """Every type reachable from the root, with its first word in ball order.
+
+    A type is (position mod 2(2s+1), last letter): a step reads only the
+    parity and the class of the position, and the last letter is the one
+    successor a vertex lacks.  Breadth-first from the root's children, with
+    children in ascending letter order, types come out in the ball order of
+    their first words, and each word is its parent type's word plus a
+    letter.  There are at most 2(2s+1)(k+1) types.
+    """
+    period = 2 * spec.index
+    letters = range(1, spec.k + 2)
+    first = {(step(0, c, spec) % period, c): (c,) for c in letters}
+    queue = deque(first)
+    while queue:
+        t = queue.popleft()
+        yield t, first[t]
+        p, last = t
+        for c in letters:
+            if c != last:
+                child = (step(p, c, spec) % period, c)
+                if child not in first:
+                    first[child] = first[t] + (c,)
+                    queue.append(child)
 
 
 def _type_verdict(
@@ -317,16 +348,13 @@ def _state_index(index: dict[StatePair, int], key: object, n: int) -> int:
 def derive_system(spec: SubgroupSpec, allow_nonsingleton: bool = False) -> WeaklyPeriodicSystem:
     """Derive the weakly periodic system by closing the finite type automaton.
 
-    A vertex's subtree is fixed by its type, (position mod 2(2s+1), last
-    letter): a step reads only the parity and the class of the position,
-    and the last letter is the one successor the vertex lacks.  Expanding
-    the root's children into every type reachable by appending another
-    letter visits each of the about 2(2s+1)(k+1) types once.  A type's
-    state is (its class, its parent's class) and its row counts its
-    children's states.  The system is well defined exactly when every type
-    of one state gives the same row, so the result is certified on the
-    whole infinite tree; otherwise IllDefinedSystemError names the first
-    word, in breadth-first order, to reach each of two disagreeing types.
+    A vertex's subtree is fixed by its type (see _type_walk), and the walk
+    visits each reachable type once, with no depth cut.  A type's state is
+    (its class, its parent's class) and its row counts its children's
+    states.  The system is well defined exactly when every type of one
+    state gives the same row, so the result is certified on the whole
+    infinite tree; otherwise IllDefinedSystemError names the first word, in
+    ball order, of each of two disagreeing types.
     """
     if spec.k == 1:
         raise ValueError("k = 1 gives a line graph with no branching; unsupported")
@@ -334,28 +362,17 @@ def derive_system(spec: SubgroupSpec, allow_nonsingleton: bool = False) -> Weakl
         raise ValueError(
             "derivation requires singleton A1 and A2 (pass allow_nonsingleton to probe anyway)"
         )
-    n, period = spec.index, 2 * spec.index
+    n = spec.index
     letters = range(1, spec.k + 2)
-    witness: dict[tuple[int, int], Word] = {(step(0, c, spec) % period, c): (c,) for c in letters}
-    queue = deque(witness)
     rows: dict[StatePair, tuple[Counter, Word]] = {}
-    while queue:
-        p, last = t = queue.popleft()
-        row: Counter = Counter()
-        for c in letters:
-            if c == last:
-                continue
-            child = (step(p, c, spec) % period, c)
-            row[(child[0] % n, p % n)] += 1
-            if child not in witness:
-                witness[child] = witness[t] + (c,)
-                queue.append(child)
+    for (p, last), word in _type_walk(spec):
+        row = Counter((step(p, c, spec) % n, p % n) for c in letters if c != last)
         st = (p % n, step(p, last, spec) % n)
-        first_row, first_word = rows.setdefault(st, (row, witness[t]))
+        first_row, first_word = rows.setdefault(st, (row, word))
         if row != first_row:
             raise IllDefinedSystemError(
                 f"state {st}: {word_to_str(first_word)} gives {dict(first_row)} "
-                f"but {word_to_str(witness[t])} gives {dict(row)}; successor counts "
+                f"but {word_to_str(word)} gives {dict(row)}; successor counts "
                 "depend on the vertex, so the invariance property fails"
             )
     states = tuple(sorted(rows))

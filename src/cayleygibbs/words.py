@@ -129,6 +129,17 @@ def _vertex_cap() -> int:
     return int(env)
 
 
+def check_ball_cap(k: int, radius: int) -> int:
+    """The number of words of length <= radius; refuses a ball over the vertex cap."""
+    cap = _vertex_cap()
+    total = ball_size(k, radius)
+    if total > cap:
+        raise ResourceLimitError(
+            f"ball of radius {radius} for k={k} has {total} vertices, cap is {cap}"
+        )
+    return total
+
+
 def enumerate_ball(k: int, radius: int) -> Ball:
     """Breadth-first enumeration of all words of length <= radius.
 
@@ -140,12 +151,7 @@ def enumerate_ball(k: int, radius: int) -> Ball:
         raise ValueError(f"k must be >= 1, got {k}")
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    cap = _vertex_cap()
-    total = ball_size(k, radius)
-    if total > cap:
-        raise ResourceLimitError(
-            f"ball of radius {radius} for k={k} has {total} vertices, cap is {cap}"
-        )
+    check_ball_cap(k, radius)
     spheres: list[tuple[Word, ...]] = [(IDENTITY,)]
     frontier: list[Word] = [IDENTITY]
     for _ in range(radius):

@@ -9,10 +9,11 @@ one in cayleygibbs.solver replaced, kept verbatim: both must return the
 same vertices and the same probabilities bit for bit.  It holds a
 2^bits x bits int64 array, so keep it to small balls.
 
-check_invariance is the word-by-word ball walk that the per-type lookup in
-cayleygibbs.invariance replaced, kept verbatim: it builds the neighbour
-classes, state and profile of every word and compares each with the first
-word of its state.  Both must return equal reports, violations included.
+check_invariance is the word-by-word ball walk that the type-automaton
+verdicts in cayleygibbs.invariance replaced, kept verbatim: it builds the
+neighbour classes, state and profile of every word and compares each with
+the first word of its state.  Both must return equal reports, violations
+included.
 """
 
 from collections.abc import Mapping

@@ -5,7 +5,8 @@ from itertools import combinations
 import oracles
 import pytest
 
-from cayleygibbs.cosets import SubgroupSpec, label
+from cayleygibbs import invariance
+from cayleygibbs.cosets import SubgroupSpec, label, labelled_ball
 from cayleygibbs.invariance import (
     IllDefinedSystemError,
     WeaklyPeriodicSystem,
@@ -17,7 +18,15 @@ from cayleygibbs.invariance import (
     state_of,
     successor_labels,
 )
-from cayleygibbs.words import IDENTITY, enumerate_ball, parent, successors, word_from_str
+from cayleygibbs.words import (
+    IDENTITY,
+    ResourceLimitError,
+    ball_size,
+    enumerate_ball,
+    parent,
+    successors,
+    word_from_str,
+)
 
 STANDARD = SubgroupSpec(k=2, s=1, a1={1}, a2={2})
 SPLIT = SubgroupSpec(k=2, s=1, a1={1, 3}, a2={2})
@@ -180,6 +189,74 @@ def test_invariance_matches_word_by_word_oracle_on_every_small_spec():
     assert broken == 336
 
 
+def test_invariance_matches_word_by_word_oracle_where_the_radius_cuts_types():
+    # s = 3 at the radii above, then radii 2, 3 and 5 on every letter choice
+    # of k <= 3 and on every sixth of k = 4.  Below the depth at which every
+    # type is reached, states_seen counts only the states the ball holds.
+    cases = [
+        (SubgroupSpec(k=k, s=3, a1=a1, a2=a2), ORACLE_RADIUS[k])
+        for k in ORACLE_RADIUS
+        for a1, a2 in letter_choices(k)
+    ]
+    for k in ORACLE_RADIUS:
+        choices = list(letter_choices(k))[:: 6 if k == 4 else 1]
+        for s in (1, 2, 3):
+            for a1, a2 in choices:
+                spec = SubgroupSpec(k=k, s=s, a1=a1, a2=a2)
+                cases += [(spec, radius) for radius in (2, 3, 5)]
+    assert len(cases) == 242 + 3 * 3 * (12 + 50 + 30)
+    seen = {}
+    for spec, radius in cases:
+        report = check_invariance(spec, radius)
+        assert report == oracles.check_invariance(spec, radius), (spec, radius)
+        seen[spec, radius] = report.states_seen
+    assert any(seen[spec, 2] < seen[spec, 5] for spec, radius in cases if radius == 2)
+
+
+@pytest.mark.parametrize(
+    "spec, radius",
+    [
+        (SubgroupSpec(k=4, s=2, a1={1}, a2={3}), 6),
+        (SubgroupSpec(k=3, s=2, a1={1, 2}, a2={3, 4}), 7),
+    ],
+    ids=["k4-single", "k3-pairs"],
+)
+def test_holding_spec_walks_no_words(monkeypatch, spec, radius):
+    def refuse(*args):
+        raise AssertionError("a holding spec walked the ball")
+
+    monkeypatch.setattr(invariance, "labelled_ball", refuse)
+    report = check_invariance(spec, radius)
+    assert report.holds
+    assert report.words_checked == ball_size(spec.k, radius) - 1
+
+
+def test_breaking_spec_walks_the_ball_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return labelled_ball(*args)
+
+    monkeypatch.setattr(invariance, "labelled_ball", counted)
+    report = check_invariance(SPLIT, radius=6)
+    assert not report.holds
+    assert calls == [(SPLIT, 6)]
+
+
+def test_holding_spec_over_the_ball_cap_raises(monkeypatch):
+    spec = SubgroupSpec(k=4, s=2, a1={1}, a2={3})
+    assert ball_size(4, 6) == 6826
+    monkeypatch.setenv("CAYLEYGIBBS_MAX_BALL", "6825")
+    with pytest.raises(ResourceLimitError, match="^ball of radius 6 for k=4 has 6826 vertices, cap is 6825$"):
+        check_invariance(spec, 6)
+    monkeypatch.setenv("CAYLEYGIBBS_MAX_BALL", "abc")
+    with pytest.raises(ValueError, match="CAYLEYGIBBS_MAX_BALL must be a positive integer, got 'abc'"):
+        check_invariance(spec, 6)
+    monkeypatch.setenv("CAYLEYGIBBS_MAX_BALL", "6826")
+    assert check_invariance(spec, 6).holds
+
+
 @pytest.mark.parametrize(
     "spec, radius",
     [
@@ -333,6 +410,43 @@ def test_derive_matches_ball_oracle(spec):
             derive_system(spec, allow_nonsingleton=True)
         return
     assert_ball_certifies(derive_system(spec, allow_nonsingleton=True), spec, radius)
+
+
+# The refusal names the first word, in ball order, of each of two types of
+# one state whose rows differ; these messages are pinned verbatim.
+REFUSALS = [
+    (SPLIT, "state (0, 1): a1.a3 gives {(1, 0): 1, (2, 0): 1} but a2.a1.a2 gives {(2, 0): 2}"),
+    (
+        SubgroupSpec(k=2, s=2, a1={1}, a2={2, 3}),
+        "state (1, 2): a1.a2.a3 gives {(0, 1): 1, (2, 1): 1} but a2.a1.a2.a1 gives {(0, 1): 2}",
+    ),
+    (
+        SubgroupSpec(k=3, s=1, a1={1, 2}, a2={3}),
+        "state (2, 2): a3.a4 gives {(1, 2): 2, (0, 2): 1} but a1.a3.a4 gives {(0, 2): 2, (1, 2): 1}",
+    ),
+    (
+        SPLIT_K3,
+        "state (4, 3): a2.a1.a3 gives {(3, 4): 1, (0, 4): 1, (4, 4): 1} "
+        "but a1.a2.a1.a2 gives {(0, 4): 2, (4, 4): 1}",
+    ),
+    (
+        SubgroupSpec(k=4, s=1, a1={1, 2, 5}, a2={4}),
+        "state (2, 2): a4.a3 gives {(1, 2): 3, (0, 2): 1} but a1.a4.a3 gives {(0, 2): 3, (1, 2): 1}",
+    ),
+    (
+        SubgroupSpec(k=4, s=2, a1={1}, a2={2, 3}),
+        "state (3, 3): a2.a1.a4 gives {(4, 3): 1, (2, 3): 2, (3, 3): 1} "
+        "but a1.a2.a1.a4 gives {(2, 3): 1, (4, 3): 2, (3, 3): 1}",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, message", REFUSALS, ids=[_spec_id(spec) for spec, _ in REFUSALS])
+def test_derive_refusal_message_is_pinned(spec, message):
+    with pytest.raises(IllDefinedSystemError) as exc:
+        derive_system(spec, allow_nonsingleton=True)
+    suffix = "; successor counts depend on the vertex, so the invariance property fails"
+    assert str(exc.value) == message + suffix
 
 
 def test_derive_deterministic():
