@@ -25,8 +25,11 @@ Both walk the types breadth-first (_type_walk), which meets each type first
 at its first word in ball order.  derive_system expands every reachable
 type, so its verdict and its rows hold on the whole infinite tree.
 check_invariance stops at the radius and works out each type's verdict once;
-it walks the ball only when some verdict fails, to name the violating words
-in ball order, and then every word costs one lookup of its type.
+only when some verdict fails does it walk the words (_violation_walk), sphere
+by sphere as (word, type) pairs, to name the violating words in ball order.
+A child's type is looked up in the child lists _type_walk records, and its
+verdict by type, so no word is stepped, and the last sphere builds only its
+violating words.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ from cayleygibbs.cosets import (
 from cayleygibbs.words import IDENTITY, Word, check_ball_cap, successors, word_to_str
 
 StatePair = tuple[int, int]
+Type = tuple[int, int]  # (position mod 2(2s+1), last letter); see _type_walk
+ROOT: Type = (0, 0)  # the root: position 0, no last letter
 
 
 class IllDefinedSystemError(RuntimeError):
@@ -110,66 +115,102 @@ def check_invariance(spec: SubgroupSpec, radius: int) -> InvarianceReport:
     x.  A word's neighbour classes, and so its state and profile, are fixed
     by its type (position mod 2(2s+1), last letter), and so is the first
     word of its state.  The verdict is therefore worked out once per type
-    within the radius, on the type's first word, and the ball is walked only
-    when a verdict fails, to list each violating word in ball order.  Each
-    violation also records whether the profiles agree at the generator
-    positions both words share; by parity that is never so (see
-    InvarianceViolation).
+    within the radius, on the type's first word.  Only when a verdict fails
+    are the words walked (_violation_walk), to list each violating word in
+    ball order.  Each violation also records whether the profiles agree at
+    the generator positions both words share; by parity that is never so
+    (see InvarianceViolation).
     """
     if radius < 2:
         raise ValueError(f"radius must be >= 2, got {radius}")
     words_checked = check_ball_cap(spec.k, radius) - 1
     first_rep: dict[StatePair, tuple[Word, tuple[int, ...], tuple[int, ...]]] = {}
-    broken: dict[tuple[int, int], tuple] = {}
-    for t, x in _type_walk(spec):
+    walk = _type_walk(spec)
+    root, _, kids = next(walk)  # the root has no state
+    children = {root: kids}
+    broken: dict[Type, tuple] = {}
+    for t, x, kids in walk:
         if len(x) > radius:
             break
+        children[t] = kids
         verdict = _type_verdict(x, t[0], spec, first_rep)
         if verdict is not None:
             broken[t] = verdict
-    violations: list[InvarianceViolation] = []
-    if broken:
-        period = 2 * spec.index
-        walk = labelled_ball(spec, radius)
-        next(walk)  # the root has no type
-        for x, p in walk:
-            verdict = broken.get((p % period, x[-1]))
-            if verdict is not None:
-                rep, rep_profile, profile, shared = verdict
-                violations.append(InvarianceViolation(rep, x, rep_profile, profile, shared))
+    violations = _violation_walk(radius, children, broken) if broken else ()
     return InvarianceReport(
         holds=not violations,
         radius=radius,
         words_checked=words_checked,
         states_seen=len(first_rep),
-        violations=tuple(violations),
+        violations=violations,
     )
 
 
-def _type_walk(spec: SubgroupSpec) -> Iterator[tuple[tuple[int, int], Word]]:
-    """Every type reachable from the root, with its first word in ball order.
+def _violation_walk(
+    radius: int,
+    children: dict[Type, list[Type]],
+    broken: dict[Type, tuple],
+) -> tuple[InvarianceViolation, ...]:
+    """Every word of the ball whose type is broken, in ball order.
 
-    A type is (position mod 2(2s+1), last letter): a step reads only the
+    children maps the root and every type met within the radius to its
+    children's types, so it covers the children of every word inside the
+    radius.  The ball is walked sphere by sphere as (word, type) pairs,
+    keeping one sphere; a child's type, and so its verdict, is looked up,
+    so no word is stepped.  A sphere's violations are its parents' broken
+    children, in parent order and then letter order, which is ball order;
+    the last sphere is never built, only its violating words.
+    """
+    # Per type, by id (the root is 0): the one-letter tails of its
+    # children, their type ids, and (tail, *verdict) per broken child.
+    ids = {t: i for i, t in enumerate(children)}
+    tails = [[(u[1],) for u in kids] for kids in children.values()]
+    kid_ids = [[ids.get(u) for u in kids] for kids in children.values()]  # None past the radius
+    bad = [[((u[1],), *broken[u]) for u in kids if u in broken] for kids in children.values()]
+    violations: list[InvarianceViolation] = []
+    words: list[Word] = [IDENTITY]
+    word_types = [0]
+    for depth in range(1, radius + 1):
+        violations += [
+            InvarianceViolation(rep, w + tail, rep_profile, profile, shared)
+            for w, t in zip(words, word_types)
+            for tail, rep, rep_profile, profile, shared in bad[t]
+        ]
+        if depth < radius:
+            words = [w + tail for w, t in zip(words, word_types) for tail in tails[t]]
+            word_types = [u for t in word_types for u in kid_ids[t]]
+    return tuple(violations)
+
+
+def _type_walk(spec: SubgroupSpec) -> Iterator[tuple[Type, Word, list[Type]]]:
+    """The root and every type reachable from it, with first words and child types.
+
+    Each type comes with its first word in ball order and its children's
+    types in letter order.  A type is (position mod 2(2s+1), last letter): a step reads only the
     parity and the class of the position, and the last letter is the one
-    successor a vertex lacks.  Breadth-first from the root's children, with
-    children in ascending letter order, types come out in the ball order of
-    their first words, and each word is its parent type's word plus a
-    letter.  There are at most 2(2s+1)(k+1) types.
+    successor a vertex lacks.  The child by letter c sits at step(p, c), so
+    its type is that position mod 2(2s+1) and c; the root, ROOT, has a
+    child for every letter.  Breadth-first from the root, with children in
+    ascending letter order, types come out in the ball order of their first
+    words, and each word is its parent type's word plus a letter.  There
+    are at most 2(2s+1)(k+1) types besides the root.
     """
     period = 2 * spec.index
     letters = range(1, spec.k + 2)
-    first = {(step(0, c, spec) % period, c): (c,) for c in letters}
+    first = {ROOT: IDENTITY}
     queue = deque(first)
     while queue:
         t = queue.popleft()
-        yield t, first[t]
         p, last = t
+        kids = []
         for c in letters:
             if c != last:
                 child = (step(p, c, spec) % period, c)
+                kids.append(child)
                 if child not in first:
                     first[child] = first[t] + (c,)
                     queue.append(child)
+        yield t, first[t], kids
 
 
 def _type_verdict(
@@ -363,10 +404,11 @@ def derive_system(spec: SubgroupSpec, allow_nonsingleton: bool = False) -> Weakl
             "derivation requires singleton A1 and A2 (pass allow_nonsingleton to probe anyway)"
         )
     n = spec.index
-    letters = range(1, spec.k + 2)
     rows: dict[StatePair, tuple[Counter, Word]] = {}
-    for (p, last), word in _type_walk(spec):
-        row = Counter((step(p, c, spec) % n, p % n) for c in letters if c != last)
+    walk = _type_walk(spec)
+    next(walk)  # the root has no state
+    for (p, last), word, kids in walk:
+        row = Counter((q % n, p % n) for q, _ in kids)
         st = (p % n, step(p, last, spec) % n)
         first_row, first_word = rows.setdefault(st, (row, word))
         if row != first_row:

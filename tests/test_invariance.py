@@ -1,14 +1,17 @@
+import dataclasses
 import json
+import pickle
 from collections import Counter
 from itertools import combinations
 
 import oracles
 import pytest
 
-from cayleygibbs import invariance
-from cayleygibbs.cosets import SubgroupSpec, label, labelled_ball
+from cayleygibbs import cosets, invariance, words
+from cayleygibbs.cosets import SubgroupSpec, label
 from cayleygibbs.invariance import (
     IllDefinedSystemError,
+    InvarianceViolation,
     WeaklyPeriodicSystem,
     check_class_counts,
     check_invariance,
@@ -213,6 +216,21 @@ def test_invariance_matches_word_by_word_oracle_where_the_radius_cuts_types():
     assert any(seen[spec, 2] < seen[spec, 5] for spec, radius in cases if radius == 2)
 
 
+def refuse_ball_walks(monkeypatch):
+    """Make every name a ball or a per-word labelling can be reached by raise."""
+
+    def refuse(*args):
+        raise AssertionError("the ball was built or its words were labelled")
+
+    for module, name in [
+        (words, "enumerate_ball"),
+        (cosets, "enumerate_ball"),
+        (cosets, "labelled_ball"),
+        (invariance, "labelled_ball"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+
+
 @pytest.mark.parametrize(
     "spec, radius",
     [
@@ -223,25 +241,30 @@ def test_invariance_matches_word_by_word_oracle_where_the_radius_cuts_types():
 )
 def test_holding_spec_walks_no_words(monkeypatch, spec, radius):
     def refuse(*args):
-        raise AssertionError("a holding spec walked the ball")
+        raise AssertionError("a holding spec walked the words")
 
-    monkeypatch.setattr(invariance, "labelled_ball", refuse)
+    refuse_ball_walks(monkeypatch)
+    monkeypatch.setattr(invariance, "_violation_walk", refuse)
     report = check_invariance(spec, radius)
     assert report.holds
     assert report.words_checked == ball_size(spec.k, radius) - 1
 
 
 def test_breaking_spec_walks_the_ball_once(monkeypatch):
-    calls = []
+    expected = oracles.check_invariance(SPLIT, 6)
+    radii = []
+    walk = invariance._violation_walk
 
-    def counted(*args):
-        calls.append(args)
-        return labelled_ball(*args)
+    def counted(radius, *args):
+        radii.append(radius)
+        return walk(radius, *args)
 
-    monkeypatch.setattr(invariance, "labelled_ball", counted)
+    refuse_ball_walks(monkeypatch)
+    monkeypatch.setattr(invariance, "_violation_walk", counted)
     report = check_invariance(SPLIT, radius=6)
     assert not report.holds
-    assert calls == [(SPLIT, 6)]
+    assert radii == [6]
+    assert report == expected
 
 
 def test_holding_spec_over_the_ball_cap_raises(monkeypatch):
@@ -273,6 +296,57 @@ def test_invariance_matches_word_by_word_oracle_at_workload_radii(spec, radius):
     report = check_invariance(spec, radius)
     assert report == oracles.check_invariance(spec, radius)
     assert report.holds == (len(spec.a1) == len(spec.a2))
+
+
+WORKLOAD_RADIUS = {2: 11, 3: 7, 4: 6}
+
+
+def refute_groups():
+    """The first spec of each (k, s, |A0|, |A1|, |A2|) group with a non-singleton A1 or A2."""
+    groups = {}
+    for k in WORKLOAD_RADIUS:
+        for s in (1, 2):
+            for a1, a2 in letter_choices(k):
+                if len(a1) > 1 or len(a2) > 1:
+                    kind = (k, s, k + 1 - len(a1) - len(a2), len(a1), len(a2))
+                    groups.setdefault(kind, SubgroupSpec(k=k, s=s, a1=a1, a2=a2))
+    return list(groups.values())
+
+
+def test_invariance_matches_word_by_word_oracle_on_every_refute_group():
+    # The grids above stop at radii 8/5/4; these are the benchmark's radii,
+    # where the last spheres hold most of the violations.
+    specs = refute_groups()
+    assert len(specs) == 32
+    broken = 0
+    for spec in specs:
+        radius = WORKLOAD_RADIUS[spec.k]
+        report = check_invariance(spec, radius)
+        expected = oracles.check_invariance(spec, radius)
+        assert pickle.loads(pickle.dumps(report)) == pickle.loads(pickle.dumps(expected)) == report, spec
+        broken += not report.holds
+    assert broken == 28  # every group but |A1| = |A2| = 2 at k = 3, 4 and s = 1, 2
+
+
+def test_invariance_violation_record():
+    v = InvarianceViolation((1, 3), (2, 1, 2), (1, 2), (2, 2), False)
+    names = ("x", "y", "profile_x", "profile_y", "shared_positions_equal")
+    assert tuple(f.name for f in dataclasses.fields(InvarianceViolation)) == names
+    assert dataclasses.astuple(v) == ((1, 3), (2, 1, 2), (1, 2), (2, 2), False)
+    assert repr(v) == (
+        "InvarianceViolation(x=(1, 3), y=(2, 1, 2), profile_x=(1, 2), profile_y=(2, 2), "
+        "shared_positions_equal=False)"
+    )
+    copy = pickle.loads(pickle.dumps(v))
+    assert copy == v and type(copy) is InvarianceViolation
+    with pytest.raises(AttributeError):
+        v.x = (2,)
+    assert hash(v) == hash(copy)
+    assert len({v, copy}) == 1
+    # callers derive records with dataclasses.replace
+    assert dataclasses.replace(v, profile_y=(1, 1)).profile_y == (1, 1)
+    assert type(check_invariance(SPLIT, radius=4).violations[0]) is InvarianceViolation
+    assert check_invariance(SPLIT, radius=4).violations[0] == v
 
 
 def test_equal_size_letter_sets_hold_and_derive():
