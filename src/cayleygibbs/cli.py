@@ -140,16 +140,23 @@ def _read_fields(path: str, system: WeaklyPeriodicSystem) -> list[float]:
     if isinstance(data, list):
         if len(data) != len(system.states):
             raise ValueError(f"field list must have length {len(system.states)}")
-        return [float(v) for v in data]
+        return [_field_value(v, f"field {i}") for i, v in enumerate(data)]
     if isinstance(data, dict):
         out = []
         for i, j in system.states:
             key = f"{i},{j}"
             if key not in data:
                 raise ValueError(f"field vector is missing state {key}")
-            out.append(float(data[key]))
+            out.append(_field_value(data[key], f"field of state {key}"))
         return out
     raise ValueError("fields file must hold a JSON list or object")
+
+
+def _field_value(value: object, where: str) -> float:
+    """A finite JSON number; bool, null, lists, objects, NaN and infinities are refused."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{where} is {value!r}, not a finite number")
+    return float(value)
 
 
 # node fill colors by coset class; classes beyond the palette cycle

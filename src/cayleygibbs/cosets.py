@@ -326,23 +326,3 @@ def neighbor_counts(x: Word, spec: SubgroupSpec) -> tuple[int, ...]:
     """How many of the k+1 nearest neighbors fall in each coset class."""
     near = neighbor_classes(position(x, spec), spec)
     return tuple(near.count(r) for r in range(spec.index))
-
-
-def matching_permutation(base: tuple[int, ...], other: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Coordinate permutation p with base[p[i]] == other[i], or None.
-
-    Greedy over positions, so the lexicographically smallest permutation is
-    returned when repeated counts allow several.  Equal vectors map to the
-    identity.
-    """
-    if len(base) != len(other) or sorted(base) != sorted(other):
-        return None
-    used = [False] * len(base)
-    perm = []
-    for value in other:
-        for j, b in enumerate(base):
-            if not used[j] and b == value:
-                used[j] = True
-                perm.append(j)
-                break
-    return tuple(perm)

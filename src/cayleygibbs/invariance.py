@@ -21,15 +21,13 @@ derivation still accepts only singleton specs.
 
 Both rest on one reduction.  A vertex's subtree is fixed by its type
 (position mod 2(2s+1), last letter), and the reachable types are finite.
-Both walk the types breadth-first (_type_walk), which meets each type first
-at its first word in ball order.  derive_system expands every reachable
-type, so its verdict and its rows hold on the whole infinite tree.
-check_invariance stops at the radius and works out each type's verdict once;
-only when some verdict fails does it walk the words (_violation_walk), sphere
-by sphere as (word, type) pairs, to name the violating words in ball order.
-A child's type is looked up in the child lists _type_walk records, and its
-verdict by type, so no word is stepped, and the last sphere builds only its
-violating words.
+One comparison (_compare_types) walks the types breadth-first (_type_walk),
+meeting each first at its first word in ball order, and compares each
+type's successor profile with the first of its state.  derive_system
+compares every reachable type, so its verdict and rows hold on the whole
+infinite tree.  check_invariance stops at the radius; only when some type
+disagrees does it walk the words (_violation_walk), as (word, type) pairs
+looked up in the child lists, to name the violating words in ball order.
 """
 
 from __future__ import annotations
@@ -39,16 +37,15 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterator
 
-from cayleygibbs.cosets import (
-    CosetLabel,
-    SubgroupSpec,
-    label,
-    labelled_ball,
-    neighbor_classes,
-    position,
-    step,
+from cayleygibbs.cosets import SubgroupSpec, position, step
+from cayleygibbs.words import (
+    IDENTITY,
+    ResourceLimitError,
+    Word,
+    _vertex_cap,
+    check_ball_cap,
+    word_to_str,
 )
-from cayleygibbs.words import IDENTITY, Word, check_ball_cap, successors, word_to_str
 
 StatePair = tuple[int, int]
 Type = tuple[int, int]  # (position mod 2(2s+1), last letter); see _type_walk
@@ -57,16 +54,6 @@ ROOT: Type = (0, 0)  # the root: position 0, no last letter
 
 class IllDefinedSystemError(RuntimeError):
     """Successor counts differed between representatives of one state."""
-
-
-def successor_labels(x: Word, spec: SubgroupSpec) -> tuple[CosetLabel, ...]:
-    """Coset classes of the successors of x, in ascending generator order."""
-    return tuple(label(y, spec) for y in successors(x, spec.k))
-
-
-def _drop_parent(near: tuple[int, ...], x: Word) -> tuple[int, ...]:
-    """Successor classes: the neighbour classes without the parent's entry."""
-    return near[: x[-1] - 1] + near[x[-1] :]
 
 
 def state_of(x: Word, spec: SubgroupSpec) -> StatePair:
@@ -87,7 +74,9 @@ class InvarianceViolation:
     2(2s+1) and have equal profiles, so a violation puts them at opposite
     parities.  It also needs |A1| != |A2|, so A1 and A2 hold at least three
     letters, one of which neither word ends in, and that letter steps the
-    two words to opposite sides of their class.
+    two words to opposite sides of their class.  check_invariance therefore
+    stores the constant False; the test oracles compute the flag word by
+    word and are compared with it.
     """
 
     x: Word
@@ -112,38 +101,54 @@ def check_invariance(spec: SubgroupSpec, radius: int) -> InvarianceReport:
     Equivalent to checking every pair x, y with equal classes and equal
     parent classes of the ball: profiles are compared as multisets of class
     residues, and the first word of each state in ball order stands in for
-    x.  A word's neighbour classes, and so its state and profile, are fixed
-    by its type (position mod 2(2s+1), last letter), and so is the first
-    word of its state.  The verdict is therefore worked out once per type
-    within the radius, on the type's first word.  Only when a verdict fails
-    are the words walked (_violation_walk), to list each violating word in
-    ball order.  Each violation also records whether the profiles agree at
-    the generator positions both words share; by parity that is never so
-    (see InvarianceViolation).
+    x.  A word's state and profile are fixed by its type, and so is the
+    first word of its state, so each type within the radius is compared
+    once (_compare_types).  Only when some type disagrees are the words
+    walked (_violation_walk), to list the violating words in ball order,
+    each with the proven constant False as shared_positions_equal.
     """
     if radius < 2:
         raise ValueError(f"radius must be >= 2, got {radius}")
     words_checked = check_ball_cap(spec.k, radius) - 1
-    first_rep: dict[StatePair, tuple[Word, tuple[int, ...], tuple[int, ...]]] = {}
-    walk = _type_walk(spec)
-    root, _, kids = next(walk)  # the root has no state
-    children = {root: kids}
-    broken: dict[Type, tuple] = {}
-    for t, x, kids in walk:
-        if len(x) > radius:
-            break
-        children[t] = kids
-        verdict = _type_verdict(x, t[0], spec, first_rep)
-        if verdict is not None:
-            broken[t] = verdict
+    first, mismatched, children = _compare_types(spec, radius)
+    broken = {t: (*first[st], profile, False) for t, (st, _, profile) in mismatched.items()}
     violations = _violation_walk(radius, children, broken) if broken else ()
     return InvarianceReport(
         holds=not violations,
         radius=radius,
         words_checked=words_checked,
-        states_seen=len(first_rep),
+        states_seen=len(first),
         violations=violations,
     )
+
+
+def _compare_types(spec: SubgroupSpec, radius: int | None = None) -> tuple[dict, dict, dict]:
+    """Compare every type's successor profile with the first of its state.
+
+    Walks the types with first words up to length radius, or all of them.
+    Type (p, last) is in state (p, step(p, last)) mod 2s+1; its profile is
+    its children's classes in letter order.  Returns, in ball order: state
+    -> (first word, profile); type -> (state, first word, profile) for each
+    type whose sorted profile differs from its state's first one; and the
+    child types of the root and of every type walked.
+    """
+    n = spec.index
+    first: dict[StatePair, tuple[Word, tuple[int, ...]]] = {}
+    mismatched: dict[Type, tuple[StatePair, Word, tuple[int, ...]]] = {}
+    walk = _type_walk(spec)
+    root, _, kids = next(walk)  # the root has no state
+    children = {root: kids}
+    for t, x, kids in walk:
+        if radius is not None and len(x) > radius:
+            break
+        children[t] = kids
+        p, last = t
+        st = (p % n, step(p, last, spec) % n)
+        profile = tuple(q % n for q, _ in kids)
+        _, first_profile = first.setdefault(st, (x, profile))
+        if sorted(profile) != sorted(first_profile):
+            mismatched[t] = (st, x, profile)
+    return first, mismatched, children
 
 
 def _violation_walk(
@@ -211,69 +216,6 @@ def _type_walk(spec: SubgroupSpec) -> Iterator[tuple[Type, Word, list[Type]]]:
                     first[child] = first[t] + (c,)
                     queue.append(child)
         yield t, first[t], kids
-
-
-def _type_verdict(
-    x: Word,
-    p: int,
-    spec: SubgroupSpec,
-    first_rep: dict[StatePair, tuple[Word, tuple[int, ...], tuple[int, ...]]],
-) -> tuple[Word, tuple[int, ...], tuple[int, ...], bool] | None:
-    """How every word of x's type compares with the first word of its state.
-
-    x is the first word of its type in ball order; if its state is new, x
-    becomes that state's first word.  None when the profiles agree as
-    multisets, else (first word, its profile, x's profile, shared flag).
-    """
-    near = neighbor_classes(p, spec)
-    st = (p % spec.index, near[x[-1] - 1])
-    profile = _drop_parent(near, x)
-    if st not in first_rep:
-        first_rep[st] = (x, near, profile)
-        return None
-    rep, rep_near, rep_profile = first_rep[st]
-    if sorted(profile) == sorted(rep_profile):
-        return None
-    skip = {rep[-1] - 1, x[-1] - 1}
-    shared = all(a == b for i, (a, b) in enumerate(zip(rep_near, near)) if i not in skip)
-    return rep, rep_profile, profile, shared
-
-
-@dataclass(frozen=True)
-class ClassCountReport:
-    passed: bool
-    radius: int
-    class_vectors: dict[int, tuple[int, ...]]
-    permutations_found: bool
-
-
-def check_class_counts(spec: SubgroupSpec, radius: int) -> ClassCountReport:
-    """Verify neighbor-class counts are constant on each coset class.
-
-    Also verifies a coordinate permutation matching every vertex's count
-    vector to the root's exists.  Only meaningful for singleton specs.
-    """
-    from cayleygibbs.cosets import matching_permutation, neighbor_counts
-
-    if not spec.is_singleton:
-        raise ValueError("class count equality requires singleton A1 and A2")
-    base = neighbor_counts(IDENTITY, spec)
-    vectors: dict[int, tuple[int, ...]] = {}
-    passed = True
-    permutations = True
-    for _, p in labelled_ball(spec, radius):
-        near = neighbor_classes(p, spec)
-        q = tuple(near.count(r) for r in range(spec.index))
-        if vectors.setdefault(p % spec.index, q) != q:
-            passed = False
-        if matching_permutation(base, q) is None:
-            permutations = False
-    return ClassCountReport(
-        passed=passed and permutations,
-        radius=radius,
-        class_vectors=vectors,
-        permutations_found=permutations,
-    )
 
 
 @dataclass(frozen=True)
@@ -392,10 +334,13 @@ def derive_system(spec: SubgroupSpec, allow_nonsingleton: bool = False) -> Weakl
     A vertex's subtree is fixed by its type (see _type_walk), and the walk
     visits each reachable type once, with no depth cut.  A type's state is
     (its class, its parent's class) and its row counts its children's
-    states.  The system is well defined exactly when every type of one
-    state gives the same row, so the result is certified on the whole
-    infinite tree; otherwise IllDefinedSystemError names the first word, in
-    ball order, of each of two disagreeing types.
+    states; the class is fixed within a state, so rows agree exactly when
+    profiles do as multisets (_compare_types).  The system is well defined
+    exactly when every type of one state agrees, so it is certified on the
+    whole infinite tree; otherwise IllDefinedSystemError names the first
+    word, in ball order, of each of two disagreeing types.  When the walk's
+    bound of (k+1)*2(2s+1)*k steps exceeds the vertex cap, ResourceLimitError
+    is raised before walking.
     """
     if spec.k == 1:
         raise ValueError("k = 1 gives a line graph with no branching; unsupported")
@@ -403,51 +348,26 @@ def derive_system(spec: SubgroupSpec, allow_nonsingleton: bool = False) -> Weakl
         raise ValueError(
             "derivation requires singleton A1 and A2 (pass allow_nonsingleton to probe anyway)"
         )
-    n = spec.index
-    rows: dict[StatePair, tuple[Counter, Word]] = {}
-    walk = _type_walk(spec)
-    next(walk)  # the root has no state
-    for (p, last), word, kids in walk:
-        row = Counter((q % n, p % n) for q, _ in kids)
-        st = (p % n, step(p, last, spec) % n)
-        first_row, first_word = rows.setdefault(st, (row, word))
-        if row != first_row:
-            raise IllDefinedSystemError(
-                f"state {st}: {word_to_str(first_word)} gives {dict(first_row)} "
-                f"but {word_to_str(word)} gives {dict(row)}; successor counts "
-                "depend on the vertex, so the invariance property fails"
-            )
+    steps, cap = (spec.k + 1) * 2 * spec.index * spec.k, _vertex_cap()
+    if steps > cap:
+        raise ResourceLimitError(
+            f"type automaton for k={spec.k}, s={spec.s} takes up to {steps} steps, cap is {cap}"
+        )
+    first, mismatched, _ = _compare_types(spec)
+    rows = {st: Counter((r, st[0]) for r in profile) for st, (_, profile) in first.items()}
+    if mismatched:
+        st, word, profile = next(iter(mismatched.values()))
+        row = Counter((r, st[0]) for r in profile)
+        raise IllDefinedSystemError(
+            f"state {st}: {word_to_str(first[st][0])} gives {dict(rows[st])} "
+            f"but {word_to_str(word)} gives {dict(row)}; successor counts "
+            "depend on the vertex, so the invariance property fails"
+        )
     states = tuple(sorted(rows))
     return WeaklyPeriodicSystem(
         k=spec.k,
         s=spec.s,
         states=states,
-        counts=tuple(tuple(rows[st][0][su] for su in states) for st in states),
+        counts=tuple(tuple(rows[st][su] for su in states) for st in states),
         spec=spec,
     )
-
-
-def reference_counts(k: int) -> dict[StatePair, dict[StatePair, int]]:
-    """The nine-state successor-count table for s = 1 singleton specs.
-
-    States are (class, parent class) over classes 0..2; the table holds for
-    every k >= 2 with the same sparsity pattern.
-    """
-    table: dict[StatePair, dict[StatePair, int]] = {}
-    for i in range(3):
-        down = (i - 1) % 3
-        up = (i + 1) % 3
-        table[(i, i)] = {(i, i): k - 2, (up, i): 1, (down, i): 1}
-        table[(i, down)] = {(i, i): k - 1, (up, i): 1}
-        table[(i, up)] = {(i, i): k - 1, (down, i): 1}
-    return {st: {su: n for su, n in row.items() if n} for st, row in sorted(table.items())}
-
-
-def matches_reference(system: WeaklyPeriodicSystem) -> bool:
-    """Whether a derived s = 1 system equals the hardcoded nine-state table."""
-    if system.s != 1:
-        return False
-    expected = reference_counts(system.k)
-    if set(system.states) != set(expected):
-        return False
-    return all(system.row(st) == expected[st] for st in system.states)

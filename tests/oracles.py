@@ -13,22 +13,36 @@ check_invariance is the word-by-word ball walk that the type-automaton
 verdicts in cayleygibbs.invariance replaced, kept verbatim: it builds the
 neighbour classes, state and profile of every word and compares each with
 the first word of its state.  Both must return equal reports, violations
-included.
+included.  shared_positions_equal is computed here from the neighbour
+classes, while production stores the proven constant False.
+
+successor_labels, check_class_counts (with matching_permutation) and the
+hardcoded nine-state table (reference_counts, matches_reference) are second
+implementations that only tests compare the package against; they are kept
+here, not in cayleygibbs.
 """
 
 from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
-from cayleygibbs.cosets import SubgroupSpec, labelled_ball, neighbor_classes
+from cayleygibbs.cosets import (
+    CosetLabel,
+    SubgroupSpec,
+    label,
+    labelled_ball,
+    neighbor_classes,
+    neighbor_counts,
+)
 from cayleygibbs.invariance import (
     InvarianceReport,
     InvarianceViolation,
     StatePair,
-    _drop_parent,
+    WeaklyPeriodicSystem,
 )
 from cayleygibbs.solver import MAX_CONFIG_BITS, Theta
-from cayleygibbs.words import IDENTITY, Word, enumerate_ball, parent
+from cayleygibbs.words import IDENTITY, Word, enumerate_ball, parent, successors
 
 
 def _jacobian(F, u: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -138,3 +152,94 @@ def check_invariance(spec: SubgroupSpec, radius: int) -> InvarianceReport:
         states_seen=len(first_rep),
         violations=tuple(violations),
     )
+
+
+def _drop_parent(near: tuple[int, ...], x: Word) -> tuple[int, ...]:
+    """Successor classes: the neighbour classes without the parent's entry."""
+    return near[: x[-1] - 1] + near[x[-1] :]
+
+
+def successor_labels(x: Word, spec: SubgroupSpec) -> tuple[CosetLabel, ...]:
+    """Coset classes of the successors of x, in ascending generator order."""
+    return tuple(label(y, spec) for y in successors(x, spec.k))
+
+
+def matching_permutation(base: tuple[int, ...], other: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Coordinate permutation p with base[p[i]] == other[i], or None.
+
+    Greedy over positions, so the lexicographically smallest permutation is
+    returned when repeated counts allow several.  Equal vectors map to the
+    identity.
+    """
+    if len(base) != len(other) or sorted(base) != sorted(other):
+        return None
+    used = [False] * len(base)
+    perm = []
+    for value in other:
+        for j, b in enumerate(base):
+            if not used[j] and b == value:
+                used[j] = True
+                perm.append(j)
+                break
+    return tuple(perm)
+
+
+@dataclass(frozen=True)
+class ClassCountReport:
+    passed: bool
+    radius: int
+    class_vectors: dict[int, tuple[int, ...]]
+    permutations_found: bool
+
+
+def check_class_counts(spec: SubgroupSpec, radius: int) -> ClassCountReport:
+    """Verify neighbor-class counts are constant on each coset class.
+
+    Also verifies a coordinate permutation matching every vertex's count
+    vector to the root's exists.  Only meaningful for singleton specs.
+    """
+    if not spec.is_singleton:
+        raise ValueError("class count equality requires singleton A1 and A2")
+    base = neighbor_counts(IDENTITY, spec)
+    vectors: dict[int, tuple[int, ...]] = {}
+    passed = True
+    permutations = True
+    for _, p in labelled_ball(spec, radius):
+        near = neighbor_classes(p, spec)
+        q = tuple(near.count(r) for r in range(spec.index))
+        if vectors.setdefault(p % spec.index, q) != q:
+            passed = False
+        if matching_permutation(base, q) is None:
+            permutations = False
+    return ClassCountReport(
+        passed=passed and permutations,
+        radius=radius,
+        class_vectors=vectors,
+        permutations_found=permutations,
+    )
+
+
+def reference_counts(k: int) -> dict[StatePair, dict[StatePair, int]]:
+    """The nine-state successor-count table for s = 1 singleton specs.
+
+    States are (class, parent class) over classes 0..2; the table holds for
+    every k >= 2 with the same sparsity pattern.
+    """
+    table: dict[StatePair, dict[StatePair, int]] = {}
+    for i in range(3):
+        down = (i - 1) % 3
+        up = (i + 1) % 3
+        table[(i, i)] = {(i, i): k - 2, (up, i): 1, (down, i): 1}
+        table[(i, down)] = {(i, i): k - 1, (up, i): 1}
+        table[(i, up)] = {(i, i): k - 1, (down, i): 1}
+    return {st: {su: n for su, n in row.items() if n} for st, row in sorted(table.items())}
+
+
+def matches_reference(system: WeaklyPeriodicSystem) -> bool:
+    """Whether a derived s = 1 system equals the hardcoded nine-state table."""
+    if system.s != 1:
+        return False
+    expected = reference_counts(system.k)
+    if set(system.states) != set(expected):
+        return False
+    return all(system.row(st) == expected[st] for st in system.states)

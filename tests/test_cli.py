@@ -351,6 +351,28 @@ BALL = ["ball", "--k", "2", "--radius", "3"]
 # fields.json holds the zero vector, a true fixed point (written per test)
 COMPAT = ["compat", "--spec", STANDARD, "--theta", "0.8", "--fields", "fields.json"]
 
+
+def _fields_list(bad):
+    return "[" + ", ".join(["0"] * 4 + [bad] + ["0"] * 4) + "]"
+
+
+def _fields_map(bad):
+    entries = (f'"{i},{j}": {bad if (i, j) == (1, 2) else 0}' for i in range(3) for j in range(3))
+    return "{" + ", ".join(entries) + "}"
+
+
+# fields files with one bad entry, written beside fields.json per test: at
+# index 4 of a list, or at state 1,2 of a state map
+BAD_FIELDS = {
+    "null.json": _fields_list("null"),
+    "list.json": _fields_list("[0]"),
+    "object.json": _fields_map("{}"),
+    "bool.json": _fields_list("true"),
+    "nan.json": _fields_list("NaN"),
+    "infinity.json": _fields_map("-Infinity"),
+    "overflow.json": _fields_list("1e400"),
+}
+
 # (id, edit of the derived STANDARD system file or None, argv, environment,
 # text the error message must hold)
 BAD_INPUTS = [
@@ -381,6 +403,15 @@ BAD_INPUTS = [
      "--thetas must be comma-separated numbers, got 'abc'"),
     ("compat-tol-negative", None, COMPAT + ["--tol", "-1"], {}, "--tol must be finite and >= 0, got -1"),
     ("compat-tol-nan", None, COMPAT + ["--tol", "nan"], {}, "--tol must be finite and >= 0, got nan"),
+    ("compat-fields-null", None, COMPAT[:-1] + ["null.json"], {}, "field 4 is None, not a finite number"),
+    ("compat-fields-list", None, COMPAT[:-1] + ["list.json"], {}, "field 4 is [0], not a finite number"),
+    ("compat-fields-object", None, COMPAT[:-1] + ["object.json"], {},
+     "field of state 1,2 is {}, not a finite number"),
+    ("compat-fields-bool", None, COMPAT[:-1] + ["bool.json"], {}, "field 4 is True, not a finite number"),
+    ("compat-fields-nan", None, COMPAT[:-1] + ["nan.json"], {}, "field 4 is nan, not a finite number"),
+    ("compat-fields-infinity", None, COMPAT[:-1] + ["infinity.json"], {},
+     "field of state 1,2 is -inf, not a finite number"),
+    ("compat-fields-overflow", None, COMPAT[:-1] + ["overflow.json"], {}, "field 4 is inf, not a finite number"),
     ("solve-tol-too-large", None, ["solve", "--spec", STANDARD, "--theta", "0.7", "--tol", "1e-10"],
      {}, "--tol must lie in (0, 1e-10), got 1e-10"),
     ("solve-tol-nonpositive", None, ["solve", "--spec", STANDARD, "--theta", "0.7", "--tol", "0"],
@@ -391,6 +422,9 @@ BAD_INPUTS = [
     ("ball-over-cap", None, BALL, {"CAYLEYGIBBS_MAX_BALL": "5"}, "cap is 5"),
     ("invariance-over-cap", None, ["invariance", "--spec", "{k:4,s:2,A1:[1],A2:[3]}", "--radius", "6"],
      {"CAYLEYGIBBS_MAX_BALL": "5"}, "cap is 5"),
+    # the k=2, s=1 type automaton takes up to 3 * 2 * 3 * 2 = 36 steps
+    ("derive-over-cap", None, ["derive", "--spec", STANDARD], {"CAYLEYGIBBS_MAX_BALL": "35"},
+     "type automaton for k=2, s=1 takes up to 36 steps, cap is 35"),
     ("spec-text-k", None, ["label", "--word", "e", "--spec", '{k:"2",s:1,A1:[1],A2:[2]}'], {},
      "k and s must be integers"),
     ("spec-scalar-set", None, ["label", "--word", "e", "--spec", "{k:2,s:1,A1:1,A2:[2]}"], {},
@@ -429,6 +463,8 @@ def _run_subprocess(argv, env):
 )
 def test_bad_input_exits_1_with_message(capsys, monkeypatch, tmp_path, edit, argv, env, message):
     (tmp_path / "fields.json").write_text(json.dumps([0.0] * 9))
+    for name, text in BAD_FIELDS.items():
+        (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
     if edit is not None:
         doc = json.loads(derive_system(SubgroupSpec.from_json(STANDARD)).to_json())

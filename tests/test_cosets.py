@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from oracles import matching_permutation
 
 from cayleygibbs.cosets import (
     CosetLabel,
@@ -13,7 +14,6 @@ from cayleygibbs.cosets import (
     is_member,
     label,
     labelled_ball,
-    matching_permutation,
     neighbor_counts,
     position,
     project,

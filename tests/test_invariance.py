@@ -6,6 +6,7 @@ from itertools import combinations
 
 import oracles
 import pytest
+from oracles import check_class_counts, matches_reference, reference_counts, successor_labels
 
 from cayleygibbs import cosets, invariance, words
 from cayleygibbs.cosets import SubgroupSpec, label
@@ -13,13 +14,9 @@ from cayleygibbs.invariance import (
     IllDefinedSystemError,
     InvarianceViolation,
     WeaklyPeriodicSystem,
-    check_class_counts,
     check_invariance,
     derive_system,
-    matches_reference,
-    reference_counts,
     state_of,
-    successor_labels,
 )
 from cayleygibbs.words import (
     IDENTITY,
@@ -29,6 +26,7 @@ from cayleygibbs.words import (
     parent,
     successors,
     word_from_str,
+    word_to_str,
 )
 
 STANDARD = SubgroupSpec(k=2, s=1, a1={1}, a2={2})
@@ -226,7 +224,6 @@ def refuse_ball_walks(monkeypatch):
         (words, "enumerate_ball"),
         (cosets, "enumerate_ball"),
         (cosets, "labelled_ball"),
-        (invariance, "labelled_ball"),
     ]:
         monkeypatch.setattr(module, name, refuse)
 
@@ -278,6 +275,15 @@ def test_holding_spec_over_the_ball_cap_raises(monkeypatch):
         check_invariance(spec, 6)
     monkeypatch.setenv("CAYLEYGIBBS_MAX_BALL", "6826")
     assert check_invariance(spec, 6).holds
+
+
+def test_derive_over_the_vertex_cap_raises(monkeypatch):
+    # the type automaton takes up to (k+1) * 2(2s+1) * k steps: 36 at k=2, s=1
+    monkeypatch.setenv("CAYLEYGIBBS_MAX_BALL", "35")
+    with pytest.raises(ResourceLimitError, match="^type automaton for k=2, s=1 takes up to 36 steps, cap is 35$"):
+        derive_system(STANDARD)
+    monkeypatch.setenv("CAYLEYGIBBS_MAX_BALL", "36")
+    assert len(derive_system(STANDARD).states) == 9
 
 
 @pytest.mark.parametrize(
@@ -521,6 +527,35 @@ def test_derive_refusal_message_is_pinned(spec, message):
         derive_system(spec, allow_nonsingleton=True)
     suffix = "; successor counts depend on the vertex, so the invariance property fails"
     assert str(exc.value) == message + suffix
+
+
+def test_derive_refuses_exactly_where_invariance_fails_at_the_type_depth():
+    # At the type automaton's depth (the longest first word of a type) the
+    # ball holds every type, so the checker cut at that radius and the uncut
+    # derivation compare the same types.
+    specs = [
+        SubgroupSpec(k=k, s=s, a1=a1, a2=a2)
+        for k in ORACLE_RADIUS
+        for s in (1, 2)
+        for a1, a2 in letter_choices(k)
+    ]
+    assert len(specs) == 484
+    refused = 0
+    for spec in specs:
+        depth = max(len(x) for _, x, _ in invariance._type_walk(spec))
+        report = check_invariance(spec, depth)
+        try:
+            system = derive_system(spec, allow_nonsingleton=True)
+        except IllDefinedSystemError as exc:
+            refused += 1
+            assert not report.holds, spec
+            first = report.violations[0]
+            assert f": {word_to_str(first.x)} gives " in str(exc), spec
+            assert f" but {word_to_str(first.y)} gives " in str(exc), spec
+            continue
+        assert report.holds, spec
+        assert report.states_seen == len(system.states), spec
+    assert refused == 336
 
 
 def test_derive_deterministic():
