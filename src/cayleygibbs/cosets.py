@@ -18,11 +18,13 @@ from typing import Iterable, Iterator
 
 from cayleygibbs.words import (
     IDENTITY,
+    ResourceLimitError,
     Word,
+    _vertex_cap,
+    check_ball_cap,
     enumerate_ball,
     inverse,
     multiply,
-    reduce_word,
     word_to_str,
 )
 
@@ -147,58 +149,6 @@ def class_representative(residue: int, spec: SubgroupSpec) -> Word:
     return _alternating(spec.m2, spec.m1, n - residue)
 
 
-def _rep_residue(rep: Word, spec: SubgroupSpec) -> int:
-    if not rep:
-        return 0
-    if rep[0] == spec.m1:
-        return len(rep)
-    return spec.index - len(rep)
-
-
-def project(x: Word, spec: SubgroupSpec) -> Word:
-    """Collapse a word onto the two class generators and reduce.
-
-    A1-letters map to the least A1-generator, A2-letters to the least
-    A2-generator, residual letters vanish.  This is a homomorphism, and its
-    reduced images alternate between the two generators.
-    """
-    mapped = []
-    for c in x:
-        if c in spec.a1:
-            mapped.append(spec.m1)
-        elif c in spec.a2:
-            mapped.append(spec.m2)
-        elif not 1 <= c <= spec.k + 1:
-            raise ValueError(f"generator index {c} out of range 1..{spec.k + 1}")
-    return reduce_word(mapped)
-
-
-def fold_alternating(w: Word, spec: SubgroupSpec) -> CosetLabel:
-    """Reduce an alternating word to its class representative recursively.
-
-    Words of length at most s are canonical; lengths s+1..2s swap to the
-    complementary representative starting from the other generator.  Longer
-    words fold their trailing 2s letters down to a single letter and recurse,
-    which removes one full 2s+1 block per step.
-    """
-    s = spec.s
-    pair = {spec.m1, spec.m2}
-    if any(c not in pair for c in w) or reduce_word(w) != w:
-        raise ValueError("fold_alternating expects a reduced two-letter word")
-    if len(w) == 0:
-        return CosetLabel(0, IDENTITY)
-    if len(w) <= 2 * s:
-        if len(w) <= s:
-            rep = w
-        else:
-            other = spec.m2 if w[0] == spec.m1 else spec.m1
-            second = spec.m1 if other == spec.m2 else spec.m2
-            rep = _alternating(other, second, 2 * s + 1 - len(w))
-        return CosetLabel(_rep_residue(rep, spec), rep)
-    folded = fold_alternating(w[-2 * s :], spec)
-    return fold_alternating(multiply(w[: -2 * s], folded.rep), spec)
-
-
 def step(p: int, letter: int, spec: SubgroupSpec) -> int:
     """Signed image position after appending one letter.
 
@@ -287,8 +237,14 @@ def check_cosets(spec: SubgroupSpec, radius: int) -> CosetCheckReport:
 
     For every pair x, y in the ball: label(x) == label(y) iff y^-1 x is a
     member, which is the left-coset relation.  Additionally members must be
-    closed under x y^-1.
+    closed under x y^-1.  The pair count, ball_size squared, is held to
+    the vertex cap: ResourceLimitError is raised before any pair is tried.
     """
+    pairs_total, cap = check_ball_cap(spec.k, radius) ** 2, _vertex_cap()
+    if pairs_total > cap:
+        raise ResourceLimitError(
+            f"coset oracle of radius {radius} for k={spec.k} compares {pairs_total} pairs, cap is {cap}"
+        )
     words = list(enumerate_ball(spec.k, radius).vertices())
     residues = [label(x, spec).residue for x in words]
     pairs = 0

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 from cayleygibbs.cosets import SubgroupSpec, position, step
@@ -64,9 +64,12 @@ def state_of(x: Word, spec: SubgroupSpec) -> StatePair:
     return (p % spec.index, step(p, x[-1], spec) % spec.index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvarianceViolation:
     """Two words of one state whose successor class profiles differ.
+
+    Records have slots: no ``__dict__`` and no weakrefs.  check_invariance
+    fills them through _violation, which skips the generated ``__init__``.
 
     ``shared_positions_equal`` tells whether the neighbour classes agree at
     every letter neither word ends in.  It is always False.  Two words of
@@ -84,6 +87,27 @@ class InvarianceViolation:
     profile_x: tuple[int, ...]
     profile_y: tuple[int, ...]
     shared_positions_equal: bool
+
+
+# The setters of InvarianceViolation's slot descriptors, in field order.
+_VIOLATION_SETTERS = tuple(getattr(InvarianceViolation, f.name).__set__ for f in fields(InvarianceViolation))
+_set_x, _set_y, _set_profile_x, _set_profile_y, _set_shared = _VIOLATION_SETTERS
+
+
+def _violation(x, y, profile_x, profile_y, shared_positions_equal) -> InvarianceViolation:
+    """InvarianceViolation(x, y, ...), built without the generated __init__.
+
+    The frozen class's __init__ sets each field through
+    object.__setattr__; writing the slots through their descriptors gives
+    the same record at about half the cost.
+    """
+    v = object.__new__(InvarianceViolation)
+    _set_x(v, x)
+    _set_y(v, y)
+    _set_profile_x(v, profile_x)
+    _set_profile_y(v, profile_y)
+    _set_shared(v, shared_positions_equal)
+    return v
 
 
 @dataclass(frozen=True)
@@ -177,7 +201,7 @@ def _violation_walk(
     word_types = [0]
     for depth in range(1, radius + 1):
         violations += [
-            InvarianceViolation(rep, w + tail, rep_profile, profile, shared)
+            _violation(rep, w + tail, rep_profile, profile, shared)
             for w, t in zip(words, word_types)
             for tail, rep, rep_profile, profile, shared in bad[t]
         ]

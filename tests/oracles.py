@@ -20,6 +20,11 @@ successor_labels, check_class_counts (with matching_permutation) and the
 hardcoded nine-state table (reference_counts, matches_reference) are second
 implementations that only tests compare the package against; they are kept
 here, not in cayleygibbs.
+
+project and fold_alternating (with _rep_residue) are the recursive fold that
+cayleygibbs.cosets.label's signed position replaced: collapse a word onto
+the two class generators, then fold the alternating image to its class
+representative.  Tests check label against them.
 """
 
 from collections.abc import Mapping
@@ -30,6 +35,7 @@ import numpy as np
 from cayleygibbs.cosets import (
     CosetLabel,
     SubgroupSpec,
+    _alternating,
     label,
     labelled_ball,
     neighbor_classes,
@@ -42,7 +48,7 @@ from cayleygibbs.invariance import (
     WeaklyPeriodicSystem,
 )
 from cayleygibbs.solver import MAX_CONFIG_BITS, Theta
-from cayleygibbs.words import IDENTITY, Word, enumerate_ball, parent, successors
+from cayleygibbs.words import IDENTITY, Word, enumerate_ball, multiply, parent, reduce_word, successors
 
 
 def _jacobian(F, u: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -243,3 +249,55 @@ def matches_reference(system: WeaklyPeriodicSystem) -> bool:
     if set(system.states) != set(expected):
         return False
     return all(system.row(st) == expected[st] for st in system.states)
+
+
+def _rep_residue(rep: Word, spec: SubgroupSpec) -> int:
+    if not rep:
+        return 0
+    if rep[0] == spec.m1:
+        return len(rep)
+    return spec.index - len(rep)
+
+
+def project(x: Word, spec: SubgroupSpec) -> Word:
+    """Collapse a word onto the two class generators and reduce.
+
+    A1-letters map to the least A1-generator, A2-letters to the least
+    A2-generator, residual letters vanish.  This is a homomorphism, and its
+    reduced images alternate between the two generators.
+    """
+    mapped = []
+    for c in x:
+        if c in spec.a1:
+            mapped.append(spec.m1)
+        elif c in spec.a2:
+            mapped.append(spec.m2)
+        elif not 1 <= c <= spec.k + 1:
+            raise ValueError(f"generator index {c} out of range 1..{spec.k + 1}")
+    return reduce_word(mapped)
+
+
+def fold_alternating(w: Word, spec: SubgroupSpec) -> CosetLabel:
+    """Reduce an alternating word to its class representative recursively.
+
+    Words of length at most s are canonical; lengths s+1..2s swap to the
+    complementary representative starting from the other generator.  Longer
+    words fold their trailing 2s letters down to a single letter and recurse,
+    which removes one full 2s+1 block per step.
+    """
+    s = spec.s
+    pair = {spec.m1, spec.m2}
+    if any(c not in pair for c in w) or reduce_word(w) != w:
+        raise ValueError("fold_alternating expects a reduced two-letter word")
+    if len(w) == 0:
+        return CosetLabel(0, IDENTITY)
+    if len(w) <= 2 * s:
+        if len(w) <= s:
+            rep = w
+        else:
+            other = spec.m2 if w[0] == spec.m1 else spec.m1
+            second = spec.m1 if other == spec.m2 else spec.m2
+            rep = _alternating(other, second, 2 * s + 1 - len(w))
+        return CosetLabel(_rep_residue(rep, spec), rep)
+    folded = fold_alternating(w[-2 * s :], spec)
+    return fold_alternating(multiply(w[: -2 * s], folded.rep), spec)

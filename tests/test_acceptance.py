@@ -15,17 +15,22 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import matches_reference, matching_permutation, reference_counts, successor_labels
+from oracles import (
+    fold_alternating,
+    matches_reference,
+    matching_permutation,
+    project,
+    reference_counts,
+    successor_labels,
+)
 
 from cayleygibbs.cosets import (
     SubgroupSpec,
     check_cosets,
     coset_classes,
-    fold_alternating,
     is_member,
     label,
     neighbor_counts,
-    project,
 )
 from cayleygibbs.invariance import check_invariance, derive_system, state_of
 from cayleygibbs.solver import (

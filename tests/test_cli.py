@@ -425,6 +425,9 @@ BAD_INPUTS = [
     # the k=2, s=1 type automaton takes up to 3 * 2 * 3 * 2 = 36 steps
     ("derive-over-cap", None, ["derive", "--spec", STANDARD], {"CAYLEYGIBBS_MAX_BALL": "35"},
      "type automaton for k=2, s=1 takes up to 36 steps, cap is 35"),
+    # the k=4 ball of radius 6 has 6826 words, so 46,594,276 pairs
+    ("oracle-over-cap", None, ["oracle", "--spec", "{k:4,s:1,A1:[1],A2:[2]}", "--radius", "6"], {},
+     "compares 46594276 pairs, cap is 10000000"),
     ("spec-text-k", None, ["label", "--word", "e", "--spec", '{k:"2",s:1,A1:[1],A2:[2]}'], {},
      "k and s must be integers"),
     ("spec-scalar-set", None, ["label", "--word", "e", "--spec", "{k:2,s:1,A1:1,A2:[2]}"], {},
@@ -439,9 +442,10 @@ BAD_INPUTS = [
 def _run_subprocess(argv, env):
     """The CLI in a child process, with a timeout and a 2 GiB address-space cap.
 
-    A grid that never ends would hang and grow a list, and an uncapped
-    --starts would draw and iterate that many starts, so the child is
-    bounded in time and memory rather than run in process.
+    A grid that never ends would hang and grow a list, an uncapped
+    --starts would draw and iterate that many starts, and an uncapped
+    oracle would compare pairs for hours, so the child is bounded in time
+    and memory rather than run in process.
     """
     import resource
 
@@ -472,7 +476,7 @@ def test_bad_input_exits_1_with_message(capsys, monkeypatch, tmp_path, edit, arg
         path = tmp_path / "system.json"
         path.write_text(json.dumps(doc))
         argv = argv + ["--system", str(path)]
-    if "--range" in argv or "--starts" in argv:
+    if "--range" in argv or "--starts" in argv or argv[0] == "oracle":
         code, err = _run_subprocess(argv, env)
     else:
         for name, value in env.items():

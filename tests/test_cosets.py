@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from oracles import matching_permutation
+from oracles import fold_alternating, matching_permutation, project
 
 from cayleygibbs.cosets import (
     CosetLabel,
@@ -10,13 +10,11 @@ from cayleygibbs.cosets import (
     check_cosets,
     class_representative,
     coset_classes,
-    fold_alternating,
     is_member,
     label,
     labelled_ball,
     neighbor_counts,
     position,
-    project,
     step,
 )
 from cayleygibbs.words import (

@@ -355,6 +355,48 @@ def test_invariance_violation_record():
     assert check_invariance(SPLIT, radius=4).violations[0] == v
 
 
+# Non-singleton specs that break from the first radius listed on.
+BREAKING_RADII = [
+    (SPLIT, (3, 5, 7)),
+    (SubgroupSpec(k=3, s=1, a1={1, 2}, a2={3}), (3, 4, 6)),
+    (SubgroupSpec(k=4, s=2, a1={1, 2, 3}, a2={5}), (4, 5)),
+    (SubgroupSpec(k=3, s=2, a1={1}, a2={2, 3}), (4, 6)),
+]
+
+
+@pytest.mark.parametrize("spec, radii", BREAKING_RADII, ids=str)
+def test_walked_records_equal_constructed_ones(spec, radii):
+    # check_invariance fills its records through the slot descriptors; each
+    # must be the record the dataclass constructor builds from its fields.
+    for radius in radii:
+        violations = check_invariance(spec, radius).violations
+        assert violations
+        for v in violations:
+            built = InvarianceViolation(*(getattr(v, f.name) for f in dataclasses.fields(v)))
+            assert type(v) is InvarianceViolation
+            assert v == built and repr(v) == repr(built) and hash(v) == hash(built)
+            assert not hasattr(v, "__dict__")
+            assert dataclasses.replace(v, y=IDENTITY) == dataclasses.replace(built, y=IDENTITY)
+
+
+def test_violation_setters_follow_field_order():
+    names = [f.name for f in dataclasses.fields(InvarianceViolation)]
+    descriptors = [setter.__self__ for setter in invariance._VIOLATION_SETTERS]
+    assert [d.__name__ for d in descriptors] == names
+    assert descriptors == [vars(InvarianceViolation)[name] for name in names]
+    fields = ((1, 3), (2, 1, 2), (1, 2), (2, 2), False)
+    assert invariance._violation(*fields) == InvarianceViolation(*fields)
+
+
+def test_walked_records_pickle_round_trip():
+    report = check_invariance(SPLIT, radius=6)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(report, protocol))
+        assert copy == report
+        assert all(type(v) is InvarianceViolation for v in copy.violations)
+        assert [hash(v) for v in copy.violations] == [hash(v) for v in report.violations]
+
+
 def test_equal_size_letter_sets_hold_and_derive():
     report = check_invariance(PAIRS, radius=7)
     assert report.holds
