@@ -65,6 +65,11 @@ class SubgroupSpec:
             raise SpecError("A1 and A2 must both be nonempty")
         if not self.a1 <= letters or not self.a2 <= letters:
             raise SpecError(f"A1 and A2 must be subsets of 1..{self.k + 1}")
+        if any(type(c) is not int for c in (*self.a1, *self.a2)):
+            raise SpecError(
+                "A1 and A2 letters must be integers, "
+                f"got A1={sorted(self.a1)}, A2={sorted(self.a2)}"
+            )
         if self.a1 & self.a2:
             raise SpecError("A1 and A2 must be disjoint")
         if len(self.a0) > self.k - 1:

@@ -3,17 +3,17 @@
 Boundary fields satisfy h_state = sum over successor states of
 count * f(h_successor) with f(h) = artanh(theta * tanh h), the field one
 edge passes upward at interaction strength theta in (0, 1).  This module
-solves those equations three independent ways: multistart damped Newton on
-the full system, exact reduction on the four-block invariant subspace of
-the nine-state system (k = 2), and scalar root finding for constant
-solutions; and it verifies solutions against the finite-volume definition
-of the measure.  Multistart Newton runs batched, all starts of a chunk in
-one stacked iteration; each start still reaches the root a start-by-start
-iteration reaches, bit for bit, because the residual is one np.matmul
-matrix-vector product per start (see _residual_map).  That one map also
-gives every reported residual.  On the four-block subspace the quadratic
-branch is the nonzero translation-invariant pair and the quartic cofactor
-has no positive root, so that subspace holds no non-constant fixed point.
+solves those equations two ways, batched multistart damped Newton on the
+full system and the exact k = 2 branch on the four-block invariant
+subspace of the nine-state system, and verifies solutions against the
+finite-volume definition of the measure.  Multistart Newton runs all
+starts of a chunk in one stacked iteration; each start still reaches the
+root a start-by-start iteration reaches, bit for bit, because the residual
+is one np.matmul matrix-vector product per start (see _residual_map).
+That one map also gives every reported residual.  On the four-block
+subspace the quadratic branch is the nonzero translation-invariant pair
+and the quartic cofactor has no positive root, so that subspace holds no
+non-constant fixed point.
 
 A run sets only SolverConfig (tol, starts, rng_seed).  The rest are
 constants: NEWTON_MAX_ITER, FD_STEP, LINE_SEARCH_HALVINGS, START_BOX,
@@ -36,9 +36,6 @@ from cayleygibbs.words import Word, enumerate_ball, parent
 
 # coordinate spread below this means a constant (translation-invariant) vector
 TI_SPREAD = 1e-8
-# bisection for a constant field stops once its bracket is this narrow,
-# relative to max(1, midpoint)
-TI_BISECT_TOL = 1e-14
 
 NINE_STATES: tuple[StatePair, ...] = tuple((i, j) for i in range(3) for j in range(3))
 
@@ -74,14 +71,6 @@ def edge_field(h, theta: Theta):
 
 def count_matrix(system: WeaklyPeriodicSystem) -> np.ndarray:
     return np.array(system.counts, dtype=float)
-
-
-def apply_recursion(system: WeaklyPeriodicSystem, h: Sequence[float], theta: Theta) -> np.ndarray:
-    """One application of the recursion operator: counts times f(h)."""
-    h = np.asarray(h, dtype=float)
-    if h.shape != (len(system.states),):
-        raise ValueError(f"field vector must have length {len(system.states)}")
-    return count_matrix(system) @ edge_field(h, theta)
 
 
 @dataclass(frozen=True)
@@ -295,45 +284,6 @@ def solve_fixed_points(
     return SolutionSet(theta=theta.value, states=system.states, solutions=tuple(solutions))
 
 
-def translation_invariant_fields(k: int, theta: Theta) -> list[float]:
-    """All real roots of h = k f(h, theta), by sign-change scan and bisection.
-
-    Always contains 0; for k theta > 1 a symmetric nonzero pair appears.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-
-    def g(h: float) -> float:
-        return k * math.atanh(theta.value * math.tanh(h)) - h
-
-    hi = k * math.atanh(theta.value) + 1.0
-    grid = np.linspace(1e-12, hi, 4001)
-    values = [g(h) for h in grid]
-    roots = [0.0]
-    for i in range(len(grid) - 1):
-        if values[i] == 0.0 and grid[i] > 1e-9:
-            roots.append(float(grid[i]))
-        if values[i] * values[i + 1] < 0:
-            lo_h, hi_h = float(grid[i]), float(grid[i + 1])
-            for _ in range(200):
-                mid = 0.5 * (lo_h + hi_h)
-                if hi_h - lo_h <= TI_BISECT_TOL * max(1.0, mid):
-                    break
-                if g(lo_h) * g(mid) <= 0:
-                    hi_h = mid
-                else:
-                    lo_h = mid
-            root = 0.5 * (lo_h + hi_h)
-            if root > 1e-9:
-                roots.append(root)
-    unique: dict[float, float] = {}
-    for r in roots:
-        if r > 0:
-            unique.setdefault(round(r, 13), r)
-    positive = [unique[key] for key in sorted(unique)]
-    return [-r for r in reversed(positive)] + [0.0] + list(positive)
-
-
 # === invariant equality patterns of the nine-state system ===
 
 
@@ -386,14 +336,6 @@ class ReducedSystem:
     blocks: tuple[tuple[int, ...], ...]
     matrix: tuple[tuple[int, ...], ...]
 
-    def expand(self, u: Sequence[float]) -> tuple[float, ...]:
-        """Lift block values back to the nine coordinates."""
-        out = [0.0] * 9
-        for b, block in enumerate(self.blocks):
-            for i in block:
-                out[i] = float(u[b])
-        return tuple(out)
-
 
 def restrict(system: WeaklyPeriodicSystem, pattern_id: str) -> ReducedSystem:
     """Restrict the nine-state system to an equality pattern, with certificate.
@@ -427,14 +369,6 @@ def restrict(system: WeaklyPeriodicSystem, pattern_id: str) -> ReducedSystem:
     )
 
 
-def solve_reduced(
-    reduced: ReducedSystem, theta: Theta, cfg: SolverConfig = SolverConfig()
-) -> list[tuple[tuple[float, ...], float]]:
-    """Multistart Newton on a block-collapsed system: (block values, residual)."""
-    M = np.array(reduced.matrix, dtype=float)
-    return [(tuple(float(v) for v in u), residual) for u, residual in _multistart(M, theta, cfg)]
-
-
 # === exact solution on the four-block pattern (k = 2) ===
 
 
@@ -463,14 +397,6 @@ def quadratic_branch(a: float) -> tuple[float, tuple[float, ...]]:
     x1 = (1.0 - a + root) / (2.0 * a)
     x2 = (1.0 - a - root) / (2.0 * a)
     return disc, (x1, x2)
-
-
-def quartic_coefficients(a: float) -> tuple[float, float, float, float, float]:
-    """Coefficients (x^4 .. x^0) of the quartic cofactor; all positive on (0,1)."""
-    c4 = a**3 + a**2 - a + 1.0
-    c3 = a - a**3
-    c2 = 3.0 * a**3 - a**2 + a + 1.0
-    return (c4, c3, c2, c3, c4)
 
 
 BOUNDARY_DISC_EPS = 1e-12
@@ -574,59 +500,6 @@ def _reconstruct_from_root(x: float, a: float) -> tuple[float, ...]:
     h9 = 0.5 * math.log(z9)
     # blocks {0,1,3,4}, {2,5}, {6,7}, {8}
     return (h1, h1, h3, h1, h1, h3, h7, h7, h9)
-
-
-# === quartic positivity ===
-
-
-@dataclass(frozen=True)
-class QuarticReport:
-    passed: bool
-    x_max: float
-    step: float
-    min_values: dict[float, float]
-    descartes_no_positive_roots: bool
-    cell_bound_certified: bool
-
-
-def check_quartic_positivity(
-    a_values: Iterable[float], x_max: float = 50.0, step: float = 1e-3
-) -> QuarticReport:
-    """Certify the quartic cofactor is positive on (0, x_max] for each a.
-
-    Three independent routes: minimum over the mesh, Descartes (every
-    coefficient positive means no sign variation, so no positive root), and
-    a per-cell derivative bound showing the mesh cannot hide a dip below 0.
-    """
-    xs = np.arange(0.0, x_max + step / 2, step)
-    min_values: dict[float, float] = {}
-    descartes = True
-    certified = True
-    passed = True
-    for a in a_values:
-        if not 0.0 < a < 1.0:
-            raise ValueError(f"a must lie in (0, 1), got {a}")
-        c4, c3, c2, c1, c0 = quartic_coefficients(a)
-        q = (((c4 * xs + c3) * xs + c2) * xs + c1) * xs + c0
-        min_values[a] = float(q[1:].min())
-        if min_values[a] <= 0.0:
-            passed = False
-        if min(c4, c3, c2, c1, c0) <= 0.0:
-            descartes = False
-        # |Q'| on [x_i, x_{i+1}] is at most the absolute-coefficient
-        # derivative evaluated at the right endpoint (all terms increasing).
-        right = xs[1:]
-        dbound = ((4 * c4 * right + 3 * c3) * right + 2 * c2) * right + c1
-        if float((q[:-1] - dbound * step).min()) <= 0.0:
-            certified = False
-    return QuarticReport(
-        passed=passed and descartes and certified,
-        x_max=x_max,
-        step=step,
-        min_values=min_values,
-        descartes_no_positive_roots=descartes,
-        cell_bound_certified=certified,
-    )
 
 
 # === theta sweep ===
@@ -773,23 +646,6 @@ def _volume_distribution(
     np.exp(log_weight, out=log_weight)
     log_weight /= log_weight.sum()
     return verts, log_weight
-
-
-def finite_volume_probability(
-    sigma: Mapping[Word, int],
-    boundary: Mapping[Word, float],
-    theta: Theta,
-    n: int,
-    k: int,
-) -> float:
-    """Probability of one spin configuration on the radius-n ball."""
-    code = 0
-    for w in enumerate_ball(k, n).vertices():
-        if w not in sigma or sigma[w] not in (-1, 1):
-            raise ValueError(f"configuration must assign +-1 to every vertex; bad at {w}")
-        code = (code << 1) | (sigma[w] == 1)
-    _, probs = _volume_distribution(k, n, theta, boundary)
-    return float(probs[code])
 
 
 @dataclass(frozen=True)

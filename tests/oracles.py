@@ -25,13 +25,27 @@ project and fold_alternating (with _rep_residue) are the recursive fold that
 cayleygibbs.cosets.label's signed position replaced: collapse a word onto
 the two class generators, then fold the alternating image to its class
 representative.  Tests check label against them.
+
+The solver oracles are second routes to what cayleygibbs.solver computes,
+kept with their bodies as they were in the package:
+translation_invariant_fields (with TI_BISECT_TOL) finds the constant
+fields by a sign-change scan and bisection, apply_recursion applies the recursion operator once,
+solve_reduced runs the production multistart (solver._multistart) on a
+block-collapsed system and expand lifts its block values back to nine
+coordinates, quartic_coefficients and check_quartic_positivity (with
+QuarticReport) certify the I1 quartic cofactor on a fixed mesh of
+(0, QUARTIC_X_MAX], and finite_volume_probability reads one configuration's
+probability off the production distribution (solver._volume_distribution,
+looked up on the module so tests can replace it).
 """
 
-from collections.abc import Mapping
+import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from cayleygibbs import solver
 from cayleygibbs.cosets import (
     CosetLabel,
     SubgroupSpec,
@@ -47,7 +61,14 @@ from cayleygibbs.invariance import (
     StatePair,
     WeaklyPeriodicSystem,
 )
-from cayleygibbs.solver import MAX_CONFIG_BITS, Theta
+from cayleygibbs.solver import (
+    MAX_CONFIG_BITS,
+    ReducedSystem,
+    SolverConfig,
+    Theta,
+    count_matrix,
+    edge_field,
+)
 from cayleygibbs.words import IDENTITY, Word, enumerate_ball, multiply, parent, reduce_word, successors
 
 
@@ -119,6 +140,156 @@ def _volume_distribution(
     log_weight -= log_weight.max()
     weight = np.exp(log_weight)
     return verts, weight / weight.sum()
+
+
+def finite_volume_probability(
+    sigma: Mapping[Word, int],
+    boundary: Mapping[Word, float],
+    theta: Theta,
+    n: int,
+    k: int,
+) -> float:
+    """Probability of one spin configuration on the radius-n ball."""
+    code = 0
+    for w in enumerate_ball(k, n).vertices():
+        if w not in sigma or sigma[w] not in (-1, 1):
+            raise ValueError(f"configuration must assign +-1 to every vertex; bad at {w}")
+        code = (code << 1) | (sigma[w] == 1)
+    _, probs = solver._volume_distribution(k, n, theta, boundary)
+    return float(probs[code])
+
+
+def apply_recursion(system: WeaklyPeriodicSystem, h: Sequence[float], theta: Theta) -> np.ndarray:
+    """One application of the recursion operator: counts times f(h)."""
+    h = np.asarray(h, dtype=float)
+    if h.shape != (len(system.states),):
+        raise ValueError(f"field vector must have length {len(system.states)}")
+    return count_matrix(system) @ edge_field(h, theta)
+
+
+# bisection for a constant field stops once its bracket is this narrow,
+# relative to max(1, midpoint)
+TI_BISECT_TOL = 1e-14
+
+
+def translation_invariant_fields(k: int, theta: Theta) -> list[float]:
+    """All real roots of h = k f(h, theta), by sign-change scan and bisection.
+
+    Always contains 0; for k theta > 1 a symmetric nonzero pair appears.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+
+    def g(h: float) -> float:
+        return k * math.atanh(theta.value * math.tanh(h)) - h
+
+    hi = k * math.atanh(theta.value) + 1.0
+    grid = np.linspace(1e-12, hi, 4001)
+    values = [g(h) for h in grid]
+    roots = [0.0]
+    for i in range(len(grid) - 1):
+        if values[i] == 0.0 and grid[i] > 1e-9:
+            roots.append(float(grid[i]))
+        if values[i] * values[i + 1] < 0:
+            lo_h, hi_h = float(grid[i]), float(grid[i + 1])
+            for _ in range(200):
+                mid = 0.5 * (lo_h + hi_h)
+                if hi_h - lo_h <= TI_BISECT_TOL * max(1.0, mid):
+                    break
+                if g(lo_h) * g(mid) <= 0:
+                    hi_h = mid
+                else:
+                    lo_h = mid
+            root = 0.5 * (lo_h + hi_h)
+            if root > 1e-9:
+                roots.append(root)
+    unique: dict[float, float] = {}
+    for r in roots:
+        if r > 0:
+            unique.setdefault(round(r, 13), r)
+    positive = [unique[key] for key in sorted(unique)]
+    return [-r for r in reversed(positive)] + [0.0] + list(positive)
+
+
+def expand(reduced: ReducedSystem, u: Sequence[float]) -> tuple[float, ...]:
+    """Lift block values back to the nine coordinates."""
+    out = [0.0] * 9
+    for b, block in enumerate(reduced.blocks):
+        for i in block:
+            out[i] = float(u[b])
+    return tuple(out)
+
+
+def solve_reduced(
+    reduced: ReducedSystem, theta: Theta, cfg: SolverConfig = SolverConfig()
+) -> list[tuple[tuple[float, ...], float]]:
+    """Multistart Newton on a block-collapsed system: (block values, residual)."""
+    M = np.array(reduced.matrix, dtype=float)
+    return [
+        (tuple(float(v) for v in u), residual)
+        for u, residual in solver._multistart(M, theta, cfg)
+    ]
+
+
+def quartic_coefficients(a: float) -> tuple[float, float, float, float, float]:
+    """Coefficients (x^4 .. x^0) of the quartic cofactor; all positive on (0,1)."""
+    c4 = a**3 + a**2 - a + 1.0
+    c3 = a - a**3
+    c2 = 3.0 * a**3 - a**2 + a + 1.0
+    return (c4, c3, c2, c3, c4)
+
+
+QUARTIC_X_MAX = 50.0
+QUARTIC_STEP = 1e-3
+
+
+@dataclass(frozen=True)
+class QuarticReport:
+    passed: bool
+    x_max: float
+    step: float
+    min_values: dict[float, float]
+    descartes_no_positive_roots: bool
+    cell_bound_certified: bool
+
+
+def check_quartic_positivity(a_values: Iterable[float]) -> QuarticReport:
+    """Certify the quartic cofactor is positive on (0, QUARTIC_X_MAX] for each a.
+
+    Three independent routes: minimum over the mesh, Descartes (every
+    coefficient positive means no sign variation, so no positive root), and
+    a per-cell derivative bound showing the mesh cannot hide a dip below 0.
+    """
+    x_max, step = QUARTIC_X_MAX, QUARTIC_STEP
+    xs = np.arange(0.0, x_max + step / 2, step)
+    min_values: dict[float, float] = {}
+    descartes = True
+    certified = True
+    passed = True
+    for a in a_values:
+        if not 0.0 < a < 1.0:
+            raise ValueError(f"a must lie in (0, 1), got {a}")
+        c4, c3, c2, c1, c0 = quartic_coefficients(a)
+        q = (((c4 * xs + c3) * xs + c2) * xs + c1) * xs + c0
+        min_values[a] = float(q[1:].min())
+        if min_values[a] <= 0.0:
+            passed = False
+        if min(c4, c3, c2, c1, c0) <= 0.0:
+            descartes = False
+        # |Q'| on [x_i, x_{i+1}] is at most the absolute-coefficient
+        # derivative evaluated at the right endpoint (all terms increasing).
+        right = xs[1:]
+        dbound = ((4 * c4 * right + 3 * c3) * right + 2 * c2) * right + c1
+        if float((q[:-1] - dbound * step).min()) <= 0.0:
+            certified = False
+    return QuarticReport(
+        passed=passed and descartes and certified,
+        x_max=x_max,
+        step=step,
+        min_values=min_values,
+        descartes_no_positive_roots=descartes,
+        cell_bound_certified=certified,
+    )
 
 
 def check_invariance(spec: SubgroupSpec, radius: int) -> InvarianceReport:

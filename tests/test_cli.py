@@ -432,6 +432,10 @@ BAD_INPUTS = [
      "k and s must be integers"),
     ("spec-scalar-set", None, ["label", "--word", "e", "--spec", "{k:2,s:1,A1:1,A2:[2]}"], {},
      "must be lists"),
+    ("spec-float-letter", None, ["label", "--word", "a1", "--spec", "{k:2,s:1,A1:[1.0],A2:[2]}"], {},
+     "A1 and A2 letters must be integers, got A1=[1.0], A2=[2]"),
+    ("spec-bool-letter", None, ["derive", "--spec", "{k:2,s:1,A1:[true],A2:[2]}"], {},
+     "A1 and A2 letters must be integers, got A1=[True], A2=[2]"),
     ("derive-radius", None, ["derive", "--spec", STANDARD, "--radius", "-1"], {},
      "unrecognized arguments: --radius -1"),
     ("derive-rep-cap", None, ["derive", "--spec", STANDARD, "--rep-cap", "3"], {},
