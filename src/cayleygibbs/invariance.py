@@ -1,33 +1,32 @@
 """Successor-profile invariance and derivation of weakly periodic systems.
 
-The load-bearing fact: for specs whose A1 and A2 are singletons, the coset
+The load-bearing fact: when |A1| = |A2|, singletons included, the coset
 classes of a vertex's successors are determined by the pair (class of the
 vertex, class of its parent).  That makes the successor-class counts per
 state pair well defined, which is exactly the coefficient table of the
 weakly periodic field equations.
 
-The property holds exactly when |A1| = |A2|, singletons included.  From
-position p (see cosets.step) the A1 letters step to p+1 and the A2 letters
-to p-1 when p is even, and the reverse when p is odd; the class p mod 2s+1
-does not fix that parity.  With |A1| = |A2| = m the successors of a vertex
-at class r are m-1 at the parent's class, m at the other side and |A0| at
-r, or m on each side and |A0|-1 at r when the parent is at class r, for
-either parity.  With |A1| != |A2| the two parities give different profiles
-for one state; the checker reports the witnesses and the derivation refuses
-to certify.  On every letter choice with k <= 4 and s <= 2 the checker and
-the derivation agree: the 36 choices with |A1| = |A2| = 2 hold and derive,
-as singletons do, and every other non-singleton spec breaks.  Plain
-derivation still accepts only singleton specs.
+From position p (see cosets.step) the A1 letters step to p+1 and the A2
+letters to p-1 when p is even, and the reverse when p is odd; the class
+p mod 2s+1 does not fix that parity.  With |A1| = |A2| = m and |A0| = m0,
+a vertex at class r whose parent sits at class r+d (d in {-1, 0, +1}) has,
+for either parity, m children at r-1, m at r+1 and m0 at r, less the one
+at r+d, its parent's side.  With |A1| != |A2| the two parities give
+different profiles for one state; the checker reports the witnesses and the
+derivation refuses to certify.
 
-Both rest on one reduction.  A vertex's subtree is fixed by its type
-(position mod 2(2s+1), last letter), and the reachable types are finite.
-One comparison (_compare_types) walks the types breadth-first (_type_walk),
-meeting each first at its first word in ball order, and compares each
-type's successor profile with the first of its state.  derive_system
-compares every reachable type, so its verdict and rows hold on the whole
-infinite tree.  check_invariance stops at the radius; only when some type
-disagrees does it walk the words (_violation_walk), as (word, type) pairs
-looked up in the child lists, to name the violating words in ball order.
+derive_system therefore builds the system straight from that offset table,
+in O(s) rows whatever k is.  Only a refusal walks the types: a vertex's
+subtree is fixed by its type (position mod 2(2s+1), last letter), and the
+reachable types are finite.  One comparison (_compare_types) walks the
+types breadth-first (_type_walk), meeting each first at its first word in
+ball order, and compares each type's successor profile with the first of
+its state; a refusal names the first words of two disagreeing types.
+check_invariance makes the same comparison, stopped at the radius; only
+when some type disagrees does it walk the words (_violation_walk), as
+(word, type) pairs looked up in the child lists, to name the violating
+words in ball order.  Tests check the table against the uncut walk on every
+letter choice with k <= 5 and s <= 4, and symbolically for every k and s.
 """
 
 from __future__ import annotations
@@ -353,18 +352,20 @@ def _state_index(index: dict[StatePair, int], key: object, n: int) -> int:
 
 
 def derive_system(spec: SubgroupSpec, allow_nonsingleton: bool = False) -> WeaklyPeriodicSystem:
-    """Derive the weakly periodic system by closing the finite type automaton.
+    """Derive the weakly periodic system from the offset table.
 
-    A vertex's subtree is fixed by its type (see _type_walk), and the walk
-    visits each reachable type once, with no depth cut.  A type's state is
-    (its class, its parent's class) and its row counts its children's
-    states; the class is fixed within a state, so rows agree exactly when
-    profiles do as multisets (_compare_types).  The system is well defined
-    exactly when every type of one state agrees, so it is certified on the
-    whole infinite tree; otherwise IllDefinedSystemError names the first
-    word, in ball order, of each of two disagreeing types.  When the walk's
-    bound of (k+1)*2(2s+1)*k steps exceeds the vertex cap, ResourceLimitError
-    is raised before walking.
+    With |A1| = |A2| = m and |A0| = m0 the states are (r, r+d) mod 2s+1
+    for every class r, with d = -1 and +1, and d = 0 when A0 is nonempty.
+    The row of (r, r+d) counts m children at r-1, m at r+1 and m0 at r, one
+    fewer at r+d, each in state (child class, r).  The table holds on the
+    whole infinite tree (see the module docstring), so no type is walked.
+    When (number of states)^2, the size of the dense counts table, exceeds
+    the vertex cap, ResourceLimitError is raised before any state is built.
+
+    With |A1| != |A2| the system is ill defined: the uncut type walk
+    (_compare_types) runs, after ResourceLimitError if its bound of
+    (k+1)*2(2s+1)*k steps exceeds the vertex cap, and IllDefinedSystemError
+    names the first word, in ball order, of each of two disagreeing types.
     """
     if spec.k == 1:
         raise ValueError("k = 1 gives a line graph with no branching; unsupported")
@@ -372,26 +373,38 @@ def derive_system(spec: SubgroupSpec, allow_nonsingleton: bool = False) -> Weakl
         raise ValueError(
             "derivation requires singleton A1 and A2 (pass allow_nonsingleton to probe anyway)"
         )
-    steps, cap = (spec.k + 1) * 2 * spec.index * spec.k, _vertex_cap()
-    if steps > cap:
-        raise ResourceLimitError(
-            f"type automaton for k={spec.k}, s={spec.s} takes up to {steps} steps, cap is {cap}"
-        )
-    first, mismatched, _ = _compare_types(spec)
-    rows = {st: Counter((r, st[0]) for r in profile) for st, (_, profile) in first.items()}
-    if mismatched:
+    cap = _vertex_cap()
+    m, m0, n = len(spec.a1), len(spec.a0), spec.index
+    if m != len(spec.a2):
+        steps = (spec.k + 1) * 2 * n * spec.k
+        if steps > cap:
+            raise ResourceLimitError(
+                f"type automaton for k={spec.k}, s={spec.s} takes up to {steps} steps, cap is {cap}"
+            )
+        first, mismatched, _ = _compare_types(spec)
         st, word, profile = next(iter(mismatched.values()))
-        row = Counter((r, st[0]) for r in profile)
+        rows = [dict(Counter((r, st[0]) for r in p)) for p in (first[st][1], profile)]
         raise IllDefinedSystemError(
-            f"state {st}: {word_to_str(first[st][0])} gives {dict(rows[st])} "
-            f"but {word_to_str(word)} gives {dict(row)}; successor counts "
+            f"state {st}: {word_to_str(first[st][0])} gives {rows[0]} "
+            f"but {word_to_str(word)} gives {rows[1]}; successor counts "
             "depend on the vertex, so the invariance property fails"
         )
-    states = tuple(sorted(rows))
-    return WeaklyPeriodicSystem(
-        k=spec.k,
-        s=spec.s,
-        states=states,
-        counts=tuple(tuple(rows[st][su] for su in states) for st in states),
-        spec=spec,
-    )
+    offsets = (-1, 0, 1) if m0 else (-1, 1)
+    size = len(offsets) * n
+    if size * size > cap:
+        raise ResourceLimitError(
+            f"system for k={spec.k}, s={spec.s} has {size} states, "
+            f"a table of {size * size} counts, cap is {cap}"
+        )
+    states = tuple(sorted((r, (r + d) % n) for r in range(n) for d in offsets))
+    index = {st: i for i, st in enumerate(states)}
+    counts = []
+    for r, q in states:
+        row = [0] * size
+        for e, c in ((-1, m), (0, m0), (1, m)):
+            child = (r + e) % n
+            c -= child == q  # one fewer on the parent's side
+            if c:  # with A0 empty, (r, r) is no state and gets no children
+                row[index[child, r]] = c
+        counts.append(tuple(row))
+    return WeaklyPeriodicSystem(k=spec.k, s=spec.s, states=states, counts=tuple(counts), spec=spec)

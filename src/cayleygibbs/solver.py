@@ -10,7 +10,8 @@ finite-volume definition of the measure.  Multistart Newton runs all
 starts of a chunk in one stacked iteration; each start still reaches the
 root a start-by-start iteration reaches, bit for bit, because the residual
 is one np.matmul matrix-vector product per start (see _residual_map).
-That one map also gives every reported residual.  On the four-block
+That one map also gives every reported residual.  The constant roots
++-h*·1 are added wherever multistart missed them.  On the four-block
 subspace the quadratic branch is the nonzero translation-invariant pair
 and the quartic cofactor has no positive root, so that subspace holds no
 non-constant fixed point.
@@ -261,17 +262,63 @@ def _classify(fields: np.ndarray) -> str:
     return "translation-invariant" if spread < TI_SPREAD else "weakly-periodic"
 
 
+def _constant_field(k: int, theta: Theta) -> float:
+    """The positive root h* of h = k f(h) when k theta > 1, by bisection.
+
+    g(h) = k f(h) - h is concave on (0, inf), with slope k theta - 1 > 0 at
+    0 and g(k atanh theta) < 0, since f < atanh theta; so it has one root
+    in (0, k atanh theta], and halving that interval ends at adjacent floats.
+    """
+    lo, hi = 0.0, k * theta.beta
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if k * math.atanh(theta.value * math.tanh(mid)) > mid:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _with_constant_roots(
+    found: list[tuple[np.ndarray, float]], M: np.ndarray, k: int, theta: Theta, tol: float
+) -> list[tuple[np.ndarray, float]]:
+    """found plus each of +-h*·1 that no root lies within DEDUPE_EPS of, sorted.
+
+    Rows of M sum to k, so W(c·1) = k f(c)·1 and +-h*·1 are fixed points
+    whenever k theta > 1.  Random starts reach them less often as the
+    dimension grows, so they are added directly, each with its residual
+    under Newton's map and only if that residual is within tol.  A found
+    root keeps its bits.
+    """
+    if k * theta.value <= 1:
+        return found
+    F = _residual_map(M, theta)
+    h = _constant_field(k, theta)
+    roots = np.reshape([u for u, _ in found], (-1, len(M)))
+    for u in (np.full(len(M), -h), np.full(len(M), h)):
+        if not np.any(np.max(np.abs(roots - u), axis=1) < DEDUPE_EPS):
+            residual = float(np.max(np.abs(F(u))))
+            if residual <= tol:
+                found.append((u, residual))
+    found.sort(key=lambda c: tuple(c[0]))
+    return found
+
+
 def solve_fixed_points(
     system: WeaklyPeriodicSystem, theta: Theta, cfg: SolverConfig = SolverConfig()
 ) -> SolutionSet:
     """All fixed points found by seeded multistart Newton, deduplicated.
 
-    The zero vector is always a fixed point and is always included.  Each
-    solution is classified by coordinate spread and annotated with the
+    The zero vector is always a fixed point and is always included, and so
+    are the constant roots +-h*·1 when k theta > 1 (_with_constant_roots).
+    Each solution is classified by coordinate spread and annotated with the
     equality patterns it satisfies.
     """
+    M = count_matrix(system)
+    found = _with_constant_roots(_multistart(M, theta, cfg), M, system.k, theta, cfg.tol)
     solutions = []
-    for u, residual in _multistart(count_matrix(system), theta, cfg):
+    for u, residual in found:
         fields = tuple(float(v) for v in u)
         solutions.append(
             Solution(
@@ -528,6 +575,8 @@ def theta_sweep(
     n_wp_i1 / n_wp_i2 count solutions that are weakly periodic (not constant)
     and lie in the respective pattern; for the k = 2 nine-state system
     n_wp_i1 is 0 at every theta, since every fixed point in I1 is constant.
+    The patterns are defined only for the nine-state system, so for every
+    other system both are 0, even where non-constant roots exist.
     Agreement means the exact-branch solutions and the Newton solutions
     match pairwise within SWEEP_MATCH_TOL; for systems without an exact
     path the Newton result stands alone and agreement is vacuously true.

@@ -162,6 +162,15 @@ def test_sweep_csv_golden(capsys, extra):
     assert out == SWEEP_GOLDEN
 
 
+def test_sweep_counts_every_constant_root(capsys):
+    # 21 states: multistart alone counts 3, 1, 1, 1
+    code, out = run(
+        capsys, "sweep", "--spec", "{k:8,s:3,A1:[1],A2:[2]}", "--thetas", "0.3,0.5,0.7,0.9", "--starts", "20"
+    )
+    assert code == 0
+    assert [line.split(",")[1] for line in out.strip().split("\n")[1:]] == ["3", "3", "3", "3"]
+
+
 def test_sweep_at_large_theta(capsys):
     code, out = run(
         capsys, "sweep", "--spec", STANDARD, "--thetas", "0.97,0.99", "--starts", "20"
@@ -422,9 +431,11 @@ BAD_INPUTS = [
     ("ball-over-cap", None, BALL, {"CAYLEYGIBBS_MAX_BALL": "5"}, "cap is 5"),
     ("invariance-over-cap", None, ["invariance", "--spec", "{k:4,s:2,A1:[1],A2:[3]}", "--radius", "6"],
      {"CAYLEYGIBBS_MAX_BALL": "5"}, "cap is 5"),
-    # the k=2, s=1 type automaton takes up to 3 * 2 * 3 * 2 = 36 steps
-    ("derive-over-cap", None, ["derive", "--spec", STANDARD], {"CAYLEYGIBBS_MAX_BALL": "35"},
-     "type automaton for k=2, s=1 takes up to 36 steps, cap is 35"),
+    # the k=2, s=1 system has 9 states, so a dense table of 81 counts
+    ("derive-over-cap", None, ["derive", "--spec", STANDARD], {"CAYLEYGIBBS_MAX_BALL": "80"},
+     "system for k=2, s=1 has 9 states, a table of 81 counts, cap is 80"),
+    ("derive-s-over-cap", None, ["derive", "--spec", "{k:2,s:100000,A1:[1],A2:[2]}"], {},
+     "has 600003 states, a table of 360003600009 counts, cap is 10000000"),
     # the k=4 ball of radius 6 has 6826 words, so 46,594,276 pairs
     ("oracle-over-cap", None, ["oracle", "--spec", "{k:4,s:1,A1:[1],A2:[2]}", "--radius", "6"], {},
      "compares 46594276 pairs, cap is 10000000"),
@@ -447,9 +458,10 @@ def _run_subprocess(argv, env):
     """The CLI in a child process, with a timeout and a 2 GiB address-space cap.
 
     A grid that never ends would hang and grow a list, an uncapped
-    --starts would draw and iterate that many starts, and an uncapped
-    oracle would compare pairs for hours, so the child is bounded in time
-    and memory rather than run in process.
+    --starts would draw and iterate that many starts, an uncapped oracle
+    would compare pairs for hours, and an uncapped derive would build a
+    table quadratic in s, so the child is bounded in time and memory rather
+    than run in process.
     """
     import resource
 
@@ -480,7 +492,7 @@ def test_bad_input_exits_1_with_message(capsys, monkeypatch, tmp_path, edit, arg
         path = tmp_path / "system.json"
         path.write_text(json.dumps(doc))
         argv = argv + ["--system", str(path)]
-    if "--range" in argv or "--starts" in argv or argv[0] == "oracle":
+    if "--range" in argv or "--starts" in argv or argv[0] in ("oracle", "derive"):
         code, err = _run_subprocess(argv, env)
     else:
         for name, value in env.items():

@@ -278,12 +278,22 @@ def test_holding_spec_over_the_ball_cap_raises(monkeypatch):
 
 
 def test_derive_over_the_vertex_cap_raises(monkeypatch):
-    # the type automaton takes up to (k+1) * 2(2s+1) * k steps: 36 at k=2, s=1
+    # the dense table of the nine-state system has 9 * 9 = 81 counts
+    monkeypatch.setenv("CAYLEYGIBBS_MAX_BALL", "80")
+    with pytest.raises(ResourceLimitError, match="^system for k=2, s=1 has 9 states, a table of 81 counts, cap is 80$"):
+        derive_system(STANDARD)
+    monkeypatch.setenv("CAYLEYGIBBS_MAX_BALL", "81")
+    assert len(derive_system(STANDARD).states) == 9
+
+
+def test_derive_refusal_over_the_vertex_cap_raises(monkeypatch):
+    # only a refusal walks the type automaton: up to (k+1) * 2(2s+1) * k = 36 steps at k=2, s=1
     monkeypatch.setenv("CAYLEYGIBBS_MAX_BALL", "35")
     with pytest.raises(ResourceLimitError, match="^type automaton for k=2, s=1 takes up to 36 steps, cap is 35$"):
-        derive_system(STANDARD)
+        derive_system(SPLIT, allow_nonsingleton=True)
     monkeypatch.setenv("CAYLEYGIBBS_MAX_BALL", "36")
-    assert len(derive_system(STANDARD).states) == 9
+    with pytest.raises(IllDefinedSystemError):
+        derive_system(SPLIT, allow_nonsingleton=True)
 
 
 @pytest.mark.parametrize(
@@ -598,6 +608,85 @@ def test_derive_refuses_exactly_where_invariance_fails_at_the_type_depth():
         assert report.holds, spec
         assert report.states_seen == len(system.states), spec
     assert refused == 336
+
+
+def test_derive_equals_the_type_walk_on_every_holding_spec():
+    # the offset table against the rows of the uncut type walk
+    specs = [
+        SubgroupSpec(k=k, s=s, a1=a1, a2=a2)
+        for k in range(2, 6)
+        for s in range(1, 5)
+        for a1, a2 in letter_choices(k)
+        if len(a1) == len(a2)
+    ]
+    assert len(specs) == 856
+    for spec in specs:
+        first, mismatched, _ = invariance._compare_types(spec)
+        assert not mismatched, spec
+        rows = {st: Counter((r, st[0]) for r in profile) for st, (_, profile) in first.items()}
+        system = derive_system(spec, allow_nonsingleton=True)
+        assert system.states == tuple(sorted(rows)), spec
+        assert system.counts == tuple(tuple(rows[st][su] for su in system.states) for st in system.states), spec
+
+
+def test_offset_table_holds_for_every_k_and_s():
+    """The six types (parity, class of the last letter), with m0, m1, m2 symbolic.
+
+    A letter of class C moves a position by an offset that depends only on
+    the position's parity (checked on positions -6..6 with cosets.step).  A
+    type's parent offset d is its last letter's offset, and its successor
+    profile counts m_C letters of each class C, less its last letter, at
+    their offsets.  Offsets -1, 0, +1 are distinct mod 2s+1 >= 3, so this one
+    computation covers every k and s.  The two types of each d have equal
+    profiles exactly when m1 = m2, and those profiles are then the table
+    derive_system builds.
+    """
+    sp = pytest.importorskip("sympy")
+    m0, m1, m2 = sp.symbols("m0 m1 m2", positive=True, integer=True)
+    spec = SubgroupSpec(k=2, s=1, a1={1}, a2={2})  # one letter of each class: 1, 2, 3
+    letters = {1: m1, 2: m2, 0: m0}
+    representative = {1: 1, 2: 2, 0: 3}
+
+    def offset(parity, cls):
+        moves = {cosets.step(p, representative[cls], spec) - p for p in range(-6, 7) if p % 2 == parity}
+        assert len(moves) == 1
+        return moves.pop()
+
+    profiles = {}  # d -> the profiles (count at -1, 0, +1) of the types with that d
+    for parity in (0, 1):
+        for last in letters:
+            d = offset(parity, last)
+            profile = [0, 0, 0]
+            for cls, m in letters.items():
+                profile[offset(parity, cls) + 1] += m - int(cls == last)
+            profiles.setdefault(d, []).append(profile)
+    assert sorted(profiles) == [-1, 0, 1] and all(len(p) == 2 for p in profiles.values())
+    for d, (one, other) in profiles.items():
+        differences = [sp.expand(a - b) for a, b in zip(one, other)]
+        assert sp.solve(differences, m1, dict=True) == [{m1: m2}], d
+        m = sp.Symbol("m", positive=True, integer=True)
+        table = [m - int(d == -1), m0 - int(d == 0), m - int(d == 1)]
+        assert [sp.expand(c.subs({m1: m, m2: m}) - e) for c, e in zip(one, table)] == [0, 0, 0], d
+
+
+def test_holding_derive_walks_no_types(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a holding derive walked the types")
+
+    monkeypatch.setattr(invariance, "_type_walk", refuse)
+    holding = (STANDARD, PAIRS, SubgroupSpec(k=5, s=4, a1={2}, a2={6}), SubgroupSpec(k=4, s=2, a1={1, 2}, a2={3, 4}))
+    for spec in holding:
+        system = derive_system(spec, allow_nonsingleton=True)
+        assert all(sum(row) == spec.k for row in system.counts)
+    with pytest.raises(AssertionError, match="walked the types"):
+        derive_system(SPLIT, allow_nonsingleton=True)
+
+
+def test_derive_at_k_3000():
+    # the table does not depend on k; the type walk would take 54M steps
+    system = derive_system(SubgroupSpec(k=3000, s=1, a1={1}, a2={2}))
+    assert len(system.states) == 9
+    assert system.row((0, 0)) == {(0, 0): 2998, (1, 0): 1, (2, 0): 1}
 
 
 def test_derive_deterministic():

@@ -134,6 +134,27 @@ def test_constant_solution_count_scans_with_k():
     assert len(translation_invariant_fields(5, Theta(0.21))) == 3
 
 
+@pytest.mark.parametrize("k, value", [(2, 0.5001), (2, 0.8), (3, 0.34), (5, 0.21), (8, 0.97), (8, 0.3)])
+def test_constant_field_matches_the_scan(k, value):
+    # the scan's positive root; close above k * theta = 1, where g'(h*) is
+    # near 0, a few ulp of g move the root by ~1e-14
+    h = solver._constant_field(k, Theta(value))
+    assert h == pytest.approx(translation_invariant_fields(k, Theta(value))[-1], rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize("k, s, value", [(8, 3, 0.5), (6, 3, 0.7), (4, 3, 0.97)])
+def test_constant_roots_are_reported_where_starts_miss_them(k, s, value):
+    # multistart alone finds 1, 1 and 2 constant roots here
+    system = derive_system(SubgroupSpec(k=k, s=s, a1={1}, a2={2}))
+    found = solve_fixed_points(system, Theta(value))
+    constant = found.translation_invariant()
+    assert len(constant) == 3
+    for sol, h in zip(constant, translation_invariant_fields(k, Theta(value))):
+        assert max(abs(v - h) for v in sol.fields) < 1e-12
+        assert sol.residual <= SolverConfig().tol
+    assert list(found.solutions) == sorted(found.solutions, key=lambda sol: sol.fields)
+
+
 # === equality patterns and restriction certificates ===
 
 
