@@ -30,7 +30,6 @@ from cayleygibbs.invariance import (
     derive_system,
 )
 from cayleygibbs.solver import (
-    FLAT_MERGE_RESIDUAL,
     SolutionSet,
     SolverConfig,
     Theta,
@@ -259,23 +258,19 @@ def _cmd_derive(args) -> int:
     return 0
 
 
-def _solver_config(args, **extra) -> SolverConfig:
+def _solver_config(args) -> SolverConfig:
     if args.starts < 0:
         raise ValueError(f"--starts must be >= 0, got {args.starts}")
     if args.starts > MAX_STARTS:
         raise ValueError(f"--starts {args.starts} is more than {MAX_STARTS}")
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    return SolverConfig(starts=args.starts, rng_seed=args.seed, **extra)
+    return SolverConfig(starts=args.starts, rng_seed=args.seed)
 
 
 def _cmd_solve(args) -> int:
-    # the flatness merge needs tol below its fixed residual threshold
-    if not 0 < args.tol < FLAT_MERGE_RESIDUAL:
-        raise ValueError(f"--tol must lie in (0, {FLAT_MERGE_RESIDUAL:g}), got {args.tol:g}")
     system = _load_system(args)
-    cfg = _solver_config(args, tol=args.tol)
-    found = solve_fixed_points(system, Theta(args.theta), cfg)
+    found = solve_fixed_points(system, Theta(args.theta), _solver_config(args))
     _emit(_format_json(_solution_set_json(found)) + "\n", args.out)
     return 0
 
@@ -317,8 +312,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    system = _load_system(args) if (args.spec or args.system) else None
-    result = solve_i1_exact(Theta(args.theta), system)
+    result = solve_i1_exact(Theta(args.theta))
     doc = {
         "theta": result.theta,
         "a": result.a,
@@ -332,11 +326,9 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_compat(args) -> int:
-    if not (math.isfinite(args.tol) and args.tol >= 0):
-        raise ValueError(f"--tol must be finite and >= 0, got {args.tol:g}")
     system = _load_system(args)
     fields = _read_fields(args.fields, system)
-    report = verify_compatibility(fields, system, Theta(args.theta), args.n, args.tol)
+    report = verify_compatibility(fields, system, Theta(args.theta), args.n)
     doc = {
         "passed": report.passed,
         "n": report.n,
@@ -431,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--starts", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-12)
 
     p = add("sweep", _cmd_sweep, "CSV of solution counts across theta values")
     p.add_argument("--spec")
@@ -443,8 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("poly", _cmd_poly, "exact polynomial branch of the k=2 system")
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--spec")
-    p.add_argument("--system")
 
     p = add("compat", _cmd_compat, "finite-volume compatibility check (exit 2 on failure)")
     p.add_argument("--spec")
@@ -452,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--fields", required=True, help="JSON field vector (list or state map)")
-    p.add_argument("--tol", type=float, default=1e-10)
 
     p = add("draw", _cmd_draw, "Graphviz DOT drawing of a ball, colored by class")
     p.add_argument("--k", type=int)

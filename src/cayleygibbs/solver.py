@@ -16,15 +16,16 @@ subspace the quadratic branch is the nonzero translation-invariant pair
 and the quartic cofactor has no positive root, so that subspace holds no
 non-constant fixed point.
 
-A run sets only SolverConfig (tol, starts, rng_seed).  The rest are
-constants: NEWTON_MAX_ITER, FD_STEP, LINE_SEARCH_HALVINGS, START_BOX,
-STACK_BUDGET, DEDUPE_EPS, FLAT_MERGE_RADIUS, FLAT_MERGE_RESIDUAL,
-TI_SPREAD (constant vectors and pattern blocks), EXACT_RESIDUAL_TOL and
-SWEEP_MATCH_TOL.
+A run sets only SolverConfig (starts, rng_seed).  The rest are
+constants: NEWTON_TOL, NEWTON_MAX_ITER, FD_STEP, LINE_SEARCH_HALVINGS,
+START_BOX, STACK_BUDGET, DEDUPE_EPS, FLAT_MERGE_RADIUS,
+FLAT_MERGE_RESIDUAL, TI_SPREAD (constant vectors and pattern blocks),
+EXACT_RESIDUAL_TOL, SWEEP_MATCH_TOL and COMPAT_TOL.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -33,7 +34,7 @@ import numpy as np
 
 from cayleygibbs.cosets import SubgroupSpec
 from cayleygibbs.invariance import StatePair, WeaklyPeriodicSystem, derive_system, state_of
-from cayleygibbs.words import Word, enumerate_ball, parent
+from cayleygibbs.words import ResourceLimitError, Word, _vertex_cap, enumerate_ball, parent
 
 # coordinate spread below this means a constant (translation-invariant) vector
 TI_SPREAD = 1e-8
@@ -76,16 +77,12 @@ def count_matrix(system: WeaklyPeriodicSystem) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """What a multistart Newton run varies: tolerance, random starts, seed."""
+    """What a multistart Newton run varies: random starts and seed."""
 
-    tol: float = 1e-12
     starts: int = 200
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        # the flatness merge separates candidates only above tol
-        if not 0 < self.tol < FLAT_MERGE_RESIDUAL:
-            raise ValueError(f"need 0 < tol < {FLAT_MERGE_RESIDUAL:g}")
         if self.starts < 0:
             raise ValueError("starts must be >= 0")
 
@@ -118,6 +115,8 @@ class SolutionSet:
 STACK_BUDGET = 1 << 16
 FD_STEP = 1e-6
 LINE_SEARCH_HALVINGS = 30
+# a start converges at residual max-norm <= NEWTON_TOL < FLAT_MERGE_RESIDUAL
+NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 200
 # random starts are uniform on this interval in every coordinate
 START_BOX = (-5.0, 5.0)
@@ -161,15 +160,15 @@ def _solve_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
         return steps, ok
 
 
-def _newton_batch(F, U0: np.ndarray, tol: float) -> list[np.ndarray | None]:
+def _newton_batch(F, U0: np.ndarray) -> list[np.ndarray | None]:
     """Damped Newton from every row of U0 at once: one root or None per row.
 
     Each row follows the scalar rule exactly: stop at a residual max-norm
-    <= tol, fail at a non-finite norm or a singular Jacobian, take the
-    central-difference Jacobian with step FD_STEP, halve the step up to
+    <= NEWTON_TOL, fail at a non-finite norm or a singular Jacobian, take
+    the central-difference Jacobian with step FD_STEP, halve the step up to
     LINE_SEARCH_HALVINGS times until the norm strictly drops (else fail),
     and after NEWTON_MAX_ITER iterations keep the point only if its norm is
-    <= tol.  Rows leave the live set when they converge or fail.
+    <= NEWTON_TOL.  Rows leave the live set when they converge or fail.
     """
     U = U0.astype(float)
     out: list[np.ndarray | None] = [None] * len(U)
@@ -180,9 +179,9 @@ def _newton_batch(F, U0: np.ndarray, tol: float) -> list[np.ndarray | None]:
         r = F(u)
         norm = np.max(np.abs(r), axis=1)
         finite = np.isfinite(norm)
-        for b in live[finite & (norm <= tol)]:
+        for b in live[finite & (norm <= NEWTON_TOL)]:
             out[b] = U[b]
-        keep = finite & (norm > tol)
+        keep = finite & (norm > NEWTON_TOL)
         live, u, r, norm = live[keep], u[keep], r[keep], norm[keep]
         if not live.size:
             return out
@@ -206,7 +205,7 @@ def _newton_batch(F, U0: np.ndarray, tol: float) -> list[np.ndarray | None]:
         U[live] = u[moved]
     if live.size:
         norm = np.max(np.abs(F(U[live])), axis=1)
-        for b in live[norm <= tol]:
+        for b in live[norm <= NEWTON_TOL]:
             out[b] = U[b]
     return out
 
@@ -235,7 +234,7 @@ def _multistart(M: np.ndarray, theta: Theta, cfg: SolverConfig) -> list[tuple[np
     candidates = [
         u
         for i in range(0, len(starts), chunk)
-        for u in _newton_batch(F, starts[i : i + chunk], cfg.tol)
+        for u in _newton_batch(F, starts[i : i + chunk])
         if u is not None
     ]
     # each candidate's residual once, in one stacked call, kept next to it
@@ -281,15 +280,15 @@ def _constant_field(k: int, theta: Theta) -> float:
 
 
 def _with_constant_roots(
-    found: list[tuple[np.ndarray, float]], M: np.ndarray, k: int, theta: Theta, tol: float
+    found: list[tuple[np.ndarray, float]], M: np.ndarray, k: int, theta: Theta
 ) -> list[tuple[np.ndarray, float]]:
     """found plus each of +-h*·1 that no root lies within DEDUPE_EPS of, sorted.
 
     Rows of M sum to k, so W(c·1) = k f(c)·1 and +-h*·1 are fixed points
     whenever k theta > 1.  Random starts reach them less often as the
     dimension grows, so they are added directly, each with its residual
-    under Newton's map and only if that residual is within tol.  A found
-    root keeps its bits.
+    under Newton's map and only if that residual is within NEWTON_TOL.  A
+    found root keeps its bits.
     """
     if k * theta.value <= 1:
         return found
@@ -299,7 +298,7 @@ def _with_constant_roots(
     for u in (np.full(len(M), -h), np.full(len(M), h)):
         if not np.any(np.max(np.abs(roots - u), axis=1) < DEDUPE_EPS):
             residual = float(np.max(np.abs(F(u))))
-            if residual <= tol:
+            if residual <= NEWTON_TOL:
                 found.append((u, residual))
     found.sort(key=lambda c: tuple(c[0]))
     return found
@@ -313,22 +312,26 @@ def solve_fixed_points(
     The zero vector is always a fixed point and is always included, and so
     are the constant roots +-h*·1 when k theta > 1 (_with_constant_roots).
     Each solution is classified by coordinate spread and annotated with the
-    equality patterns it satisfies.
+    equality patterns it satisfies among those restrict certifies for the
+    system.  One start's finite-difference Jacobian takes states**3
+    multiply-adds, so a system over the vertex cap by that count raises
+    ResourceLimitError before the first iteration.
     """
-    M = count_matrix(system)
-    found = _with_constant_roots(_multistart(M, theta, cfg), M, system.k, theta, cfg.tol)
-    solutions = []
-    for u, residual in found:
-        fields = tuple(float(v) for v in u)
-        solutions.append(
-            Solution(
-                fields=fields,
-                residual=residual,
-                kind=_classify(u),
-                invariant_sets=invariant_sets_containing(fields, system.states),
-            )
+    dim, cap = len(system.states), _vertex_cap()
+    if dim**3 > cap:
+        raise ResourceLimitError(
+            f"Newton on {dim} states takes {dim**3} multiply-adds per Jacobian, cap is {cap}"
         )
-    return SolutionSet(theta=theta.value, states=system.states, solutions=tuple(solutions))
+    M = count_matrix(system)
+    found = _with_constant_roots(_multistart(M, theta, cfg), M, system.k, theta)
+    patterns = certified_patterns(system)
+    solutions = tuple(_solution(u, residual, patterns) for u, residual in found)
+    return SolutionSet(theta=theta.value, states=system.states, solutions=solutions)
+
+
+def _solution(u: np.ndarray, residual: float, patterns: tuple[str, ...]) -> Solution:
+    fields = tuple(float(v) for v in u)
+    return Solution(fields, residual, _classify(u), invariant_sets_containing(fields, patterns))
 
 
 # === invariant equality patterns of the nine-state system ===
@@ -355,23 +358,28 @@ INVARIANT_PATTERNS: dict[str, InvariantPattern] = {
 }
 
 
-def invariant_sets_containing(
-    fields: Sequence[float], states: tuple[StatePair, ...]
-) -> tuple[str, ...]:
-    """Pattern ids whose blocks the field vector satisfies within TI_SPREAD."""
-    if tuple(states) != NINE_STATES:
-        return ()
-    hits = []
-    for pid, pattern in INVARIANT_PATTERNS.items():
-        ok = True
-        for block in pattern.blocks:
-            vals = [fields[i] for i in block]
-            if max(vals) - min(vals) >= TI_SPREAD:
-                ok = False
-                break
-        if ok:
-            hits.append(pid)
-    return tuple(hits)
+def certified_patterns(system: WeaklyPeriodicSystem) -> tuple[str, ...]:
+    """Ids of the patterns that restrict certifies invariant for the system."""
+    ids = []
+    for pid in INVARIANT_PATTERNS:
+        try:
+            restrict(system, pid)
+        except ValueError:  # not the nine-state system, or NotInvariantError
+            continue
+        ids.append(pid)
+    return tuple(ids)
+
+
+def invariant_sets_containing(fields: Sequence[float], pattern_ids: Iterable[str]) -> tuple[str, ...]:
+    """Those pattern ids whose blocks the field vector satisfies within TI_SPREAD."""
+    return tuple(
+        pid
+        for pid in pattern_ids
+        if all(
+            max(fields[i] for i in block) - min(fields[i] for i in block) < TI_SPREAD
+            for block in INVARIANT_PATTERNS[pid].blocks
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -463,13 +471,20 @@ class ExactBranchResult:
     solution_set: SolutionSet
 
 
-def solve_i1_exact(
-    theta: Theta, system: WeaklyPeriodicSystem | None = None
-) -> ExactBranchResult:
+@functools.cache
+def _i1_table() -> tuple[WeaklyPeriodicSystem, tuple[str, ...]]:
+    """The system of {k:2,s:1,A1:[1],A2:[2]}, derived once, and its certified patterns."""
+    system = derive_system(SubgroupSpec(k=2, s=1, a1={1}, a2={2}))
+    return system, certified_patterns(system)
+
+
+def solve_i1_exact(theta: Theta) -> ExactBranchResult:
     """Solve the four-block restriction of the k = 2 nine-state system exactly.
 
-    In z = exp(2h) coordinates the restricted equations collapse to one
-    polynomial in x = sqrt(z of the third coordinate) = exp(h).  The factor
+    The system is the one table every k = 2 singleton spec at s = 1
+    derives (_i1_table).  In z = exp(2h) coordinates the restricted
+    equations collapse to one polynomial in x = sqrt(z of the third
+    coordinate) = exp(h).  The factor
     x = 1 reconstructs the zero solution.  The quadratic factor contributes
     two reciprocal positive roots exactly when theta >= 1/2; each root is
     reconstructed through the Moebius edge map and verified against the full
@@ -481,11 +496,7 @@ def solve_i1_exact(
     the double root x = 1 and is reported as boundary-degenerate with no
     extra branch.
     """
-    if system is None:
-        system = derive_system(SubgroupSpec(k=2, s=1, a1={1}, a2={2}))
-    if system.k != 2 or system.states != NINE_STATES:
-        raise ValueError("the exact path applies to the nine-state system at k = 2")
-    restrict(system, "I1")  # certificate that the pattern is invariant
+    system, patterns = _i1_table()
     a = theta.a
     disc, roots = quadratic_branch(a)
     boundary = abs(disc) <= BOUNDARY_DISC_EPS
@@ -509,14 +520,7 @@ def solve_i1_exact(
                 f"reconstructed branch for x={branches[vec]} misses the full system "
                 f"(residual {residual:.3e})"
             )
-        solutions.append(
-            Solution(
-                fields=vec,
-                residual=residual,
-                kind=_classify(arr),
-                invariant_sets=invariant_sets_containing(vec, NINE_STATES),
-            )
-        )
+        solutions.append(_solution(arr, residual, patterns))
     return ExactBranchResult(
         theta=theta.value,
         a=a,
@@ -575,14 +579,16 @@ def theta_sweep(
     n_wp_i1 / n_wp_i2 count solutions that are weakly periodic (not constant)
     and lie in the respective pattern; for the k = 2 nine-state system
     n_wp_i1 is 0 at every theta, since every fixed point in I1 is constant.
-    The patterns are defined only for the nine-state system, so for every
-    other system both are 0, even where non-constant roots exist.
+    A pattern counts only where restrict certifies it, so for every system
+    off the nine states both are 0, even where non-constant roots exist.
     Agreement means the exact-branch solutions and the Newton solutions
-    match pairwise within SWEEP_MATCH_TOL; for systems without an exact
-    path the Newton result stands alone and agreement is vacuously true.
+    match pairwise within SWEEP_MATCH_TOL.  The exact path solves one table
+    (_i1_table); for every other system the Newton result stands alone and
+    agreement is vacuously true.
     """
     rows = []
-    has_exact = system.k == 2 and system.states == NINE_STATES
+    # equal counts give equal k, since rows sum to k
+    has_exact = system.states == NINE_STATES and system.counts == _i1_table()[0].counts
     for value in theta_values:
         theta = Theta(value)
         found = solve_fixed_points(system, theta, cfg)
@@ -595,7 +601,7 @@ def theta_sweep(
         )
         agreement = True
         if has_exact:
-            exact = solve_i1_exact(theta, system).solution_set
+            exact = solve_i1_exact(theta).solution_set
             for sol in exact.solutions:
                 if _nearest_distance(sol.fields, found.solutions) > SWEEP_MATCH_TOL:
                     agreement = False
@@ -636,6 +642,8 @@ def sweep_to_csv(rows: Iterable[SweepRow]) -> str:
 # === finite-volume measures and compatibility ===
 
 MAX_CONFIG_BITS = 24
+# largest marginal deviation a compatible field vector may leave
+COMPAT_TOL = 1e-10
 
 
 def _volume_distribution(
@@ -706,17 +714,13 @@ class CompatibilityReport:
 
 
 def verify_compatibility(
-    fields: Sequence[float],
-    system: WeaklyPeriodicSystem,
-    theta: Theta,
-    n: int,
-    tol: float = 1e-10,
+    fields: Sequence[float], system: WeaklyPeriodicSystem, theta: Theta, n: int
 ) -> CompatibilityReport:
     """Check the finite-volume marginal identity between levels n and n-1.
 
     Summing the level-n measure over the outer sphere must reproduce the
-    level-(n-1) measure exactly; boundary fields come from the state of
-    each outer vertex under the system's subgroup spec.
+    level-(n-1) measure to within COMPAT_TOL; boundary fields come from the
+    state of each outer vertex under the system's subgroup spec.
     """
     if n not in (2, 3):
         raise ValueError("compatibility check supports n in {2, 3}")
@@ -734,7 +738,7 @@ def verify_compatibility(
     marginal = dist_n.reshape(len(dist_prev), -1).sum(axis=1)
     deviation = float(np.max(np.abs(marginal - dist_prev)))
     return CompatibilityReport(
-        passed=deviation <= tol,
+        passed=deviation <= COMPAT_TOL,
         n=n,
         max_deviation=deviation,
         configs_checked=int(dist_n.size),

@@ -220,7 +220,7 @@ def test_criterion_07_phase_threshold_sweep():
     assert all(row.max_residual <= 1e-10 for row in rows)
     assert all(row.agreement for row in rows)
 
-    exact = solve_i1_exact(Theta(0.8), system)
+    exact = solve_i1_exact(Theta(0.8))
     assert exact.roots[0] == pytest.approx(7.8730, abs=5e-5)
     assert exact.roots[1] == pytest.approx(0.1270, abs=5e-5)
     assert exact.roots[0] * exact.roots[1] == pytest.approx(1.0, abs=1e-12)
@@ -236,7 +236,7 @@ def test_criterion_07_phase_threshold_sweep():
     failures = []
     for row in rows:
         theta = Theta(row.theta)
-        branch = solve_i1_exact(theta, system)
+        branch = solve_i1_exact(theta)
         if row.n_wp_i1 != 0:
             failures.append((row.theta, "non-constant I1 solutions", row.n_wp_i1))
         if row.theta < 0.5:
@@ -337,7 +337,7 @@ def test_criterion_10_end_to_end_compatibility():
     start = time.perf_counter()
     system = derive_system(STANDARD)
     th = Theta(0.8)
-    exact = solve_i1_exact(th, system)
+    exact = solve_i1_exact(th)
     nonzero = [s for s in exact.solution_set.solutions if s.fields != (0.0,) * 9]
     assert len(nonzero) == 2
     for sol in nonzero:

@@ -218,6 +218,23 @@ def test_poly_branches_close_under_negation(capsys):
         assert all(sol["residual"] <= 1e-10 for sol in solutions), theta
 
 
+def test_sweep_on_an_edited_nine_state_table(capsys, tmp_path):
+    # the "0,1" row moved to {"0,0": 2}: still nine states at k = 2, but not
+    # the table the exact path solves, and I1 no longer invariant
+    doc = json.loads(derive_system(SubgroupSpec.from_json(STANDARD)).to_json())
+    doc["counts"]["0,1"] = {"0,0": 2}
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "sweep", "--system", str(path), "--thetas", "0.3,0.8", "--starts", "20")
+    assert code == 0
+    assert out == "theta,n_ti,n_wp_I1,n_wp_I2,agreement\n0.3,1,0,0,true\n0.8,3,0,0,true\n"
+    code, out = run(capsys, "solve", "--system", str(path), "--theta", "0.8", "--starts", "20")
+    assert code == 0
+    solutions = json.loads(out)["solutions"]
+    assert len(solutions) == 3
+    assert all(sol["invariant_sets"] == ["I0", "I5"] for sol in solutions)
+
+
 def test_compat_exit_codes(capsys, tmp_path):
     _, out = run(capsys, "poly", "--theta", "0.8")
     fields = json.loads(out)["solutions"][-1]["fields"]
@@ -277,7 +294,7 @@ def test_compat_n3_golden(capsys, tmp_path):
     # out-of-place add or exp) passes 64 MiB, and the spin-matrix
     # construction peaked at about 824 MB
     system = derive_system(SubgroupSpec.from_json(STANDARD))
-    fields = solve_i1_exact(Theta(0.8), system).solution_set.solutions[-1].fields
+    fields = solve_i1_exact(Theta(0.8)).solution_set.solutions[-1].fields
     tracemalloc.start()
     try:
         verify_compatibility(fields, system, Theta(0.8), n=3)
@@ -410,8 +427,9 @@ BAD_INPUTS = [
      "--thetas needs at least one value"),
     ("sweep-thetas-text", None, ["sweep", "--spec", STANDARD, "--thetas", "abc"], {},
      "--thetas must be comma-separated numbers, got 'abc'"),
-    ("compat-tol-negative", None, COMPAT + ["--tol", "-1"], {}, "--tol must be finite and >= 0, got -1"),
-    ("compat-tol-nan", None, COMPAT + ["--tol", "nan"], {}, "--tol must be finite and >= 0, got nan"),
+    # the compat threshold, Newton's tolerance and the exact path's system are constants
+    ("compat-tol-negative", None, COMPAT + ["--tol", "-1"], {}, "unrecognized arguments: --tol -1"),
+    ("compat-tol-nan", None, COMPAT + ["--tol", "nan"], {}, "unrecognized arguments: --tol nan"),
     ("compat-fields-null", None, COMPAT[:-1] + ["null.json"], {}, "field 4 is None, not a finite number"),
     ("compat-fields-list", None, COMPAT[:-1] + ["list.json"], {}, "field 4 is [0], not a finite number"),
     ("compat-fields-object", None, COMPAT[:-1] + ["object.json"], {},
@@ -422,9 +440,17 @@ BAD_INPUTS = [
      "field of state 1,2 is -inf, not a finite number"),
     ("compat-fields-overflow", None, COMPAT[:-1] + ["overflow.json"], {}, "field 4 is inf, not a finite number"),
     ("solve-tol-too-large", None, ["solve", "--spec", STANDARD, "--theta", "0.7", "--tol", "1e-10"],
-     {}, "--tol must lie in (0, 1e-10), got 1e-10"),
+     {}, "unrecognized arguments: --tol 1e-10"),
     ("solve-tol-nonpositive", None, ["solve", "--spec", STANDARD, "--theta", "0.7", "--tol", "0"],
-     {}, "--tol must lie in (0, 1e-10), got 0"),
+     {}, "unrecognized arguments: --tol 0"),
+    ("poly-spec", None, ["poly", "--theta", "0.8", "--spec", STANDARD], {},
+     f"unrecognized arguments: --spec {STANDARD}"),
+    ("poly-system", None, ["poly", "--theta", "0.8", "--system", "system.json"], {},
+     "unrecognized arguments: --system system.json"),
+    # 3(2s+1) = 603 states, so 603**3 multiply-adds for one start's Jacobian
+    ("solve-states-over-cap", None,
+     ["solve", "--spec", "{k:2,s:100,A1:[1],A2:[2]}", "--theta", "0.8", "--starts", "1"], {},
+     "Newton on 603 states takes 219256227 multiply-adds per Jacobian, cap is 10000000"),
     ("max-ball-text", None, BALL, {"CAYLEYGIBBS_MAX_BALL": "abc"}, "CAYLEYGIBBS_MAX_BALL"),
     ("max-ball-zero", None, BALL, {"CAYLEYGIBBS_MAX_BALL": "0"}, "CAYLEYGIBBS_MAX_BALL"),
     ("max-ball-negative", None, BALL, {"CAYLEYGIBBS_MAX_BALL": "-3"}, "CAYLEYGIBBS_MAX_BALL"),
@@ -459,8 +485,9 @@ def _run_subprocess(argv, env):
 
     A grid that never ends would hang and grow a list, an uncapped
     --starts would draw and iterate that many starts, an uncapped oracle
-    would compare pairs for hours, and an uncapped derive would build a
-    table quadratic in s, so the child is bounded in time and memory rather
+    would compare pairs for hours, an uncapped derive would build a
+    table quadratic in s, and an unbounded solve would run Newton cubic in
+    the number of states, so the child is bounded in time and memory rather
     than run in process.
     """
     import resource

@@ -7,6 +7,7 @@ distribution against a brute-force dictionary implementation and, bit for
 bit, against the spin-matrix construction in tests/oracles.py.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -34,6 +35,7 @@ from cayleygibbs.solver import (
     NotInvariantError,
     SolverConfig,
     Theta,
+    certified_patterns,
     count_matrix,
     edge_field,
     invariant_sets_containing,
@@ -45,7 +47,7 @@ from cayleygibbs.solver import (
     theta_sweep,
     verify_compatibility,
 )
-from cayleygibbs.words import enumerate_ball, parent, word_from_str
+from cayleygibbs.words import ResourceLimitError, enumerate_ball, parent, word_from_str
 
 STANDARD = SubgroupSpec(k=2, s=1, a1={1}, a2={2})
 
@@ -80,9 +82,13 @@ def test_theta_derived_parameters():
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(tol=1e-6)
-    with pytest.raises(ValueError):
         SolverConfig(starts=-1)
+
+
+def test_newton_tolerance_is_a_constant_under_the_flat_merge_threshold():
+    # the flatness merge separates candidates only above Newton's tolerance
+    assert 0 < solver.NEWTON_TOL < solver.FLAT_MERGE_RESIDUAL
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["starts", "rng_seed"]
 
 
 def test_edge_field_log_identity():
@@ -151,7 +157,7 @@ def test_constant_roots_are_reported_where_starts_miss_them(k, s, value):
     assert len(constant) == 3
     for sol, h in zip(constant, translation_invariant_fields(k, Theta(value))):
         assert max(abs(v - h) for v in sol.fields) < 1e-12
-        assert sol.residual <= SolverConfig().tol
+        assert sol.residual <= solver.NEWTON_TOL
     assert list(found.solutions) == sorted(found.solutions, key=lambda sol: sol.fields)
 
 
@@ -208,13 +214,45 @@ def test_reduced_expand_roundtrip(nine_state):
     reduced = restrict(nine_state, "I1")
     vec = expand(reduced, [1.0, 2.0, 3.0, 4.0])
     assert vec == (1.0, 1.0, 2.0, 1.0, 1.0, 2.0, 3.0, 3.0, 4.0)
-    assert "I1" in invariant_sets_containing(vec, NINE_STATES)
-    assert "I2" not in invariant_sets_containing(vec, NINE_STATES)
+    assert "I1" in invariant_sets_containing(vec, INVARIANT_PATTERNS)
+    assert "I2" not in invariant_sets_containing(vec, INVARIANT_PATTERNS)
 
 
 def test_pattern_membership_of_constant_vector():
-    hits = invariant_sets_containing((0.5,) * 9, NINE_STATES)
+    hits = invariant_sets_containing((0.5,) * 9, INVARIANT_PATTERNS)
     assert set(hits) == set(INVARIANT_PATTERNS)
+
+
+def test_certified_patterns_are_those_restrict_accepts():
+    # the derived nine-state table depends on k alone: all six patterns
+    # hold at k = 2, and I0, I1, I2 for every larger k
+    assert certified_patterns(derive_system(STANDARD)) == tuple(INVARIANT_PATTERNS)
+    for k in range(3, 13):
+        system = derive_system(SubgroupSpec(k=k, s=1, a1={1}, a2={2}))
+        assert system.states == NINE_STATES
+        assert certified_patterns(system) == ("I0", "I1", "I2"), k
+    assert certified_patterns(derive_system(SubgroupSpec(k=2, s=2, a1={1}, a2={2}))) == ()
+
+
+def test_solutions_name_only_certified_patterns():
+    # every root at k = 3, theta = 0.8 is constant, so it satisfies the
+    # blocks of I3, I4 and I5, which restrict refuses for k = 3
+    system = derive_system(SubgroupSpec(k=3, s=1, a1={1}, a2={2}))
+    found = solve_fixed_points(system, Theta(0.8), SolverConfig(starts=20))
+    assert len(found.solutions) == 3
+    assert all(sol.invariant_sets == ("I0", "I1", "I2") for sol in found.solutions)
+
+
+def test_newton_refuses_a_system_over_the_cube_bound(monkeypatch):
+    # one start's finite-difference Jacobian takes states**3 = 729 multiply-adds
+    monkeypatch.setenv("CAYLEYGIBBS_MAX_BALL", "728")
+    system = derive_system(STANDARD)
+    with pytest.raises(ResourceLimitError, match="Newton on 9 states takes 729 multiply-adds"):
+        solve_fixed_points(system, Theta(0.8))
+    with pytest.raises(ResourceLimitError, match="cap is 728"):
+        theta_sweep(system, [0.8])
+    monkeypatch.setenv("CAYLEYGIBBS_MAX_BALL", "729")
+    assert len(solve_fixed_points(system, Theta(0.8), SolverConfig(starts=0)).solutions) == 3
 
 
 # === the multistart Newton solver ===
@@ -279,7 +317,7 @@ def _starts(dim, seed, n=50):
     return np.vstack([np.zeros(dim), rng.uniform(-5.0, 5.0, size=(n, dim))])
 
 
-def _oracle_roots(M, theta, starts, tol=1e-12, max_iter=solver.NEWTON_MAX_ITER):
+def _oracle_roots(M, theta, starts, tol=solver.NEWTON_TOL, max_iter=solver.NEWTON_MAX_ITER):
     def F(u):
         return u - M @ edge_field(u, theta)
 
@@ -307,7 +345,7 @@ def test_batched_newton_matches_oracle_bit_for_bit(k, s, theta, seed):
     M = count_matrix(system)
     th = Theta(theta)
     starts = _starts(M.shape[0], seed)
-    got = solver._newton_batch(solver._residual_map(M, th), starts, 1e-12)
+    got = solver._newton_batch(solver._residual_map(M, th), starts)
     _assert_same_roots(got, _oracle_roots(M, th, starts))
     found = solve_fixed_points(system, th, SolverConfig(starts=50, rng_seed=seed))
     for sol in found.solutions:
@@ -321,7 +359,7 @@ def test_batched_newton_drops_a_non_finite_start_alone(nine_state):
     starts = _starts(9, 3, n=12)
     starts[4, 2] = np.inf
     starts[7, 0] = np.nan
-    got = solver._newton_batch(solver._residual_map(M, th), starts, 1e-12)
+    got = solver._newton_batch(solver._residual_map(M, th), starts)
     assert got[4] is None and got[7] is None
     expect = _oracle_roots(M, th, starts)
     _assert_same_roots(got, expect)
@@ -348,7 +386,7 @@ def test_batched_newton_drops_a_singular_start_alone(nine_state, monkeypatch):
         return real_solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", solve)
-    got = solver._newton_batch(solver._residual_map(M, th), starts, 1e-12)
+    got = solver._newton_batch(solver._residual_map(M, th), starts)
     assert stacked_calls
     assert clean[6] is not None and got[6] is None
     _assert_same_roots(got[:6] + got[7:], clean[:6] + clean[7:])
@@ -362,9 +400,9 @@ def test_multistart_in_several_chunks_matches_oracle(nine_state, monkeypatch):
     chunks, roots = [], []
     batch = solver._newton_batch
 
-    def recording(F, U0, tol):
+    def recording(F, U0):
         chunks.append(len(U0))
-        out = batch(F, U0, tol)
+        out = batch(F, U0)
         roots.extend(out)
         return out
 
@@ -396,7 +434,7 @@ def test_quadratic_branch_below_half_has_no_roots():
 
 
 def test_exact_path_at_08(nine_state):
-    result = solve_i1_exact(Theta(0.8), nine_state)
+    result = solve_i1_exact(Theta(0.8))
     assert not result.boundary_degenerate
     assert len(result.roots) == 2
     sols = result.solution_set.solutions
@@ -416,7 +454,7 @@ def test_exact_path_rejects_a_branch_off_the_system(nine_state, monkeypatch):
 
     monkeypatch.setattr(solver, "_reconstruct_from_root", lambda x, a: (0.5,) * 9)
     with pytest.raises(ArithmeticError, match="misses the full system"):
-        solve_i1_exact(Theta(0.8), nine_state)
+        solve_i1_exact(Theta(0.8))
 
 
 def test_exact_path_residual_is_the_plain_residual(nine_state):
@@ -424,7 +462,7 @@ def test_exact_path_residual_is_the_plain_residual(nine_state):
     M = count_matrix(nine_state)
     for i in range(51, 100):
         th = Theta(i / 100)
-        for sol in solve_i1_exact(th, nine_state).solution_set.solutions:
+        for sol in solve_i1_exact(th).solution_set.solutions:
             u = np.array(sol.fields)
             assert sol.residual == float(np.max(np.abs(u - M @ edge_field(u, th)))), th
 
@@ -445,7 +483,7 @@ def test_exact_path_below_half():
 
 def test_exact_matches_newton(nine_state):
     th = Theta(0.75)
-    exact = solve_i1_exact(th, nine_state).solution_set
+    exact = solve_i1_exact(th).solution_set
     newton = solve_fixed_points(nine_state, th, SolverConfig(starts=80))
     for sol in exact.solutions:
         assert any(
@@ -541,6 +579,25 @@ def test_sweep_rows_and_agreement(nine_state):
     assert all(r.agreement for r in rows)
 
 
+def test_sweep_cross_checks_only_the_exact_path_table(nine_state, monkeypatch):
+    calls = []
+    exact = solver.solve_i1_exact
+
+    def recording(theta):
+        calls.append(theta.value)
+        return exact(theta)
+
+    monkeypatch.setattr(solver, "solve_i1_exact", recording)
+    assert all(r.agreement for r in theta_sweep(nine_state, [0.3, 0.8], SolverConfig(starts=20)))
+    assert calls == [0.3, 0.8]
+    # the same nine states with one row moved: no exact path, Newton stands alone
+    counts = [list(row) for row in nine_state.counts]
+    counts[1] = [2] + [0] * 8
+    edited = dataclasses.replace(nine_state, counts=tuple(map(tuple, counts)))
+    assert all(r.agreement for r in theta_sweep(edited, [0.3, 0.8], SolverConfig(starts=20)))
+    assert calls == [0.3, 0.8]
+
+
 def test_sweep_csv_deterministic(nine_state):
     cfg = SolverConfig(starts=40)
     first = sweep_to_csv(theta_sweep(nine_state, [0.45, 0.8], cfg))
@@ -616,7 +673,7 @@ def test_probability_normalisation():
 
 def test_compatibility_for_exact_solution(nine_state):
     th = Theta(0.8)
-    sol = solve_i1_exact(th, nine_state).solution_set.solutions[-1]
+    sol = solve_i1_exact(th).solution_set.solutions[-1]
     report = verify_compatibility(sol.fields, nine_state, th, n=2)
     assert report.passed
     assert report.max_deviation <= 1e-10
@@ -625,7 +682,7 @@ def test_compatibility_for_exact_solution(nine_state):
 
 def test_compatibility_rejects_perturbed_fields(nine_state):
     th = Theta(0.8)
-    sol = solve_i1_exact(th, nine_state).solution_set.solutions[-1]
+    sol = solve_i1_exact(th).solution_set.solutions[-1]
     bad = list(sol.fields)
     bad[4] += 0.05  # state (1,1) sits on the outer sphere at depth 2
     report = verify_compatibility(bad, nine_state, th, n=2)
