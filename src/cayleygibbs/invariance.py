@@ -287,6 +287,9 @@ class WeaklyPeriodicSystem:
         Every state must be a pair of classes in 0..2s, every count a
         non-negative integer between listed states, and every row must sum
         to k.  The subgroup spec is read back when the file carries one.
+        A system whose dense counts table, (number of states)^2, exceeds
+        the vertex cap raises ResourceLimitError before the table is built;
+        every system derive_system builds passes the same check.
         """
         payload = json.loads(text)
         if not isinstance(payload, dict) or not {"states", "counts", "k", "s"} <= payload.keys():
@@ -306,6 +309,7 @@ class WeaklyPeriodicSystem:
         index = {st: i for i, st in enumerate(states)}
         if len(index) != len(states):
             raise ValueError("system states must not repeat")
+        _check_table_size(k, s, len(states))
         counts = [[0] * len(states) for _ in states]
         if not isinstance(payload["counts"], dict):
             raise ValueError("system counts must be an object of rows")
@@ -326,6 +330,15 @@ class WeaklyPeriodicSystem:
             states=states,
             counts=tuple(tuple(r) for r in counts),
             spec=spec,
+        )
+
+
+def _check_table_size(k: int, s: int, size: int) -> None:
+    """Refuse a system whose dense counts table, size**2 entries, exceeds the vertex cap."""
+    cap = _vertex_cap()
+    if size * size > cap:
+        raise ResourceLimitError(
+            f"system for k={k}, s={s} has {size} states, a table of {size * size} counts, cap is {cap}"
         )
 
 
@@ -373,9 +386,9 @@ def derive_system(spec: SubgroupSpec, allow_nonsingleton: bool = False) -> Weakl
         raise ValueError(
             "derivation requires singleton A1 and A2 (pass allow_nonsingleton to probe anyway)"
         )
-    cap = _vertex_cap()
     m, m0, n = len(spec.a1), len(spec.a0), spec.index
     if m != len(spec.a2):
+        cap = _vertex_cap()
         steps = (spec.k + 1) * 2 * n * spec.k
         if steps > cap:
             raise ResourceLimitError(
@@ -391,11 +404,7 @@ def derive_system(spec: SubgroupSpec, allow_nonsingleton: bool = False) -> Weakl
         )
     offsets = (-1, 0, 1) if m0 else (-1, 1)
     size = len(offsets) * n
-    if size * size > cap:
-        raise ResourceLimitError(
-            f"system for k={spec.k}, s={spec.s} has {size} states, "
-            f"a table of {size * size} counts, cap is {cap}"
-        )
+    _check_table_size(spec.k, spec.s, size)
     states = tuple(sorted((r, (r + d) % n) for r in range(n) for d in offsets))
     index = {st: i for i, st in enumerate(states)}
     counts = []

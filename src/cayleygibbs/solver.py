@@ -14,7 +14,7 @@ That one map also gives every reported residual.  The constant roots
 +-h*·1 are added wherever multistart missed them.  On the four-block
 subspace the quadratic branch is the nonzero translation-invariant pair
 and the quartic cofactor has no positive root, so that subspace holds no
-non-constant fixed point.
+non-constant fixed point; the exact path builds the pair as +-log(x)·1.
 
 A run sets only SolverConfig (starts, rng_seed).  The rest are
 constants: NEWTON_TOL, NEWTON_MAX_ITER, FD_STEP, LINE_SEARCH_HALVINGS,
@@ -34,7 +34,7 @@ import numpy as np
 
 from cayleygibbs.cosets import SubgroupSpec
 from cayleygibbs.invariance import StatePair, WeaklyPeriodicSystem, derive_system, state_of
-from cayleygibbs.words import ResourceLimitError, Word, _vertex_cap, enumerate_ball, parent
+from cayleygibbs.words import ResourceLimitError, Word, _vertex_cap, enumerate_ball, parent, word_to_str
 
 # coordinate spread below this means a constant (translation-invariant) vector
 TI_SPREAD = 1e-8
@@ -358,8 +358,9 @@ INVARIANT_PATTERNS: dict[str, InvariantPattern] = {
 }
 
 
+@functools.lru_cache(maxsize=1)
 def certified_patterns(system: WeaklyPeriodicSystem) -> tuple[str, ...]:
-    """Ids of the patterns that restrict certifies invariant for the system."""
+    """Ids of the patterns restrict certifies for the system; the last system's are cached."""
     ids = []
     for pid in INVARIANT_PATTERNS:
         try:
@@ -427,15 +428,6 @@ def restrict(system: WeaklyPeriodicSystem, pattern_id: str) -> ReducedSystem:
 # === exact solution on the four-block pattern (k = 2) ===
 
 
-def moebius(z, a: float):
-    """g(z) = (z + a)/(a z + 1); the edge map in z = exp(2h) coordinates."""
-    return (z + a) / (a * z + 1.0)
-
-
-def moebius_inverse(w, a: float):
-    return (w - a) / (1.0 - a * w)
-
-
 def quadratic_branch(a: float) -> tuple[float, tuple[float, ...]]:
     """Roots of a x^2 + (a-1) x + a = 0: (discriminant, positive roots).
 
@@ -455,7 +447,7 @@ def quadratic_branch(a: float) -> tuple[float, tuple[float, ...]]:
 
 
 BOUNDARY_DISC_EPS = 1e-12
-# largest residual a rebuilt branch may leave on the full nine-state system
+# largest residual a branch vector may leave on the full nine-state system
 EXACT_RESIDUAL_TOL = 1e-10
 
 
@@ -483,44 +475,32 @@ def solve_i1_exact(theta: Theta) -> ExactBranchResult:
 
     The system is the one table every k = 2 singleton spec at s = 1
     derives (_i1_table).  In z = exp(2h) coordinates the restricted
-    equations collapse to one polynomial in x = sqrt(z of the third
-    coordinate) = exp(h).  The factor
-    x = 1 reconstructs the zero solution.  The quadratic factor contributes
-    two reciprocal positive roots exactly when theta >= 1/2; each root is
-    reconstructed through the Moebius edge map and verified against the full
-    nine-state system; the root x < 1 gives the exact negation of the
-    vector of the root x > 1.  These are the nonzero translation-invariant
-    pair: at a root of the quadratic all nine coordinates equal log(x).
-    The quartic cofactor never has positive roots, so no solution in the
-    pattern is non-constant.  At theta = 1/2 the quadratic degenerates to
-    the double root x = 1 and is reported as boundary-degenerate with no
-    extra branch.
+    equations collapse to one polynomial in x = exp(h) on the block {2, 5}.
+    The factor x = 1 gives the zero solution.  The quadratic factor has two
+    reciprocal positive roots exactly when theta >= 1/2, and at either root
+    all nine coordinates equal log(x) (test_i1_elimination_certificate), so
+    the pair is built as +-log(x)·1, with x the larger root, and checked
+    against the full nine-state system.  The quartic cofactor never has
+    positive roots, so no solution in the pattern is non-constant.  At
+    theta = 1/2 the quadratic degenerates to the double root x = 1 and is
+    reported as boundary-degenerate with no extra branch.
     """
     system, patterns = _i1_table()
     a = theta.a
     disc, roots = quadratic_branch(a)
     boundary = abs(disc) <= BOUNDARY_DISC_EPS
     F = _residual_map(count_matrix(system), theta)
-    # field vector -> the root it was rebuilt from; zero is the x = 1 branch
-    branches: dict[tuple[float, ...], float] = {tuple([0.0] * 9): 1.0}
+    values = [0.0]
     if roots and not boundary:
-        # the pair is +-h* (odd equations), so the x < 1 vector is the exact
-        # negation; rebuilt through the Moebius inverses it loses ~1e-8 at
-        # theta = 0.99
-        x_big, x_small = roots
-        vec = _reconstruct_from_root(x_big, a)
-        branches[vec] = x_big
-        branches[tuple(-v for v in vec)] = x_small
+        h = math.log(roots[0])
+        values = [-h, 0.0, h]
     solutions = []
-    for vec in sorted(branches):
-        arr = np.array(vec)
-        residual = float(np.max(np.abs(F(arr))))
+    for v in values:
+        u = np.full(9, v)
+        residual = float(np.max(np.abs(F(u))))
         if residual > EXACT_RESIDUAL_TOL:
-            raise ArithmeticError(
-                f"reconstructed branch for x={branches[vec]} misses the full system "
-                f"(residual {residual:.3e})"
-            )
-        solutions.append(_solution(arr, residual, patterns))
+            raise ArithmeticError(f"branch {v!r}·1 misses the full system (residual {residual:.3e})")
+        solutions.append(_solution(u, residual, patterns))
     return ExactBranchResult(
         theta=theta.value,
         a=a,
@@ -531,26 +511,6 @@ def solve_i1_exact(theta: Theta) -> ExactBranchResult:
             theta=theta.value, states=NINE_STATES, solutions=tuple(solutions)
         ),
     )
-
-
-def _reconstruct_from_root(x: float, a: float) -> tuple[float, ...]:
-    """Lift a positive root x back to the nine-coordinate field vector."""
-    if x <= 0.0:
-        raise ArithmeticError(f"root {x} is not positive")
-    z3 = x * x
-    z1 = moebius_inverse(x, a)
-    if z1 <= 0.0:
-        raise ArithmeticError(f"z1 reconstruction left the positive cone for x={x}")
-    z7 = moebius_inverse(z1 / x, a)
-    if z7 <= 0.0:
-        raise ArithmeticError(f"z7 reconstruction left the positive cone for x={x}")
-    z9 = moebius(z3, a) ** 2
-    h1 = 0.5 * math.log(z1)
-    h3 = 0.5 * math.log(z3)
-    h7 = 0.5 * math.log(z7)
-    h9 = 0.5 * math.log(z9)
-    # blocks {0,1,3,4}, {2,5}, {6,7}, {8}
-    return (h1, h1, h3, h1, h1, h3, h7, h7, h9)
 
 
 # === theta sweep ===
@@ -720,18 +680,28 @@ def verify_compatibility(
 
     Summing the level-n measure over the outer sphere must reproduce the
     level-(n-1) measure to within COMPAT_TOL; boundary fields come from the
-    state of each outer vertex under the system's subgroup spec.
+    state of each outer vertex under the system's subgroup spec, and an
+    outer vertex whose state the system lacks raises ValueError.
     """
     if n not in (2, 3):
         raise ValueError("compatibility check supports n in {2, 3}")
     if system.spec is None:
         raise ValueError("system must carry its subgroup spec to place boundary fields")
+    if len(fields) != len(system.states):
+        raise ValueError(f"{len(fields)} fields for a system of {len(system.states)} states")
     spec = system.spec
     values = {st: float(v) for st, v in zip(system.states, fields)}
 
     def boundary_for(m: int) -> dict[Word, float]:
-        sphere = enumerate_ball(spec.k, m).spheres[-1]
-        return {w: values[state_of(w, spec)] for w in sphere}
+        boundary = {}
+        for w in enumerate_ball(spec.k, m).spheres[-1]:
+            st = state_of(w, spec)
+            if st not in values:
+                raise ValueError(
+                    f"the system has no state {st[0]},{st[1]}, where outer vertex {word_to_str(w)} lands"
+                )
+            boundary[w] = values[st]
+        return boundary
 
     _, dist_n = _volume_distribution(spec.k, n, theta, boundary_for(n))
     _, dist_prev = _volume_distribution(spec.k, n - 1, theta, boundary_for(n - 1))

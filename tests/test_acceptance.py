@@ -203,7 +203,7 @@ def test_criterion_07_phase_threshold_sweep():
     and the exact branch agrees with multistart Newton within 1e-8; all
     under 2 minutes.  The threshold theta = 1/2: below it the zero field is
     the only solution and the quadratic branch is empty; above it there are
-    exactly three constant solutions, and the two branch roots rebuild the
+    exactly three constant solutions, and the two branch roots give the
     nonzero pair +-h* (within 1e-10 on all nine coordinates).  The I1
     pattern holds no non-constant solution at any theta.
 
@@ -259,7 +259,7 @@ def test_criterion_07_phase_threshold_sweep():
         f"observed...): {failures}.  Expected: no non-constant solution in "
         "the I1 pattern; below 1/2 only the zero field and no branch roots; "
         "above 1/2 three constant solutions, the two branch roots x = exp(h*) "
-        "and 1/x rebuilding +-h* on all nine coordinates."
+        "and 1/x giving +-h* on all nine coordinates."
     )
     print(f"PASS criterion 7: threshold at theta = 1/2 reproduced ({elapsed:.1f}s)")
 

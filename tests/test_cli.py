@@ -256,15 +256,16 @@ def test_compat_exit_codes(capsys, tmp_path):
     assert json.loads(out)["passed"] is False
 
 
-# compat --n 3 stdout of the commit before the prefix-doubling distribution
-# (spin matrix), for the three poly vectors at theta = 0.8 and the last one
-# with "1,1" raised by 0.05; the same bytes come out with numpy's x86 SIMD
-# extensions disabled (NPY_DISABLE_CPU_FEATURES)
+# compat --n 3 stdout for the three poly vectors at theta = 0.8 (-h*·1, 0 and
+# h*·1, each coordinate log(x) bit for bit) and the last one with "1,1"
+# raised by 0.05; the spin-matrix distribution in tests/oracles.py gives the
+# same bytes, and so does numpy with its x86 SIMD extensions disabled
+# (NPY_DISABLE_CPU_FEATURES)
 COMPAT_N3_GOLDEN = [
-    (0, "5.5511151231257827e-16", "true"),
+    (0, "1.1102230246251565e-16", "true"),
     (0, "3.8857805861880479e-16", "true"),
-    (0, "2.7321894746634712e-17", "true"),
-    (2, "0.00016729140094210761", "false"),
+    (0, "3.3306690738754696e-16", "true"),
+    (2, "0.00016729140094208809", "false"),
 ]
 
 
@@ -366,6 +367,19 @@ def _drop_state(doc):
     doc["states"].remove([2, 2])
 
 
+def _only_state_0_0(doc):
+    # (0,0) alone, both children in it; the depth-2 word a1.a2 is in state (2,1)
+    doc["states"] = [[0, 0]]
+    doc["counts"] = {"0,0": {"0,0": 2}}
+
+
+def _states_over_table_cap(doc):
+    # 5000 distinct states at s = 1250: a 50 KB file whose dense table of
+    # 25,000,000 counts would take about 220 MB, so it is refused unbuilt
+    del doc["spec"]
+    doc.update(s=1250, states=[[i // 2501, i % 2501] for i in range(5000)], counts={})
+
+
 def _set_count(value):
     def edit(doc):
         doc["counts"]["0,1"]["0,0"] = value
@@ -374,7 +388,7 @@ def _set_count(value):
 
 SWEEP = ["sweep", "--spec", STANDARD, "--starts", "5", "--range"]
 BALL = ["ball", "--k", "2", "--radius", "3"]
-# fields.json holds the zero vector, a true fixed point (written per test)
+# fields.json maps each of the nine states to 0, a true fixed point (written per test)
 COMPAT = ["compat", "--spec", STANDARD, "--theta", "0.8", "--fields", "fields.json"]
 
 
@@ -406,6 +420,11 @@ BAD_INPUTS = [
     ("negative-count", _set_count(-1), ["solve", "--theta", "0.8"], {}, "not a non-negative integer"),
     ("fractional-count", _set_count(0.5), ["solve", "--theta", "0.8"], {}, "not a non-negative integer"),
     ("row-sum", _set_count(6), ["solve", "--theta", "0.8"], {}, "sums to 7, expected k=2"),
+    ("compat-missing-state", _only_state_0_0, ["compat", "--theta", "0.8", "--n", "2", "--fields", "fields.json"],
+     {}, "the system has no state 2,1, where outer vertex a1.a2 lands"),
+    # --starts sends the row to the bounded child process
+    ("system-file-over-cap", _states_over_table_cap, ["solve", "--theta", "0.8", "--starts", "1"], {},
+     "system for k=2, s=1250 has 5000 states, a table of 25000000 counts, cap is 10000000"),
     ("range-zero-step", None, SWEEP + ["0.3:0.5:0"], {}, "step > 0"),
     ("range-negative-step", None, SWEEP + ["0.3:0.5:-0.1"], {}, "step > 0"),
     ("range-reversed", None, SWEEP + ["0.5:0.3:0.1"], {}, "lo <= hi"),
@@ -509,7 +528,7 @@ def _run_subprocess(argv, env):
     "edit, argv, env, message", [case[1:] for case in BAD_INPUTS], ids=[case[0] for case in BAD_INPUTS]
 )
 def test_bad_input_exits_1_with_message(capsys, monkeypatch, tmp_path, edit, argv, env, message):
-    (tmp_path / "fields.json").write_text(json.dumps([0.0] * 9))
+    (tmp_path / "fields.json").write_text(json.dumps({f"{i},{j}": 0.0 for i in range(3) for j in range(3)}))
     for name, text in BAD_FIELDS.items():
         (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)

@@ -286,6 +286,17 @@ def test_derive_over_the_vertex_cap_raises(monkeypatch):
     assert len(derive_system(STANDARD).states) == 9
 
 
+def test_system_file_over_the_vertex_cap_raises(monkeypatch):
+    # from_json refuses exactly the tables derive_system refuses, so every
+    # file derive writes loads: at the default cap, up to 3159 states (s = 526)
+    text = derive_system(STANDARD).to_json()
+    monkeypatch.setenv("CAYLEYGIBBS_MAX_BALL", "80")
+    with pytest.raises(ResourceLimitError, match="^system for k=2, s=1 has 9 states, a table of 81 counts, cap is 80$"):
+        WeaklyPeriodicSystem.from_json(text)
+    monkeypatch.setenv("CAYLEYGIBBS_MAX_BALL", "81")
+    assert WeaklyPeriodicSystem.from_json(text) == derive_system(STANDARD)
+
+
 def test_derive_refusal_over_the_vertex_cap_raises(monkeypatch):
     # only a refusal walks the type automaton: up to (k+1) * 2(2s+1) * k = 36 steps at k=2, s=1
     monkeypatch.setenv("CAYLEYGIBBS_MAX_BALL", "35")

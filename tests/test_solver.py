@@ -441,7 +441,7 @@ def test_exact_path_at_08(nine_state):
     assert len(sols) == 3
     assert all(s.residual <= 1e-10 for s in sols)
     assert all("I1" in s.invariant_sets for s in sols)
-    # the two branch solutions reconstruct to the constant pair
+    # the two branch solutions are the constant pair
     nonzero = [s for s in sols if s.fields != (0.0,) * 9]
     assert len(nonzero) == 2
     for s, target in zip(nonzero, (-H_STAR, H_STAR)):
@@ -452,9 +452,22 @@ def test_exact_path_at_08(nine_state):
 def test_exact_path_rejects_a_branch_off_the_system(nine_state, monkeypatch):
     import cayleygibbs.solver as solver
 
-    monkeypatch.setattr(solver, "_reconstruct_from_root", lambda x, a: (0.5,) * 9)
+    # 2 and 1/2 multiply to 1 but are no roots of the quadratic at theta = 0.8
+    disc = quadratic_branch(Theta(0.8).a)[0]
+    monkeypatch.setattr(solver, "quadratic_branch", lambda a: (disc, (2.0, 0.5)))
     with pytest.raises(ArithmeticError, match="misses the full system"):
         solve_i1_exact(Theta(0.8))
+
+
+def test_exact_branches_are_the_constant_pair_log_x():
+    # the pair is built as +-log(x)·1, so all nine coordinates carry the same bits
+    for i in range(51, 100):
+        th = Theta(i / 100)
+        result = solve_i1_exact(th)
+        h = math.log(result.roots[0])
+        sols = result.solution_set.solutions
+        assert [s.fields for s in sols] == [(-h,) * 9, (0.0,) * 9, (h,) * 9], th
+        assert all(s.residual <= 1e-13 for s in sols), th
 
 
 def test_exact_path_residual_is_the_plain_residual(nine_state):
@@ -579,6 +592,23 @@ def test_sweep_rows_and_agreement(nine_state):
     assert all(r.agreement for r in rows)
 
 
+def test_sweep_certifies_patterns_once(nine_state, monkeypatch):
+    calls = []
+    real = solver.restrict
+
+    def counting(system, pattern_id):
+        calls.append(pattern_id)
+        return real(system, pattern_id)
+
+    solver._i1_table()  # derived and certified once per process
+    monkeypatch.setattr(solver, "restrict", counting)
+    # the nine states without their spec: a system no earlier test certified
+    system = dataclasses.replace(nine_state, spec=None)
+    thetas = [round(0.1 + 0.05 * i, 2) for i in range(18)]
+    assert len(theta_sweep(system, thetas, SolverConfig(starts=5))) == 18
+    assert calls == list(INVARIANT_PATTERNS)  # 6 restrict calls, not 18 * 6
+
+
 def test_sweep_cross_checks_only_the_exact_path_table(nine_state, monkeypatch):
     calls = []
     exact = solver.solve_i1_exact
@@ -678,6 +708,12 @@ def test_compatibility_for_exact_solution(nine_state):
     assert report.passed
     assert report.max_deviation <= 1e-10
     assert report.configs_checked == 1024
+
+
+def test_compatibility_refuses_a_field_vector_of_the_wrong_length(nine_state):
+    for n in (3, 12):
+        with pytest.raises(ValueError, match=f"^{n} fields for a system of 9 states$"):
+            verify_compatibility([0.0] * n, nine_state, Theta(0.8), n=2)
 
 
 def test_compatibility_rejects_perturbed_fields(nine_state):
