@@ -34,7 +34,15 @@ import numpy as np
 
 from cayleygibbs.cosets import SubgroupSpec
 from cayleygibbs.invariance import StatePair, WeaklyPeriodicSystem, derive_system, state_of
-from cayleygibbs.words import ResourceLimitError, Word, _vertex_cap, enumerate_ball, parent, word_to_str
+from cayleygibbs.words import (
+    ResourceLimitError,
+    Word,
+    _vertex_cap,
+    ball_size,
+    enumerate_ball,
+    parent,
+    word_to_str,
+)
 
 # coordinate spread below this means a constant (translation-invariant) vector
 TI_SPREAD = 1e-8
@@ -606,6 +614,30 @@ MAX_CONFIG_BITS = 24
 COMPAT_TOL = 1e-10
 
 
+def _config_bits(k: int, n: int) -> int:
+    """Spins on the radius-n ball; a ball over MAX_CONFIG_BITS is refused unbuilt."""
+    bits = ball_size(k, n)
+    if bits > MAX_CONFIG_BITS:
+        raise ValueError(f"{bits} spins exceed the {MAX_CONFIG_BITS}-bit config cap")
+    return bits
+
+
+def _doubled(log_weight: np.ndarray, parents: Iterable[int], edge: np.ndarray) -> np.ndarray:
+    """Extend log weights over leading spins by one child spin per parent position.
+
+    A parent at position p (from the most significant bit) views the array
+    as (2^p, 2, rest) and doubles it into (2^p, 2, rest, 2), adding
+    edge[parent spin, child spin] with the long ``rest`` axis innermost.
+    """
+    for p in parents:
+        prev = log_weight.reshape(1 << p, 2, -1)
+        log_weight = np.empty(prev.shape + (2,))
+        for child in (0, 1):
+            np.add(prev, edge[:, child, None], out=log_weight[..., child])
+        log_weight = log_weight.reshape(-1)
+    return log_weight
+
+
 def _volume_distribution(
     k: int, n: int, theta: Theta, boundary: Mapping[Word, float]
 ) -> tuple[list[Word], np.ndarray]:
@@ -616,29 +648,27 @@ def _volume_distribution(
     boundary mapping must provide a field for every vertex of the outer
     sphere; fields elsewhere are zero.
 
-    The log weights are built by prefix doubling, with no spin matrix.
-    Once the spins of vertices 0..j-1 are fixed, the edge terms among them
-    are known; vertex j's parent p comes before it in ball order, so the
-    array over the first j spins, viewed as (2^p, 2, rest), doubles into
-    (2^p, 2, rest, 2) by adding +beta where the two spins agree and -beta
-    where they differ.  Each doubling is two adds, one per child spin, each
-    over the whole array with the long ``rest`` axis innermost, written
-    into memory allocated once: ``full`` (2^V values) and ``half``
-    (2^(V-1)).  Doubling j reads the buffer the previous one wrote and
-    fills the first 2^(j+1) values of ``full`` when V-1-j is even, of
-    ``half`` otherwise, so the last doubling lands in ``full``.  The outer
-    sphere holds the low bits, so each boundary term, in sphere order, is
-    one broadcast add of the 2^|outer| row of +-b_w.  Every configuration
-    thus receives the same IEEE additions in the same order as summing
-    beta * s_p * s_w over the vertices and then b_w * s_w over the outer
-    sphere (a - beta is a + (-beta)), so the result is identical bit for
-    bit to that sum, kept in tests/oracles.py.
+    Each log weight is head + tail, with no spin matrix.  The head holds
+    the edge terms of the radius-(n-1) ball, 2^V(n-1) values; the tail,
+    over (parent-sphere spins, outer-sphere spins), holds the edge terms
+    of the outer sphere and then its boundary terms.  Both edge sums are
+    built by prefix doubling (_doubled): a vertex's parent comes before it
+    in ball order, so each vertex doubles the array over the spins before
+    it, starting from zeros over the root (head) or the parent sphere
+    (tail).  Each boundary term, in sphere order, is one broadcast add of
+    the 2^|outer| row of +-b_w to the tail.  Ball order puts the parent
+    sphere in the low bits of the head index and the outer sphere in the
+    low bits of the configuration index, so the 2^V array is one broadcast
+    add of head, viewed as (inner-high, parent), and tail, viewed as
+    (parent, outer).  At n = 0 the root is the outer sphere: the head is
+    a single 0 and the tail spans the root alone.  Every configuration
+    thus receives the same IEEE additions in the same order as the
+    spin-matrix sums in tests/oracles.py (a - beta is a + (-beta)), so the
+    result is identical to them bit for bit.
     """
+    bits = _config_bits(k, n)
     ball = enumerate_ball(k, n)
     verts = list(ball.vertices())
-    bits = len(verts)
-    if bits > MAX_CONFIG_BITS:
-        raise ValueError(f"{bits} spins exceed the {MAX_CONFIG_BITS}-bit config cap")
     outer = ball.spheres[-1]
     missing = [w for w in outer if w not in boundary]
     if missing:
@@ -646,19 +676,24 @@ def _volume_distribution(
     index = {w: i for i, w in enumerate(verts)}
     # edge[parent bit, child bit] = beta * s_parent * s_child, each exactly +-beta
     edge = theta.beta * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    full = np.empty(1 << bits)
-    buffers = (full, np.empty(1 << (bits - 1)))  # indexed by the parity of bits-1-j
-    buffers[(bits - 1) % 2][:2] = 0.0
-    for j, w in enumerate(verts[1:], start=1):
-        prev = buffers[(bits - j) % 2][: 1 << j].reshape(1 << index[parent(w)], 2, -1)
-        doubled = buffers[(bits - 1 - j) % 2][: 2 << j].reshape(*prev.shape, 2)
-        for child in (0, 1):
-            np.add(prev, edge[:, child, None], out=doubled[..., child])
-    log_weight = full
+    if n == 0:
+        head, tail, parent_bits = np.zeros(1), np.zeros(2), 0
+    else:
+        parent_bits = len(ball.spheres[-2])
+        inner = bits - len(outer)
+        first = inner - parent_bits  # ball index of the parent sphere's first vertex
+        head = _doubled(np.zeros(2), (index[parent(w)] for w in verts[1:inner]), edge)
+        tail = _doubled(np.zeros(1 << parent_bits), (index[parent(w)] - first for w in outer), edge)
     low = np.arange(1 << len(outer))
-    by_outer = log_weight.reshape(-1, len(low))  # a view; one row per inner configuration
+    by_outer = tail.reshape(-1, len(low))  # a view; one row per parent-sphere configuration
     for i, w in enumerate(outer):
         by_outer += np.where((low >> (len(outer) - 1 - i)) & 1, boundary[w], -boundary[w])
+    log_weight = np.empty(1 << bits)
+    np.add(
+        head.reshape(-1, 1 << parent_bits, 1),
+        by_outer,
+        out=log_weight.reshape(-1, 1 << parent_bits, len(low)),
+    )
     log_weight -= log_weight.max()
     np.exp(log_weight, out=log_weight)
     log_weight /= log_weight.sum()
@@ -681,7 +716,8 @@ def verify_compatibility(
     Summing the level-n measure over the outer sphere must reproduce the
     level-(n-1) measure to within COMPAT_TOL; boundary fields come from the
     state of each outer vertex under the system's subgroup spec, and an
-    outer vertex whose state the system lacks raises ValueError.
+    outer vertex whose state the system lacks raises ValueError.  A ball
+    of more than MAX_CONFIG_BITS spins raises ValueError before it is built.
     """
     if n not in (2, 3):
         raise ValueError("compatibility check supports n in {2, 3}")
@@ -690,6 +726,7 @@ def verify_compatibility(
     if len(fields) != len(system.states):
         raise ValueError(f"{len(fields)} fields for a system of {len(system.states)} states")
     spec = system.spec
+    _config_bits(spec.k, n)
     values = {st: float(v) for st, v in zip(system.states, fields)}
 
     def boundary_for(m: int) -> dict[Word, float]:

@@ -5,9 +5,12 @@ batched kernel in cayleygibbs.solver replaced, kept verbatim: the kernel
 must give, for every start, the same root bit for bit or the same None.
 
 _volume_distribution is the spin-matrix construction the prefix-doubling
-one in cayleygibbs.solver replaced, kept verbatim: both must return the
-same vertices and the same probabilities bit for bit.  It holds a
-2^bits x bits int64 array, so keep it to small balls.
+one in cayleygibbs.solver replaced: both must return the same vertices and
+the same probabilities bit for bit.  It sums, per configuration, the
+inner-ball edge terms in one array and the outer-sphere edge terms and
+then the boundary terms in a second, and adds the two: the order in which
+production adds its head and tail.  It holds a 2^bits x bits int8 array
+and several 2^bits float64 ones, so keep it to small balls.
 
 check_invariance is the word-by-word ball walk that the type-automaton
 verdicts in cayleygibbs.invariance replaced, kept verbatim: it builds the
@@ -116,7 +119,8 @@ def _volume_distribution(
     Vertices are in ball enumeration order with the root as the most
     significant bit of the configuration index.  The boundary mapping must
     provide a field for every vertex of the outer sphere; fields elsewhere
-    are zero.
+    are zero.  Each log weight is the sum of the inner-ball edge terms plus
+    the sum of the outer-sphere edge terms and then the boundary terms.
     """
     ball = enumerate_ball(k, n)
     verts = list(ball.vertices())
@@ -131,12 +135,17 @@ def _volume_distribution(
     codes = np.arange(1 << bits, dtype=np.int64)
     shifts = (bits - 1 - np.arange(bits)).astype(np.int64)
     spins = (((codes[:, None] >> shifts[None, :]) & 1) * 2 - 1).astype(np.int8)
-    log_weight = np.zeros(len(codes))
     beta = theta.beta
-    for w in verts[1:]:
-        log_weight += beta * (spins[:, index[parent(w)]] * spins[:, index[w]])
+    inner = bits - len(outer)
+    head = np.zeros(len(codes))
+    for w in verts[1:inner]:
+        head += beta * (spins[:, index[parent(w)]] * spins[:, index[w]])
+    tail = np.zeros(len(codes))
+    for w in verts[max(inner, 1) :]:  # the root, outer at n = 0, has no edge
+        tail += beta * (spins[:, index[parent(w)]] * spins[:, index[w]])
     for w in outer:
-        log_weight += boundary[w] * spins[:, index[w]]
+        tail += boundary[w] * spins[:, index[w]]
+    log_weight = head + tail
     log_weight -= log_weight.max()
     weight = np.exp(log_weight)
     return verts, weight / weight.sum()

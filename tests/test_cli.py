@@ -263,9 +263,9 @@ def test_compat_exit_codes(capsys, tmp_path):
 # (NPY_DISABLE_CPU_FEATURES)
 COMPAT_N3_GOLDEN = [
     (0, "1.1102230246251565e-16", "true"),
-    (0, "3.8857805861880479e-16", "true"),
-    (0, "3.3306690738754696e-16", "true"),
-    (2, "0.00016729140094208809", "false"),
+    (0, "2.7755575615628914e-17", "true"),
+    (0, "9.540979117872439e-18", "true"),
+    (2, "0.0001672914009421423", "false"),
 ]
 
 
@@ -290,10 +290,10 @@ def test_compat_n3_golden(capsys, tmp_path):
             '  "configs_checked": 4194304\n}\n'
         )
         assert captured.err == ""
-    # 2^22 configurations in float64 are 32 MiB and the half-size doubling
-    # buffer 16 MiB, so 48 MiB in all; one more full-size temporary (an
-    # out-of-place add or exp) passes 64 MiB, and the spin-matrix
-    # construction peaked at about 824 MB
+    # 2^22 configurations in float64 are 32 MiB, and the tail over the
+    # parent and outer spheres (2^18 values) 2 MiB, so 34 MiB in all; one
+    # more full-size temporary (an out-of-place add or exp) passes 40 MiB,
+    # and the spin-matrix construction peaked at about 824 MB
     system = derive_system(SubgroupSpec.from_json(STANDARD))
     fields = solve_i1_exact(Theta(0.8)).solution_set.solutions[-1].fields
     tracemalloc.start()
@@ -302,7 +302,7 @@ def test_compat_n3_golden(capsys, tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 40 * 2**20
 
 
 def test_compat_accepts_dense_list(capsys, tmp_path):
@@ -390,6 +390,10 @@ SWEEP = ["sweep", "--spec", STANDARD, "--starts", "5", "--range"]
 BALL = ["ball", "--k", "2", "--radius", "3"]
 # fields.json maps each of the nine states to 0, a true fixed point (written per test)
 COMPAT = ["compat", "--spec", STANDARD, "--theta", "0.8", "--fields", "fields.json"]
+# a nine-state system whose radius-2 ball has 9,006,002 vertices: under the
+# vertex cap, far over the config cap, and about 2 GB to build
+HUGE_COMPAT = ["compat", "--spec", "{k:3000,s:1,A1:[1],A2:[2]}", "--theta", "0.8", "--n", "2",
+               "--fields", "fields.json"]
 
 
 def _fields_list(bad):
@@ -458,6 +462,7 @@ BAD_INPUTS = [
     ("compat-fields-infinity", None, COMPAT[:-1] + ["infinity.json"], {},
      "field of state 1,2 is -inf, not a finite number"),
     ("compat-fields-overflow", None, COMPAT[:-1] + ["overflow.json"], {}, "field 4 is inf, not a finite number"),
+    ("compat-over-config-cap", None, HUGE_COMPAT, {}, "9006002 spins exceed the 24-bit config cap"),
     ("solve-tol-too-large", None, ["solve", "--spec", STANDARD, "--theta", "0.7", "--tol", "1e-10"],
      {}, "unrecognized arguments: --tol 1e-10"),
     ("solve-tol-nonpositive", None, ["solve", "--spec", STANDARD, "--theta", "0.7", "--tol", "0"],
@@ -505,9 +510,10 @@ def _run_subprocess(argv, env):
     A grid that never ends would hang and grow a list, an uncapped
     --starts would draw and iterate that many starts, an uncapped oracle
     would compare pairs for hours, an uncapped derive would build a
-    table quadratic in s, and an unbounded solve would run Newton cubic in
-    the number of states, so the child is bounded in time and memory rather
-    than run in process.
+    table quadratic in s, an unbounded solve would run Newton cubic in
+    the number of states, and a compat that built its ball before checking
+    the config cap would take gigabytes, so the child is bounded in time
+    and memory rather than run in process.
     """
     import resource
 
@@ -538,7 +544,7 @@ def test_bad_input_exits_1_with_message(capsys, monkeypatch, tmp_path, edit, arg
         path = tmp_path / "system.json"
         path.write_text(json.dumps(doc))
         argv = argv + ["--system", str(path)]
-    if "--range" in argv or "--starts" in argv or argv[0] in ("oracle", "derive"):
+    if "--range" in argv or "--starts" in argv or argv[0] in ("oracle", "derive") or argv == HUGE_COMPAT:
         code, err = _run_subprocess(argv, env)
     else:
         for name, value in env.items():

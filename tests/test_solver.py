@@ -671,11 +671,11 @@ def test_probability_matches_brute_force():
 
 @pytest.mark.parametrize("k, n", [(2, 0), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
 def test_volume_distribution_matches_spin_matrix_bit_for_bit(k, n):
-    # prefix doubling adds, per configuration, the same +-beta and +-b_w
-    # terms in the same order as the spin-matrix sum, so the probabilities
-    # must be equal, not merely close; (2, 0) has one vertex and no
-    # doubling, and the 1, 4, 5, 6, 10 and 17 vertex counts start the
-    # doubling in either buffer
+    # head + tail adds, per configuration, the same +-beta and +-b_w terms
+    # in the same order as the spin-matrix sums (inner edges; outer edges,
+    # then boundary terms; then the two added), so the probabilities must
+    # be equal, not merely close; (2, 0) has one vertex, a head of one 0
+    # and no doubling, and at n = 1 the parent sphere is the root alone
     rng = np.random.default_rng(100 * k + n)
     outer = enumerate_ball(k, n).spheres[-1]
     for value in (0.05, 0.3, 0.5, 0.8, 0.99):
@@ -734,6 +734,24 @@ def test_compatibility_zero_field_any_theta(nine_state):
     for value in (0.25, 0.55, 0.9):
         report = verify_compatibility([0.0] * 9, nine_state, Theta(value), n=2)
         assert report.passed
+
+
+@pytest.mark.parametrize("value", [0.55, 0.7, 0.9, 0.99])
+def test_marginal_identity_over_theta(nine_state, value):
+    # every field vector the solvers return is a fixed point, so the level-n
+    # measure summed over its outer sphere gives the level-(n-1) measure to
+    # rounding: the exact k = 2 branch on the 2^22-configuration n = 3 ball,
+    # and every multistart root of the k = 3 system on the n = 2 ball
+    th = Theta(value)
+    for sol in solve_i1_exact(th).solution_set.solutions:
+        report = verify_compatibility(sol.fields, nine_state, th, n=3)
+        assert report.passed and report.max_deviation <= 1e-14, (sol.fields, report)
+    k3 = derive_system(SubgroupSpec(k=3, s=1, a1={1}, a2={2}))
+    roots = solve_fixed_points(k3, th, SolverConfig(starts=20)).solutions
+    assert len(roots) >= 3  # zero and +-h*·1 at least, since 3 theta > 1
+    for sol in roots:
+        report = verify_compatibility(sol.fields, k3, th, n=2)
+        assert report.passed and report.max_deviation <= 1e-14, (sol.fields, report)
 
 
 def test_compatibility_input_validation(nine_state):
