@@ -35,6 +35,7 @@ import numpy as np
 from cayleygibbs.cosets import SubgroupSpec
 from cayleygibbs.invariance import StatePair, WeaklyPeriodicSystem, derive_system, state_of
 from cayleygibbs.words import (
+    Ball,
     ResourceLimitError,
     Word,
     _vertex_cap,
@@ -614,14 +615,6 @@ MAX_CONFIG_BITS = 24
 COMPAT_TOL = 1e-10
 
 
-def _config_bits(k: int, n: int) -> int:
-    """Spins on the radius-n ball; a ball over MAX_CONFIG_BITS is refused unbuilt."""
-    bits = ball_size(k, n)
-    if bits > MAX_CONFIG_BITS:
-        raise ValueError(f"{bits} spins exceed the {MAX_CONFIG_BITS}-bit config cap")
-    return bits
-
-
 def _doubled(log_weight: np.ndarray, parents: Iterable[int], edge: np.ndarray) -> np.ndarray:
     """Extend log weights over leading spins by one child spin per parent position.
 
@@ -639,14 +632,16 @@ def _doubled(log_weight: np.ndarray, parents: Iterable[int], edge: np.ndarray) -
 
 
 def _volume_distribution(
-    k: int, n: int, theta: Theta, boundary: Mapping[Word, float]
+    ball: Ball, theta: Theta, boundary: Mapping[Word, tuple[float, float]]
 ) -> tuple[list[Word], np.ndarray]:
-    """Probabilities of all spin configurations on the radius-n ball.
+    """Probabilities of all spin configurations on a radius-n ball.
 
     Vertices are in ball enumeration order with the root as the most
     significant bit of the configuration index; bit 1 is spin +1.  The
-    boundary mapping must provide a field for every vertex of the outer
-    sphere; fields elsewhere are zero.
+    boundary mapping must give every vertex of the outer sphere its pair
+    of log-weight terms (at spin -1, at spin +1); a vertex with field b
+    takes (-b, b), and one whose outer children are summed out takes
+    _summed_out's pair.  Vertices off the outer sphere have no such term.
 
     Each log weight is head + tail, with no spin matrix.  The head holds
     the edge terms of the radius-(n-1) ball, 2^V(n-1) values; the tail,
@@ -656,7 +651,7 @@ def _volume_distribution(
     in ball order, so each vertex doubles the array over the spins before
     it, starting from zeros over the root (head) or the parent sphere
     (tail).  Each boundary term, in sphere order, is one broadcast add of
-    the 2^|outer| row of +-b_w to the tail.  Ball order puts the parent
+    the 2^|outer| row of its terms to the tail.  Ball order puts the parent
     sphere in the low bits of the head index and the outer sphere in the
     low bits of the configuration index, so the 2^V array is one broadcast
     add of head, viewed as (inner-high, parent), and tail, viewed as
@@ -666,9 +661,8 @@ def _volume_distribution(
     spin-matrix sums in tests/oracles.py (a - beta is a + (-beta)), so the
     result is identical to them bit for bit.
     """
-    bits = _config_bits(k, n)
-    ball = enumerate_ball(k, n)
     verts = list(ball.vertices())
+    bits = len(verts)
     outer = ball.spheres[-1]
     missing = [w for w in outer if w not in boundary]
     if missing:
@@ -676,7 +670,7 @@ def _volume_distribution(
     index = {w: i for i, w in enumerate(verts)}
     # edge[parent bit, child bit] = beta * s_parent * s_child, each exactly +-beta
     edge = theta.beta * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    if n == 0:
+    if ball.radius == 0:
         head, tail, parent_bits = np.zeros(1), np.zeros(2), 0
     else:
         parent_bits = len(ball.spheres[-2])
@@ -687,7 +681,8 @@ def _volume_distribution(
     low = np.arange(1 << len(outer))
     by_outer = tail.reshape(-1, len(low))  # a view; one row per parent-sphere configuration
     for i, w in enumerate(outer):
-        by_outer += np.where((low >> (len(outer) - 1 - i)) & 1, boundary[w], -boundary[w])
+        minus, plus = boundary[w]
+        by_outer += np.where((low >> (len(outer) - 1 - i)) & 1, plus, minus)
     log_weight = np.empty(1 << bits)
     np.add(
         head.reshape(-1, 1 << parent_bits, 1),
@@ -698,6 +693,27 @@ def _volume_distribution(
     np.exp(log_weight, out=log_weight)
     log_weight /= log_weight.sum()
     return verts, log_weight
+
+
+def _summed_out(
+    theta: Theta, outer: Sequence[Word], boundary: Mapping[Word, float]
+) -> dict[Word, tuple[float, float]]:
+    """Each parent's pair (G_p(-1), G_p(+1)) left by summing out its children.
+
+    The spin t of an outer vertex w with field b_w enters the weight only
+    through exp(beta s t + b_w t), s its parent's spin, and the two values
+    of t sum to 2cosh(beta s + b_w).  So summing a measure over the outer
+    sphere leaves on each parent p the term G_p(s), the sum over the
+    children w of p of log 2cosh(beta s + b_w), taken as
+    np.logaddexp(beta s + b_w, -(beta s + b_w)) and added in sphere order.
+    """
+    x = theta.beta * np.array([[-1.0], [1.0]]) + np.array([boundary[w] for w in outer])
+    sums: dict[Word, tuple[float, float]] = {}
+    for w, minus, plus in zip(outer, *np.logaddexp(x, -x).tolist()):
+        p = parent(w)
+        lo, hi = sums.get(p, (0.0, 0.0))
+        sums[p] = (lo + minus, hi + plus)
+    return sums
 
 
 @dataclass(frozen=True)
@@ -716,8 +732,16 @@ def verify_compatibility(
     Summing the level-n measure over the outer sphere must reproduce the
     level-(n-1) measure to within COMPAT_TOL; boundary fields come from the
     state of each outer vertex under the system's subgroup spec, and an
-    outer vertex whose state the system lacks raises ValueError.  A ball
-    of more than MAX_CONFIG_BITS spins raises ValueError before it is built.
+    outer vertex whose state the system lacks raises ValueError.
+
+    The outer sphere is summed out in closed form (_summed_out): the
+    level-n marginal is the measure on the radius-(n-1) ball whose outer
+    vertices carry the pairs (G_p(-1), G_p(+1)) in place of (-b_p, b_p),
+    so both sides are 2^V(n-1) distributions from _volume_distribution,
+    and each ball is enumerated once.  configs_checked is 2^V(n), the
+    number of level-n configurations that sum covers.  A radius-(n-1) ball
+    of more than MAX_CONFIG_BITS spins raises ValueError before any ball
+    is built.
     """
     if n not in (2, 3):
         raise ValueError("compatibility check supports n in {2, 3}")
@@ -726,12 +750,14 @@ def verify_compatibility(
     if len(fields) != len(system.states):
         raise ValueError(f"{len(fields)} fields for a system of {len(system.states)} states")
     spec = system.spec
-    _config_bits(spec.k, n)
+    bits = ball_size(spec.k, n - 1)
+    if bits > MAX_CONFIG_BITS:
+        raise ValueError(f"{bits} spins exceed the {MAX_CONFIG_BITS}-bit config cap")
     values = {st: float(v) for st, v in zip(system.states, fields)}
 
-    def boundary_for(m: int) -> dict[Word, float]:
+    def fields_on(sphere: Sequence[Word]) -> dict[Word, float]:
         boundary = {}
-        for w in enumerate_ball(spec.k, m).spheres[-1]:
+        for w in sphere:
             st = state_of(w, spec)
             if st not in values:
                 raise ValueError(
@@ -740,13 +766,16 @@ def verify_compatibility(
             boundary[w] = values[st]
         return boundary
 
-    _, dist_n = _volume_distribution(spec.k, n, theta, boundary_for(n))
-    _, dist_prev = _volume_distribution(spec.k, n - 1, theta, boundary_for(n - 1))
-    marginal = dist_n.reshape(len(dist_prev), -1).sum(axis=1)
+    outer = enumerate_ball(spec.k, n).spheres[-1]
+    summed = _summed_out(theta, outer, fields_on(outer))
+    ball = enumerate_ball(spec.k, n - 1)
+    own = {w: (-b, b) for w, b in fields_on(ball.spheres[-1]).items()}
+    _, marginal = _volume_distribution(ball, theta, summed)
+    _, dist_prev = _volume_distribution(ball, theta, own)
     deviation = float(np.max(np.abs(marginal - dist_prev)))
     return CompatibilityReport(
         passed=deviation <= COMPAT_TOL,
         n=n,
         max_deviation=deviation,
-        configs_checked=int(dist_n.size),
+        configs_checked=1 << ball_size(spec.k, n),
     )

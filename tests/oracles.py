@@ -5,8 +5,11 @@ batched kernel in cayleygibbs.solver replaced, kept verbatim: the kernel
 must give, for every start, the same root bit for bit or the same None.
 
 _volume_distribution is the spin-matrix construction the prefix-doubling
-one in cayleygibbs.solver replaced: both must return the same vertices and
-the same probabilities bit for bit.  It sums, per configuration, the
+one in cayleygibbs.solver replaced: given fields b, it and production
+given the pairs (-b, b) must return the same vertices and the same
+probabilities bit for bit.  Summed over its outer sphere it is also the
+brute-force 2^V(n) sum that production's closed-form marginal
+(solver._summed_out) replaced.  It sums, per configuration, the
 inner-ball edge terms in one array and the outer-sphere edge terms and
 then the boundary terms in a second, and adds the two: the order in which
 production adds its head and tail.  It holds a 2^bits x bits int8 array
@@ -164,7 +167,8 @@ def finite_volume_probability(
         if w not in sigma or sigma[w] not in (-1, 1):
             raise ValueError(f"configuration must assign +-1 to every vertex; bad at {w}")
         code = (code << 1) | (sigma[w] == 1)
-    _, probs = solver._volume_distribution(k, n, theta, boundary)
+    pairs = {w: (-b, b) for w, b in boundary.items()}
+    _, probs = solver._volume_distribution(enumerate_ball(k, n), theta, pairs)
     return float(probs[code])
 
 

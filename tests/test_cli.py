@@ -258,14 +258,14 @@ def test_compat_exit_codes(capsys, tmp_path):
 
 # compat --n 3 stdout for the three poly vectors at theta = 0.8 (-h*·1, 0 and
 # h*·1, each coordinate log(x) bit for bit) and the last one with "1,1"
-# raised by 0.05; the spin-matrix distribution in tests/oracles.py gives the
-# same bytes, and so does numpy with its x86 SIMD extensions disabled
-# (NPY_DISABLE_CPU_FEATURES)
+# raised by 0.05, with the outer sphere summed out in closed form; numpy
+# with its AVX-512 dispatch disabled (NPY_DISABLE_CPU_FEATURES) gives the
+# same bytes
 COMPAT_N3_GOLDEN = [
-    (0, "1.1102230246251565e-16", "true"),
-    (0, "2.7755575615628914e-17", "true"),
-    (0, "9.540979117872439e-18", "true"),
-    (2, "0.0001672914009421423", "false"),
+    (0, "9.3241386833753381e-18", "true"),
+    (0, "2.2204460492503131e-16", "true"),
+    (0, "9.3241386833753381e-18", "true"),
+    (2, "0.00016729140094212907", "false"),
 ]
 
 
@@ -290,10 +290,9 @@ def test_compat_n3_golden(capsys, tmp_path):
             '  "configs_checked": 4194304\n}\n'
         )
         assert captured.err == ""
-    # 2^22 configurations in float64 are 32 MiB, and the tail over the
-    # parent and outer spheres (2^18 values) 2 MiB, so 34 MiB in all; one
-    # more full-size temporary (an out-of-place add or exp) passes 40 MiB,
-    # and the spin-matrix construction peaked at about 824 MB
+    # both sides are 2^10-configuration distributions on the radius-2 ball
+    # (8 KiB each, with 2^6 and 2^4 tails), so the peak is about 0.04 MiB;
+    # one 2^22 array of the full radius-3 ball alone is 32 MiB
     system = derive_system(SubgroupSpec.from_json(STANDARD))
     fields = solve_i1_exact(Theta(0.8)).solution_set.solutions[-1].fields
     tracemalloc.start()
@@ -302,7 +301,7 @@ def test_compat_n3_golden(capsys, tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40 * 2**20
+    assert peak < 2**20
 
 
 def test_compat_accepts_dense_list(capsys, tmp_path):
@@ -390,8 +389,9 @@ SWEEP = ["sweep", "--spec", STANDARD, "--starts", "5", "--range"]
 BALL = ["ball", "--k", "2", "--radius", "3"]
 # fields.json maps each of the nine states to 0, a true fixed point (written per test)
 COMPAT = ["compat", "--spec", STANDARD, "--theta", "0.8", "--fields", "fields.json"]
-# a nine-state system whose radius-2 ball has 9,006,002 vertices: under the
-# vertex cap, far over the config cap, and about 2 GB to build
+# a nine-state system whose radius-1 ball has 3,002 spins, far over the
+# config cap, and whose radius-2 ball has 9,006,002 vertices: under the
+# vertex cap, and about 2 GB to build
 HUGE_COMPAT = ["compat", "--spec", "{k:3000,s:1,A1:[1],A2:[2]}", "--theta", "0.8", "--n", "2",
                "--fields", "fields.json"]
 
@@ -462,7 +462,7 @@ BAD_INPUTS = [
     ("compat-fields-infinity", None, COMPAT[:-1] + ["infinity.json"], {},
      "field of state 1,2 is -inf, not a finite number"),
     ("compat-fields-overflow", None, COMPAT[:-1] + ["overflow.json"], {}, "field 4 is inf, not a finite number"),
-    ("compat-over-config-cap", None, HUGE_COMPAT, {}, "9006002 spins exceed the 24-bit config cap"),
+    ("compat-over-config-cap", None, HUGE_COMPAT, {}, "3002 spins exceed the 24-bit config cap"),
     ("solve-tol-too-large", None, ["solve", "--spec", STANDARD, "--theta", "0.7", "--tol", "1e-10"],
      {}, "unrecognized arguments: --tol 1e-10"),
     ("solve-tol-nonpositive", None, ["solve", "--spec", STANDARD, "--theta", "0.7", "--tol", "0"],

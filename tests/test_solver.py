@@ -673,19 +673,39 @@ def test_probability_matches_brute_force():
 def test_volume_distribution_matches_spin_matrix_bit_for_bit(k, n):
     # head + tail adds, per configuration, the same +-beta and +-b_w terms
     # in the same order as the spin-matrix sums (inner edges; outer edges,
-    # then boundary terms; then the two added), so the probabilities must
-    # be equal, not merely close; (2, 0) has one vertex, a head of one 0
-    # and no doubling, and at n = 1 the parent sphere is the root alone
+    # then boundary terms; then the two added), so given the pairs (-b, b)
+    # the probabilities must be equal, not merely close; (2, 0) has one
+    # vertex, a head of one 0 and no doubling, and at n = 1 the parent
+    # sphere is the root alone
     rng = np.random.default_rng(100 * k + n)
     outer = enumerate_ball(k, n).spheres[-1]
     for value in (0.05, 0.3, 0.5, 0.8, 0.99):
         for scale in (0.01, 1.0, 25.0):
             boundary = {w: float(b) for w, b in zip(outer, rng.normal(0.0, scale, len(outer)))}
-            verts, probs = solver._volume_distribution(k, n, Theta(value), boundary)
+            pairs = {w: (-b, b) for w, b in boundary.items()}
+            verts, probs = solver._volume_distribution(enumerate_ball(k, n), Theta(value), pairs)
             want_verts, want = spin_matrix_distribution(k, n, Theta(value), boundary)
             assert verts == want_verts
             assert probs.dtype == want.dtype
             assert np.array_equal(probs, want), (value, scale)
+
+
+@pytest.mark.parametrize("k, n", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
+def test_summed_out_marginal_matches_the_brute_force_sum(k, n):
+    # the closed form replaces the sum over all 2^V(n) configurations: the
+    # radius-(n-1) measure with each parent's (G_p(-1), G_p(+1)) must equal
+    # the spin-matrix level-n distribution summed over its outer sphere
+    rng = np.random.default_rng(10 * k + n)
+    outer = enumerate_ball(k, n).spheres[-1]
+    inner = enumerate_ball(k, n - 1)
+    for value in (0.05, 0.3, 0.5, 0.8, 0.99):
+        th = Theta(value)
+        for scale in (0.01, 1.0, 25.0):
+            boundary = {w: float(b) for w, b in zip(outer, rng.normal(0.0, scale, len(outer)))}
+            _, marginal = solver._volume_distribution(inner, th, solver._summed_out(th, outer, boundary))
+            _, full = spin_matrix_distribution(k, n, th, boundary)
+            brute = full.reshape(len(marginal), -1).sum(axis=1)
+            assert np.max(np.abs(marginal - brute)) <= 1e-13, (value, scale)
 
 
 def test_probability_normalisation():
@@ -752,6 +772,52 @@ def test_marginal_identity_over_theta(nine_state, value):
     for sol in roots:
         report = verify_compatibility(sol.fields, k3, th, n=2)
         assert report.passed and report.max_deviation <= 1e-14, (sol.fields, report)
+
+
+@pytest.mark.parametrize("k, n", [(4, 2), (3, 3)])
+def test_marginal_identity_past_the_old_config_cap(k, n):
+    # the radius-(n-1) ball is what is built, so k = 4 at n = 2 (a 26-spin
+    # radius-2 ball) and k = 3 at n = 3 (46 spins) are checked in closed form
+    system = derive_system(SubgroupSpec(k=k, s=1, a1={1}, a2={2}))
+    th = Theta(0.8)
+    roots = solve_fixed_points(system, th, SolverConfig(starts=20)).solutions
+    assert len(roots) >= 3  # zero and +-h*·1 at least, since k theta > 1
+    for sol in roots:
+        report = verify_compatibility(sol.fields, system, th, n=n)
+        assert report.passed and report.max_deviation <= 1e-14, (sol.fields, report)
+        assert report.configs_checked == 2 ** solver.ball_size(k, n)
+    bad = [h + 0.05 for h in roots[-1].fields]
+    report = verify_compatibility(bad, system, th, n=n)
+    assert not report.passed and report.max_deviation > 1e-6, report
+
+
+def test_compatibility_enumerates_each_ball_once(nine_state, monkeypatch):
+    radii = []
+
+    def counted(k, radius):
+        radii.append(radius)
+        return enumerate_ball(k, radius)
+
+    monkeypatch.setattr(solver, "enumerate_ball", counted)
+    fields = solve_i1_exact(Theta(0.8)).solution_set.solutions[-1].fields
+    for n in (2, 3):
+        radii.clear()
+        assert verify_compatibility(fields, nine_state, Theta(0.8), n=n).passed
+        assert sorted(radii) == [n - 1, n]
+
+
+def test_config_cap_bounds_the_inner_ball_before_any_ball_is_built(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a ball was built over the config cap")
+
+    monkeypatch.setattr(solver, "enumerate_ball", unreachable)
+    # radius-1 balls of k + 2 spins: k = 22 is the largest under 24 bits
+    system = derive_system(SubgroupSpec(k=23, s=1, a1={1}, a2={2}))
+    with pytest.raises(ValueError, match="^25 spins exceed the 24-bit config cap$"):
+        verify_compatibility([0.0] * 9, system, Theta(0.8), n=2)
+    k4 = derive_system(SubgroupSpec(k=4, s=1, a1={1}, a2={2}))
+    with pytest.raises(ValueError, match="^26 spins exceed the 24-bit config cap$"):
+        verify_compatibility([0.0] * 9, k4, Theta(0.8), n=3)
 
 
 def test_compatibility_input_validation(nine_state):
