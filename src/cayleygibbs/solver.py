@@ -5,8 +5,12 @@ count * f(h_successor) with f(h) = artanh(theta * tanh h), the field one
 edge passes upward at interaction strength theta in (0, 1).  This module
 solves those equations two ways, batched multistart damped Newton on the
 full system and the exact k = 2 branch on the four-block invariant
-subspace of the nine-state system, and verifies solutions against the
-finite-volume definition of the measure.  Multistart Newton runs all
+subspace of the nine-state system, and verifies that solutions give
+consistent finite-volume measures by checking the field identity
+b_p = sum over the children w of p of f(b_w) on sphere n-1 of the tree,
+for any n >= 2 whose 2^V(n) configuration count Python can print (n <= 12
+at k = 2, 8 at k = 3, 6 at k = 4 under the default 4300-digit limit).
+Multistart Newton runs all
 starts of a chunk in one stacked iteration; each start still reaches the
 root a start-by-start iteration reaches, bit for bit, because the residual
 is one np.matmul matrix-vector product per start (see _residual_map).
@@ -27,15 +31,15 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from cayleygibbs.cosets import SubgroupSpec
 from cayleygibbs.invariance import StatePair, WeaklyPeriodicSystem, derive_system, state_of
 from cayleygibbs.words import (
-    Ball,
     ResourceLimitError,
     Word,
     _vertex_cap,
@@ -608,112 +612,10 @@ def sweep_to_csv(rows: Iterable[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# === finite-volume measures and compatibility ===
+# === compatibility: the field equation on the tree ===
 
-MAX_CONFIG_BITS = 24
-# largest marginal deviation a compatible field vector may leave
+# largest field residual a compatible field vector may leave on sphere n-1
 COMPAT_TOL = 1e-10
-
-
-def _doubled(log_weight: np.ndarray, parents: Iterable[int], edge: np.ndarray) -> np.ndarray:
-    """Extend log weights over leading spins by one child spin per parent position.
-
-    A parent at position p (from the most significant bit) views the array
-    as (2^p, 2, rest) and doubles it into (2^p, 2, rest, 2), adding
-    edge[parent spin, child spin] with the long ``rest`` axis innermost.
-    """
-    for p in parents:
-        prev = log_weight.reshape(1 << p, 2, -1)
-        log_weight = np.empty(prev.shape + (2,))
-        for child in (0, 1):
-            np.add(prev, edge[:, child, None], out=log_weight[..., child])
-        log_weight = log_weight.reshape(-1)
-    return log_weight
-
-
-def _volume_distribution(
-    ball: Ball, theta: Theta, boundary: Mapping[Word, tuple[float, float]]
-) -> tuple[list[Word], np.ndarray]:
-    """Probabilities of all spin configurations on a radius-n ball.
-
-    Vertices are in ball enumeration order with the root as the most
-    significant bit of the configuration index; bit 1 is spin +1.  The
-    boundary mapping must give every vertex of the outer sphere its pair
-    of log-weight terms (at spin -1, at spin +1); a vertex with field b
-    takes (-b, b), and one whose outer children are summed out takes
-    _summed_out's pair.  Vertices off the outer sphere have no such term.
-
-    Each log weight is head + tail, with no spin matrix.  The head holds
-    the edge terms of the radius-(n-1) ball, 2^V(n-1) values; the tail,
-    over (parent-sphere spins, outer-sphere spins), holds the edge terms
-    of the outer sphere and then its boundary terms.  Both edge sums are
-    built by prefix doubling (_doubled): a vertex's parent comes before it
-    in ball order, so each vertex doubles the array over the spins before
-    it, starting from zeros over the root (head) or the parent sphere
-    (tail).  Each boundary term, in sphere order, is one broadcast add of
-    the 2^|outer| row of its terms to the tail.  Ball order puts the parent
-    sphere in the low bits of the head index and the outer sphere in the
-    low bits of the configuration index, so the 2^V array is one broadcast
-    add of head, viewed as (inner-high, parent), and tail, viewed as
-    (parent, outer).  At n = 0 the root is the outer sphere: the head is
-    a single 0 and the tail spans the root alone.  Every configuration
-    thus receives the same IEEE additions in the same order as the
-    spin-matrix sums in tests/oracles.py (a - beta is a + (-beta)), so the
-    result is identical to them bit for bit.
-    """
-    verts = list(ball.vertices())
-    bits = len(verts)
-    outer = ball.spheres[-1]
-    missing = [w for w in outer if w not in boundary]
-    if missing:
-        raise ValueError(f"boundary field missing for {len(missing)} outer vertices")
-    index = {w: i for i, w in enumerate(verts)}
-    # edge[parent bit, child bit] = beta * s_parent * s_child, each exactly +-beta
-    edge = theta.beta * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    if ball.radius == 0:
-        head, tail, parent_bits = np.zeros(1), np.zeros(2), 0
-    else:
-        parent_bits = len(ball.spheres[-2])
-        inner = bits - len(outer)
-        first = inner - parent_bits  # ball index of the parent sphere's first vertex
-        head = _doubled(np.zeros(2), (index[parent(w)] for w in verts[1:inner]), edge)
-        tail = _doubled(np.zeros(1 << parent_bits), (index[parent(w)] - first for w in outer), edge)
-    low = np.arange(1 << len(outer))
-    by_outer = tail.reshape(-1, len(low))  # a view; one row per parent-sphere configuration
-    for i, w in enumerate(outer):
-        minus, plus = boundary[w]
-        by_outer += np.where((low >> (len(outer) - 1 - i)) & 1, plus, minus)
-    log_weight = np.empty(1 << bits)
-    np.add(
-        head.reshape(-1, 1 << parent_bits, 1),
-        by_outer,
-        out=log_weight.reshape(-1, 1 << parent_bits, len(low)),
-    )
-    log_weight -= log_weight.max()
-    np.exp(log_weight, out=log_weight)
-    log_weight /= log_weight.sum()
-    return verts, log_weight
-
-
-def _summed_out(
-    theta: Theta, outer: Sequence[Word], boundary: Mapping[Word, float]
-) -> dict[Word, tuple[float, float]]:
-    """Each parent's pair (G_p(-1), G_p(+1)) left by summing out its children.
-
-    The spin t of an outer vertex w with field b_w enters the weight only
-    through exp(beta s t + b_w t), s its parent's spin, and the two values
-    of t sum to 2cosh(beta s + b_w).  So summing a measure over the outer
-    sphere leaves on each parent p the term G_p(s), the sum over the
-    children w of p of log 2cosh(beta s + b_w), taken as
-    np.logaddexp(beta s + b_w, -(beta s + b_w)) and added in sphere order.
-    """
-    x = theta.beta * np.array([[-1.0], [1.0]]) + np.array([boundary[w] for w in outer])
-    sums: dict[Word, tuple[float, float]] = {}
-    for w, minus, plus in zip(outer, *np.logaddexp(x, -x).tolist()):
-        p = parent(w)
-        lo, hi = sums.get(p, (0.0, 0.0))
-        sums[p] = (lo + minus, hi + plus)
-    return sums
 
 
 @dataclass(frozen=True)
@@ -727,32 +629,40 @@ class CompatibilityReport:
 def verify_compatibility(
     fields: Sequence[float], system: WeaklyPeriodicSystem, theta: Theta, n: int
 ) -> CompatibilityReport:
-    """Check the finite-volume marginal identity between levels n and n-1.
+    """Check that the fields give consistent measures between levels n and n-1.
 
-    Summing the level-n measure over the outer sphere must reproduce the
-    level-(n-1) measure to within COMPAT_TOL; boundary fields come from the
-    state of each outer vertex under the system's subgroup spec, and an
-    outer vertex whose state the system lacks raises ValueError.
+    Summing a child spin t with field b_w out of the level-n measure leaves
+    2cosh(beta s + b_w) on its parent's spin s, which is exp(f(b_w) s) up to
+    a constant, f = edge_field.  So the level-n marginal is the level-(n-1)
+    measure exactly when b_p = sum over the children w of p of f(b_w) at
+    every vertex p of sphere n-1 (Kolmogorov consistency on the tree).  The
+    radius-n ball is walked once: every vertex of spheres n and n-1 takes
+    the field of its state under the system's subgroup spec, so the check
+    does not read the system's counts, and a vertex whose state the system
+    lacks raises ValueError.  max_deviation is the largest |b_p - sum| over
+    sphere n-1, children added in sphere order; it passes within
+    COMPAT_TOL.  configs_checked is 2^V(n), the number of level-n
+    configurations the identity covers.
 
-    The outer sphere is summed out in closed form (_summed_out): the
-    level-n marginal is the measure on the radius-(n-1) ball whose outer
-    vertices carry the pairs (G_p(-1), G_p(+1)) in place of (-b_p, b_p),
-    so both sides are 2^V(n-1) distributions from _volume_distribution,
-    and each ball is enumerated once.  configs_checked is 2^V(n), the
-    number of level-n configurations that sum covers.  A radius-(n-1) ball
-    of more than MAX_CONFIG_BITS spins raises ValueError before any ball
-    is built.
+    n must be at least 2, since the root has no state.  A 2^V(n) with more
+    decimal digits than sys.get_int_max_str_digits() allows cannot be
+    printed, so it raises ValueError before any ball is built; with no
+    such limit the ball's vertex cap applies.
     """
-    if n not in (2, 3):
-        raise ValueError("compatibility check supports n in {2, 3}")
+    if n < 2:
+        raise ValueError(f"compatibility needs n >= 2, got {n}: the root has no state")
     if system.spec is None:
         raise ValueError("system must carry its subgroup spec to place boundary fields")
     if len(fields) != len(system.states):
         raise ValueError(f"{len(fields)} fields for a system of {len(system.states)} states")
     spec = system.spec
-    bits = ball_size(spec.k, n - 1)
-    if bits > MAX_CONFIG_BITS:
-        raise ValueError(f"{bits} spins exceed the {MAX_CONFIG_BITS}-bit config cap")
+    bits = ball_size(spec.k, n)
+    digits = int(bits * math.log10(2)) + 1
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit:
+        raise ValueError(
+            f"2^{bits} configurations have {digits} digits, over the {limit}-digit limit for printing an int"
+        )
     values = {st: float(v) for st, v in zip(system.states, fields)}
 
     def fields_on(sphere: Sequence[Word]) -> dict[Word, float]:
@@ -766,16 +676,16 @@ def verify_compatibility(
             boundary[w] = values[st]
         return boundary
 
-    outer = enumerate_ball(spec.k, n).spheres[-1]
-    summed = _summed_out(theta, outer, fields_on(outer))
-    ball = enumerate_ball(spec.k, n - 1)
-    own = {w: (-b, b) for w, b in fields_on(ball.spheres[-1]).items()}
-    _, marginal = _volume_distribution(ball, theta, summed)
-    _, dist_prev = _volume_distribution(ball, theta, own)
-    deviation = float(np.max(np.abs(marginal - dist_prev)))
+    ball = enumerate_ball(spec.k, n)
+    outer = fields_on(ball.spheres[-1])
+    own = fields_on(ball.spheres[-2])
+    summed = dict.fromkeys(own, 0.0)
+    for w, f in zip(outer, edge_field(np.array(list(outer.values())), theta).tolist()):
+        summed[parent(w)] += f
+    deviation = float(np.max(np.abs(np.array(list(own.values())) - list(summed.values()))))
     return CompatibilityReport(
         passed=deviation <= COMPAT_TOL,
         n=n,
         max_deviation=deviation,
-        configs_checked=1 << ball_size(spec.k, n),
+        configs_checked=1 << bits,
     )

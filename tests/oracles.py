@@ -4,16 +4,14 @@ _jacobian and _newton are the start-by-start damped Newton iteration the
 batched kernel in cayleygibbs.solver replaced, kept verbatim: the kernel
 must give, for every start, the same root bit for bit or the same None.
 
-_volume_distribution is the spin-matrix construction the prefix-doubling
-one in cayleygibbs.solver replaced: given fields b, it and production
-given the pairs (-b, b) must return the same vertices and the same
-probabilities bit for bit.  Summed over its outer sphere it is also the
-brute-force 2^V(n) sum that production's closed-form marginal
-(solver._summed_out) replaced.  It sums, per configuration, the
-inner-ball edge terms in one array and the outer-sphere edge terms and
-then the boundary terms in a second, and adds the two: the order in which
-production adds its head and tail.  It holds a 2^bits x bits int8 array
-and several 2^bits float64 ones, so keep it to small balls.
+_volume_distribution is the finite-volume Gibbs distribution by brute
+force: it builds all 2^V(n) spin configurations of the radius-n ball as a
+spin matrix and sums, per configuration, the edge terms and the boundary
+terms.  Summed over its outer sphere it must give the radius-(n-1)
+distribution with fields b_p = sum over the children w of p of f(b_w),
+the identity cayleygibbs.solver.verify_compatibility checks on the
+fields alone.  It holds a bits x 2^bits int8 array and a few 2^bits
+float64 ones, so it refuses balls of more than MAX_SPINS vertices.
 
 check_invariance is the word-by-word ball walk that the type-automaton
 verdicts in cayleygibbs.invariance replaced, kept verbatim: it builds the
@@ -41,8 +39,8 @@ block-collapsed system and expand lifts its block values back to nine
 coordinates, quartic_coefficients and check_quartic_positivity (with
 QuarticReport) certify the I1 quartic cofactor on a fixed mesh of
 (0, QUARTIC_X_MAX], and finite_volume_probability reads one configuration's
-probability off the production distribution (solver._volume_distribution,
-looked up on the module so tests can replace it).
+probability off _volume_distribution (looked up on this module so tests can
+replace it).
 """
 
 import math
@@ -68,7 +66,6 @@ from cayleygibbs.invariance import (
     WeaklyPeriodicSystem,
 )
 from cayleygibbs.solver import (
-    MAX_CONFIG_BITS,
     ReducedSystem,
     SolverConfig,
     Theta,
@@ -114,6 +111,11 @@ def _newton(F, u0: np.ndarray, tol: float, max_iter: int) -> np.ndarray | None:
     return u if np.max(np.abs(r)) <= tol else None
 
 
+# largest ball _volume_distribution builds: at 22 spins its int8 spin rows
+# take 92 MB
+MAX_SPINS = 22
+
+
 def _volume_distribution(
     k: int, n: int, theta: Theta, boundary: Mapping[Word, float]
 ) -> tuple[list[Word], np.ndarray]:
@@ -122,33 +124,28 @@ def _volume_distribution(
     Vertices are in ball enumeration order with the root as the most
     significant bit of the configuration index.  The boundary mapping must
     provide a field for every vertex of the outer sphere; fields elsewhere
-    are zero.  Each log weight is the sum of the inner-ball edge terms plus
-    the sum of the outer-sphere edge terms and then the boundary terms.
+    are zero.  Each log weight is the sum of the edge terms beta s_p s_w
+    and then the boundary terms b_w s_w.
     """
     ball = enumerate_ball(k, n)
     verts = list(ball.vertices())
     bits = len(verts)
-    if bits > MAX_CONFIG_BITS:
-        raise ValueError(f"{bits} spins exceed the {MAX_CONFIG_BITS}-bit config cap")
+    if bits > MAX_SPINS:
+        raise ValueError(f"{bits} spins exceed the oracle's {MAX_SPINS}-spin bound")
     outer = ball.spheres[-1]
     missing = [w for w in outer if w not in boundary]
     if missing:
         raise ValueError(f"boundary field missing for {len(missing)} outer vertices")
     index = {w: i for i, w in enumerate(verts)}
     codes = np.arange(1 << bits, dtype=np.int64)
-    shifts = (bits - 1 - np.arange(bits)).astype(np.int64)
-    spins = (((codes[:, None] >> shifts[None, :]) & 1) * 2 - 1).astype(np.int8)
-    beta = theta.beta
-    inner = bits - len(outer)
-    head = np.zeros(len(codes))
-    for w in verts[1:inner]:
-        head += beta * (spins[:, index[parent(w)]] * spins[:, index[w]])
-    tail = np.zeros(len(codes))
-    for w in verts[max(inner, 1) :]:  # the root, outer at n = 0, has no edge
-        tail += beta * (spins[:, index[parent(w)]] * spins[:, index[w]])
+    spins = np.empty((bits, len(codes)), dtype=np.int8)  # one row of spins per vertex
+    for i in range(bits):
+        spins[i] = ((codes >> (bits - 1 - i)) & 1) * 2 - 1
+    log_weight = np.zeros(len(codes))
+    for w in verts[1:]:
+        log_weight += theta.beta * (spins[index[parent(w)]] * spins[index[w]])
     for w in outer:
-        tail += boundary[w] * spins[:, index[w]]
-    log_weight = head + tail
+        log_weight += boundary[w] * spins[index[w]]
     log_weight -= log_weight.max()
     weight = np.exp(log_weight)
     return verts, weight / weight.sum()
@@ -167,8 +164,7 @@ def finite_volume_probability(
         if w not in sigma or sigma[w] not in (-1, 1):
             raise ValueError(f"configuration must assign +-1 to every vertex; bad at {w}")
         code = (code << 1) | (sigma[w] == 1)
-    pairs = {w: (-b, b) for w, b in boundary.items()}
-    _, probs = solver._volume_distribution(enumerate_ball(k, n), theta, pairs)
+    _, probs = _volume_distribution(k, n, theta, boundary)
     return float(probs[code])
 
 

@@ -330,9 +330,9 @@ def test_criterion_09_invariant_set_certificates():
 def test_criterion_10_end_to_end_compatibility():
     """Both nonzero branch solutions define compatible volume measures.
 
-    At theta = 0.8 and depth n = 2 (1024 configurations) the marginal
-    deviation is at most 1e-10 for both solutions; perturbing one used
-    coordinate by 0.05 makes the check fail.
+    At theta = 0.8 and depth n = 2 (1024 configurations) the field
+    residual b_p - sum f(b_w) on sphere 1 is at most 1e-10 for both
+    solutions; perturbing one used coordinate by 0.05 makes the check fail.
     """
     start = time.perf_counter()
     system = derive_system(STANDARD)

@@ -18,6 +18,7 @@ from cayleygibbs.cli import main
 from cayleygibbs.cosets import SubgroupSpec
 from cayleygibbs.invariance import derive_system
 from cayleygibbs.solver import Theta, solve_i1_exact, verify_compatibility
+from cayleygibbs.words import ball_size
 
 STANDARD = '{"k": 2, "s": 1, "A1": [1], "A2": [2]}'
 SPLIT = '{"k": 2, "s": 1, "A1": [1, 3], "A2": [2]}'
@@ -258,14 +259,14 @@ def test_compat_exit_codes(capsys, tmp_path):
 
 # compat --n 3 stdout for the three poly vectors at theta = 0.8 (-h*·1, 0 and
 # h*·1, each coordinate log(x) bit for bit) and the last one with "1,1"
-# raised by 0.05, with the outer sphere summed out in closed form; numpy
-# with its AVX-512 dispatch disabled (NPY_DISABLE_CPU_FEATURES) gives the
-# same bytes
+# raised by 0.05: max_deviation is the field residual |b_p - sum f(b_w)| on
+# sphere 2, so the shift shows in full; numpy with its AVX-512 dispatch
+# disabled (NPY_DISABLE_CPU_FEATURES) gives the same bytes
 COMPAT_N3_GOLDEN = [
-    (0, "9.3241386833753381e-18", "true"),
-    (0, "2.2204460492503131e-16", "true"),
-    (0, "9.3241386833753381e-18", "true"),
-    (2, "0.00016729140094212907", "false"),
+    (0, "4.4408920985006262e-16", "true"),
+    (0, "0", "true"),
+    (0, "4.4408920985006262e-16", "true"),
+    (2, "0.050000000000000266", "false"),
 ]
 
 
@@ -290,9 +291,9 @@ def test_compat_n3_golden(capsys, tmp_path):
             '  "configs_checked": 4194304\n}\n'
         )
         assert captured.err == ""
-    # both sides are 2^10-configuration distributions on the radius-2 ball
-    # (8 KiB each, with 2^6 and 2^4 tails), so the peak is about 0.04 MiB;
-    # one 2^22 array of the full radius-3 ball alone is 32 MiB
+    # the check holds the 22 words of the radius-3 ball and the fields of
+    # spheres 2 and 3, about 3.5 KiB; one 2^22 array of the full radius-3
+    # ball's configurations would be 32 MiB
     system = derive_system(SubgroupSpec.from_json(STANDARD))
     fields = solve_i1_exact(Theta(0.8)).solution_set.solutions[-1].fields
     tracemalloc.start()
@@ -301,7 +302,25 @@ def test_compat_n3_golden(capsys, tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**20
+    assert peak < 2**14
+
+
+@pytest.mark.parametrize("k, n", [(2, 6), (3, 4)])
+def test_compat_runs_past_n3(capsys, tmp_path, k, n):
+    spec = f"{{k:{k},s:1,A1:[1],A2:[2]}}"
+    _, out = run(capsys, "solve", "--spec", spec, "--theta", "0.8", "--starts", "20")
+    solutions = json.loads(out)["solutions"]
+    assert len(solutions) >= 3
+    for i, sol in enumerate(solutions):
+        path = tmp_path / f"fields{i}.json"
+        path.write_text(json.dumps(sol["fields"]))
+        code, out = run(
+            capsys, "compat", "--spec", spec, "--theta", "0.8", "--n", str(n), "--fields", str(path)
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["passed"] is True and doc["n"] == n
+        assert doc["configs_checked"] == 2 ** ball_size(k, n)
 
 
 def test_compat_accepts_dense_list(capsys, tmp_path):
@@ -389,9 +408,9 @@ SWEEP = ["sweep", "--spec", STANDARD, "--starts", "5", "--range"]
 BALL = ["ball", "--k", "2", "--radius", "3"]
 # fields.json maps each of the nine states to 0, a true fixed point (written per test)
 COMPAT = ["compat", "--spec", STANDARD, "--theta", "0.8", "--fields", "fields.json"]
-# a nine-state system whose radius-1 ball has 3,002 spins, far over the
-# config cap, and whose radius-2 ball has 9,006,002 vertices: under the
-# vertex cap, and about 2 GB to build
+# a nine-state system whose radius-2 ball has 9,006,002 vertices: under the
+# vertex cap and about 2 GB to build, and 2^9006002 configurations, far more
+# digits than an int prints
 HUGE_COMPAT = ["compat", "--spec", "{k:3000,s:1,A1:[1],A2:[2]}", "--theta", "0.8", "--n", "2",
                "--fields", "fields.json"]
 
@@ -462,7 +481,11 @@ BAD_INPUTS = [
     ("compat-fields-infinity", None, COMPAT[:-1] + ["infinity.json"], {},
      "field of state 1,2 is -inf, not a finite number"),
     ("compat-fields-overflow", None, COMPAT[:-1] + ["overflow.json"], {}, "field 4 is inf, not a finite number"),
-    ("compat-over-config-cap", None, HUGE_COMPAT, {}, "3002 spins exceed the 24-bit config cap"),
+    ("compat-over-digit-limit", None, HUGE_COMPAT, {},
+     "2^9006002 configurations have 2711077 digits, over the 4300-digit limit for printing an int"),
+    ("compat-n13-over-digit-limit", None, COMPAT + ["--n", "13"], {},
+     "2^24574 configurations have 7398 digits, over the 4300-digit limit for printing an int"),
+    ("compat-n-below-2", None, COMPAT + ["--n", "1"], {}, "compatibility needs n >= 2, got 1"),
     ("solve-tol-too-large", None, ["solve", "--spec", STANDARD, "--theta", "0.7", "--tol", "1e-10"],
      {}, "unrecognized arguments: --tol 1e-10"),
     ("solve-tol-nonpositive", None, ["solve", "--spec", STANDARD, "--theta", "0.7", "--tol", "0"],
@@ -512,7 +535,7 @@ def _run_subprocess(argv, env):
     would compare pairs for hours, an uncapped derive would build a
     table quadratic in s, an unbounded solve would run Newton cubic in
     the number of states, and a compat that built its ball before checking
-    the config cap would take gigabytes, so the child is bounded in time
+    the digit limit would take gigabytes, so the child is bounded in time
     and memory rather than run in process.
     """
     import resource

@@ -2,17 +2,20 @@
 
 Oracles: the scalar edge map is checked against its log form, the constant
 fixed point against a closed form, the batched Newton kernel against the
-start-by-start iteration in tests/oracles.py, and the finite-volume
-distribution against a brute-force dictionary implementation and, bit for
-bit, against the spin-matrix construction in tests/oracles.py.
+start-by-start iteration in tests/oracles.py, and the spin-matrix
+finite-volume distribution in tests/oracles.py against a brute-force
+dictionary implementation; summed over its outer sphere, that distribution
+pins the field identity the compatibility check tests.
 """
 
 import dataclasses
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
+import oracles
 from oracles import (
     _jacobian,
     _newton,
@@ -28,7 +31,7 @@ from oracles import _volume_distribution as spin_matrix_distribution
 
 import cayleygibbs.solver as solver
 from cayleygibbs.cosets import SubgroupSpec
-from cayleygibbs.invariance import derive_system
+from cayleygibbs.invariance import derive_system, state_of
 from cayleygibbs.solver import (
     INVARIANT_PATTERNS,
     NINE_STATES,
@@ -669,43 +672,29 @@ def test_probability_matches_brute_force():
         assert got == pytest.approx(expect, abs=1e-14)
 
 
-@pytest.mark.parametrize("k, n", [(2, 0), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
-def test_volume_distribution_matches_spin_matrix_bit_for_bit(k, n):
-    # head + tail adds, per configuration, the same +-beta and +-b_w terms
-    # in the same order as the spin-matrix sums (inner edges; outer edges,
-    # then boundary terms; then the two added), so given the pairs (-b, b)
-    # the probabilities must be equal, not merely close; (2, 0) has one
-    # vertex, a head of one 0 and no doubling, and at n = 1 the parent
-    # sphere is the root alone
-    rng = np.random.default_rng(100 * k + n)
-    outer = enumerate_ball(k, n).spheres[-1]
-    for value in (0.05, 0.3, 0.5, 0.8, 0.99):
-        for scale in (0.01, 1.0, 25.0):
-            boundary = {w: float(b) for w, b in zip(outer, rng.normal(0.0, scale, len(outer)))}
-            pairs = {w: (-b, b) for w, b in boundary.items()}
-            verts, probs = solver._volume_distribution(enumerate_ball(k, n), Theta(value), pairs)
-            want_verts, want = spin_matrix_distribution(k, n, Theta(value), boundary)
-            assert verts == want_verts
-            assert probs.dtype == want.dtype
-            assert np.array_equal(probs, want), (value, scale)
-
-
-@pytest.mark.parametrize("k, n", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
+@pytest.mark.parametrize("k, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)])
 def test_summed_out_marginal_matches_the_brute_force_sum(k, n):
-    # the closed form replaces the sum over all 2^V(n) configurations: the
-    # radius-(n-1) measure with each parent's (G_p(-1), G_p(+1)) must equal
-    # the spin-matrix level-n distribution summed over its outer sphere
+    # the theorem verify_compatibility rests on: the level-n distribution
+    # summed over its outer sphere is the level-(n-1) distribution with
+    # b'_p = sum over the children w of p of f(b_w), for any fields b, not
+    # only fixed points; rounding in the log weights grows with the fields,
+    # so the bound is 1e-14 per unit of field scale
     rng = np.random.default_rng(10 * k + n)
-    outer = enumerate_ball(k, n).spheres[-1]
-    inner = enumerate_ball(k, n - 1)
-    for value in (0.05, 0.3, 0.5, 0.8, 0.99):
+    ball = enumerate_ball(k, n)
+    outer, parents = ball.spheres[-1], ball.spheres[-2]
+    cases = list(itertools.product((0.05, 0.5, 0.99), (0.01, 1.0, 25.0)))
+    if len(ball) == oracles.MAX_SPINS:  # (2, 3): 2^22 configurations, one scale per theta
+        cases = cases[::4]
+    for value, scale in cases:
         th = Theta(value)
-        for scale in (0.01, 1.0, 25.0):
-            boundary = {w: float(b) for w, b in zip(outer, rng.normal(0.0, scale, len(outer)))}
-            _, marginal = solver._volume_distribution(inner, th, solver._summed_out(th, outer, boundary))
-            _, full = spin_matrix_distribution(k, n, th, boundary)
-            brute = full.reshape(len(marginal), -1).sum(axis=1)
-            assert np.max(np.abs(marginal - brute)) <= 1e-13, (value, scale)
+        boundary = {w: float(b) for w, b in zip(outer, rng.normal(0.0, scale, len(outer)))}
+        summed = dict.fromkeys(parents, 0.0)
+        for w, b in boundary.items():
+            summed[parent(w)] += float(edge_field(b, th))
+        _, full = spin_matrix_distribution(k, n, th, boundary)
+        _, lower = spin_matrix_distribution(k, n - 1, th, summed)
+        marginal = full.reshape(len(lower), -1).sum(axis=1)
+        assert np.max(np.abs(marginal - lower)) <= 1e-14 * max(1.0, scale), (value, scale)
 
 
 def test_probability_normalisation():
@@ -758,10 +747,9 @@ def test_compatibility_zero_field_any_theta(nine_state):
 
 @pytest.mark.parametrize("value", [0.55, 0.7, 0.9, 0.99])
 def test_marginal_identity_over_theta(nine_state, value):
-    # every field vector the solvers return is a fixed point, so the level-n
-    # measure summed over its outer sphere gives the level-(n-1) measure to
-    # rounding: the exact k = 2 branch on the 2^22-configuration n = 3 ball,
-    # and every multistart root of the k = 3 system on the n = 2 ball
+    # every field vector the solvers return is a fixed point, so the field
+    # identity holds on sphere n-1 to rounding: the exact k = 2 branch at
+    # n = 3, and every multistart root of the k = 3 system at n = 2
     th = Theta(value)
     for sol in solve_i1_exact(th).solution_set.solutions:
         report = verify_compatibility(sol.fields, nine_state, th, n=3)
@@ -776,8 +764,8 @@ def test_marginal_identity_over_theta(nine_state, value):
 
 @pytest.mark.parametrize("k, n", [(4, 2), (3, 3)])
 def test_marginal_identity_past_the_old_config_cap(k, n):
-    # the radius-(n-1) ball is what is built, so k = 4 at n = 2 (a 26-spin
-    # radius-2 ball) and k = 3 at n = 3 (46 spins) are checked in closed form
+    # k = 4 at n = 2 (a 26-spin radius-2 ball) and k = 3 at n = 3 (46 spins)
+    # lie past the 24-spin distributions compat once built
     system = derive_system(SubgroupSpec(k=k, s=1, a1={1}, a2={2}))
     th = Theta(0.8)
     roots = solve_fixed_points(system, th, SolverConfig(starts=20)).solutions
@@ -800,29 +788,86 @@ def test_compatibility_enumerates_each_ball_once(nine_state, monkeypatch):
 
     monkeypatch.setattr(solver, "enumerate_ball", counted)
     fields = solve_i1_exact(Theta(0.8)).solution_set.solutions[-1].fields
-    for n in (2, 3):
+    for n in (2, 3, 6):
         radii.clear()
         assert verify_compatibility(fields, nine_state, Theta(0.8), n=n).passed
-        assert sorted(radii) == [n - 1, n]
+        assert radii == [n]
 
 
-def test_config_cap_bounds_the_inner_ball_before_any_ball_is_built(monkeypatch):
+@pytest.mark.parametrize("k, n", [(2, 12), (3, 8), (4, 6)])
+def test_compatibility_runs_any_printable_n(k, n):
+    # n is bounded only by printing configs_checked: 2^V(n) has at most
+    # 4300 digits up to n = 12 at k = 2, 8 at k = 3 and 6 at k = 4, the
+    # cases here; one more level is refused
+    system = derive_system(SubgroupSpec(k=k, s=1, a1={1}, a2={2}))
+    th = Theta(0.8)
+    roots = solve_fixed_points(system, th, SolverConfig(starts=20)).solutions
+    for sol in roots:
+        report = verify_compatibility(sol.fields, system, th, n=n)
+        assert report.passed and report.max_deviation <= 1e-10, (sol.fields, report)
+        assert report.configs_checked == 2 ** solver.ball_size(k, n)
+    bad = [h + 0.05 for h in roots[-1].fields]
+    assert not verify_compatibility(bad, system, th, n=n).passed
+    with pytest.raises(ValueError, match="limit for printing an int"):
+        verify_compatibility(roots[-1].fields, system, th, n=n + 1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_saturated_fields_off_the_equation_fail(n):
+    # at k = 3, theta = 0.95 the constant roots sit at |h| near 5.5, where a
+    # field change d moves the probabilities by only about d e^(-2|h|), so a
+    # comparison of distributions passes these 1e-6 shifts; the identity
+    # sees each one on a vertex of sphere n-1 or n
+    system = derive_system(SubgroupSpec(k=3, s=1, a1={1}, a2={2}))
+    th = Theta(0.95)
+    met = {
+        state_of(w, system.spec)
+        for sphere in enumerate_ball(3, n).spheres[n - 1 :]
+        for w in sphere
+    }
+    checked = 0
+    for sol in solve_fixed_points(system, th, SolverConfig(starts=20)).solutions:
+        if max(abs(h) for h in sol.fields) < 1.0:
+            continue
+        for i, st in enumerate(system.states):
+            if st not in met:
+                continue
+            bad = list(sol.fields)
+            bad[i] += 1e-6
+            report = verify_compatibility(bad, system, th, n=n)
+            assert not report.passed and report.max_deviation > 1e-10, (st, report)
+            checked += 1
+    assert checked >= 2 * len(met)
+
+
+def test_digit_limit_bounds_the_ball_before_it_is_built(monkeypatch):
     def unreachable(*args):
-        raise AssertionError("a ball was built over the config cap")
+        raise AssertionError("a ball was built past the digit limit")
 
     monkeypatch.setattr(solver, "enumerate_ball", unreachable)
-    # radius-1 balls of k + 2 spins: k = 22 is the largest under 24 bits
-    system = derive_system(SubgroupSpec(k=23, s=1, a1={1}, a2={2}))
-    with pytest.raises(ValueError, match="^25 spins exceed the 24-bit config cap$"):
-        verify_compatibility([0.0] * 9, system, Theta(0.8), n=2)
-    k4 = derive_system(SubgroupSpec(k=4, s=1, a1={1}, a2={2}))
-    with pytest.raises(ValueError, match="^26 spins exceed the 24-bit config cap$"):
-        verify_compatibility([0.0] * 9, k4, Theta(0.8), n=3)
+    nine = derive_system(STANDARD)
+    with pytest.raises(
+        ValueError,
+        match=r"^2\^24574 configurations have 7398 digits, over the 4300-digit limit for printing an int$",
+    ):
+        verify_compatibility([0.0] * 9, nine, Theta(0.8), n=13)
+    huge = derive_system(SubgroupSpec(k=3000, s=1, a1={1}, a2={2}))
+    with pytest.raises(ValueError, match=r"^2\^9006002 configurations have 2711077 digits"):
+        verify_compatibility([0.0] * 9, huge, Theta(0.8), n=2)
+
+
+def test_no_digit_limit_leaves_the_vertex_cap(monkeypatch):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+    monkeypatch.setenv("CAYLEYGIBBS_MAX_BALL", "24573")
+    nine = derive_system(STANDARD)
+    with pytest.raises(ResourceLimitError, match="has 24574 vertices, cap is 24573"):
+        verify_compatibility([0.0] * 9, nine, Theta(0.8), n=13)
 
 
 def test_compatibility_input_validation(nine_state):
-    with pytest.raises(ValueError):
-        verify_compatibility([0.0] * 9, nine_state, Theta(0.8), n=5)
+    for n in (1, 0):
+        with pytest.raises(ValueError, match=f"^compatibility needs n >= 2, got {n}"):
+            verify_compatibility([0.0] * 9, nine_state, Theta(0.8), n=n)
     bare = derive_system(STANDARD)
     stripped = type(bare)(
         k=bare.k, s=bare.s, states=bare.states, counts=bare.counts, spec=None
@@ -848,7 +893,7 @@ def test_bad_sigma_rejected_before_the_distribution_is_built(monkeypatch):
     def unreachable(*args):
         raise AssertionError("distribution built for a bad configuration")
 
-    monkeypatch.setattr(solver, "_volume_distribution", unreachable)
+    monkeypatch.setattr(oracles, "_volume_distribution", unreachable)
     for bad in ({**dict.fromkeys(verts, 1), verts[-1]: 0}, dict.fromkeys(verts[:-1], 1)):
         with pytest.raises(ValueError, match="bad at"):
             finite_volume_probability(bad, boundary, th, 1, 2)
