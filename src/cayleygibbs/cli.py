@@ -8,6 +8,7 @@ printed with 17 significant digits in JSON and 12 in CSV.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -44,7 +45,7 @@ from cayleygibbs.words import ResourceLimitError, enumerate_ball, word_from_str,
 USAGE_ERROR = 1
 VERIFICATION_FAILED = 2
 
-# largest theta grid --range may ask for
+# largest theta grid --range or --thetas may ask for
 MAX_GRID_POINTS = 10_000
 # most Newton starts --starts may ask for per theta
 MAX_STARTS = 100_000
@@ -283,6 +284,8 @@ def _parse_thetas(args) -> list[float]:
             raise ValueError(f"--thetas must be comma-separated numbers, got {args.thetas!r}") from None
         if not values:
             raise ValueError(f"--thetas needs at least one value, got {args.thetas!r}")
+        if len(values) > MAX_GRID_POINTS:
+            raise ValueError(f"--thetas has {len(values)} values, more than {MAX_GRID_POINTS}")
         return values
     parts = args.range.split(":")
     if len(parts) != 3:
@@ -375,6 +378,7 @@ def _cmd_draw(args) -> int:
 # === parser wiring ===
 
 
+@functools.cache  # built once per process: parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cayleygibbs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -13,15 +13,15 @@ representative, taken mod 2s+1.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from cayleygibbs.words import (
     IDENTITY,
-    ResourceLimitError,
     Word,
-    _vertex_cap,
     check_ball_cap,
+    check_work,
     enumerate_ball,
     inverse,
     multiply,
@@ -60,24 +60,26 @@ class SubgroupSpec:
             raise SpecError(f"k must be >= 1, got {self.k}")
         if self.s < 1:
             raise SpecError(f"s must be >= 1, got {self.s}")
-        letters = set(range(1, self.k + 2))
         if not self.a1 or not self.a2:
             raise SpecError("A1 and A2 must both be nonempty")
-        if not self.a1 <= letters or not self.a2 <= letters:
+        letters = (*self.a1, *self.a2)  # compared with 1..k+1, a range never built
+        if not all(isinstance(c, numbers.Real) and 1 <= c <= self.k + 1 and c == int(c) for c in letters):
             raise SpecError(f"A1 and A2 must be subsets of 1..{self.k + 1}")
-        if any(type(c) is not int for c in (*self.a1, *self.a2)):
+        if any(type(c) is not int for c in letters):
             raise SpecError(
                 "A1 and A2 letters must be integers, "
                 f"got A1={sorted(self.a1)}, A2={sorted(self.a2)}"
             )
         if self.a1 & self.a2:
             raise SpecError("A1 and A2 must be disjoint")
-        if len(self.a0) > self.k - 1:
-            raise SpecError(f"residual set {sorted(self.a0)} exceeds k-1 letters")
 
     @property
     def a0(self) -> frozenset[int]:
         return frozenset(range(1, self.k + 2)) - self.a1 - self.a2
+
+    @property
+    def a0_size(self) -> int:
+        return self.k + 1 - len(self.a1) - len(self.a2)
 
     @property
     def m1(self) -> int:
@@ -181,11 +183,6 @@ def position(x: Word, spec: SubgroupSpec) -> int:
     return p
 
 
-def neighbor_classes(p: int, spec: SubgroupSpec) -> tuple[int, ...]:
-    """Classes of the k+1 neighbours x*a_1 .. x*a_(k+1) of a word at position p."""
-    return tuple(step(p, i, spec) % spec.index for i in range(1, spec.k + 2))
-
-
 def labelled_ball(spec: SubgroupSpec, radius: int) -> Iterator[tuple[Word, int]]:
     """Every word of the ball with its position, in ball enumeration order.
 
@@ -220,10 +217,10 @@ def coset_classes(spec: SubgroupSpec, radius: int) -> dict[int, list[Word]]:
     """
     if radius < 2 * spec.s:
         raise ValueError(f"radius must be >= 2s = {2 * spec.s} to populate every class")
-    classes: dict[int, list[Word]] = {r: [] for r in range(spec.index)}
+    classes: dict[int, list[Word]] = {}  # keyed as met, so the ball cap comes before any class
     for x, p in labelled_ball(spec, radius):
-        classes[p % spec.index].append(x)
-    return classes
+        classes.setdefault(p % spec.index, []).append(x)
+    return dict(sorted(classes.items()))
 
 
 @dataclass(frozen=True)
@@ -245,11 +242,8 @@ def check_cosets(spec: SubgroupSpec, radius: int) -> CosetCheckReport:
     closed under x y^-1.  The pair count, ball_size squared, is held to
     the vertex cap: ResourceLimitError is raised before any pair is tried.
     """
-    pairs_total, cap = check_ball_cap(spec.k, radius) ** 2, _vertex_cap()
-    if pairs_total > cap:
-        raise ResourceLimitError(
-            f"coset oracle of radius {radius} for k={spec.k} compares {pairs_total} pairs, cap is {cap}"
-        )
+    pairs_total = check_ball_cap(spec.k, radius) ** 2
+    check_work(pairs_total, f"coset oracle of radius {radius} for k={spec.k} compares {pairs_total} pairs")
     words = list(enumerate_ball(spec.k, radius).vertices())
     residues = [label(x, spec).residue for x in words]
     pairs = 0
@@ -284,6 +278,10 @@ def check_cosets(spec: SubgroupSpec, radius: int) -> CosetCheckReport:
 
 
 def neighbor_counts(x: Word, spec: SubgroupSpec) -> tuple[int, ...]:
-    """How many of the k+1 nearest neighbors fall in each coset class."""
-    near = neighbor_classes(position(x, spec), spec)
-    return tuple(near.count(r) for r in range(spec.index))
+    """How many of the k+1 nearest neighbors fall in each coset class; letters of one set step alike."""
+    p = position(x, spec)
+    counts = [0] * spec.index
+    for letter, n in ((spec.m1, len(spec.a1)), (spec.m2, len(spec.a2))):
+        counts[step(p, letter, spec) % spec.index] += n
+    counts[p % spec.index] += spec.a0_size
+    return tuple(counts)

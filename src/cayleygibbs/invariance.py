@@ -39,10 +39,9 @@ from typing import Iterator
 from cayleygibbs.cosets import SubgroupSpec, position, step
 from cayleygibbs.words import (
     IDENTITY,
-    ResourceLimitError,
     Word,
-    _vertex_cap,
     check_ball_cap,
+    check_work,
     word_to_str,
 )
 
@@ -287,9 +286,8 @@ class WeaklyPeriodicSystem:
         Every state must be a pair of classes in 0..2s, every count a
         non-negative integer between listed states, and every row must sum
         to k.  The subgroup spec is read back when the file carries one.
-        A system whose dense counts table, (number of states)^2, exceeds
-        the vertex cap raises ResourceLimitError before the table is built;
-        every system derive_system builds passes the same check.
+        A dense counts table, (number of states)^2, over the vertex cap is
+        refused before it is built, as derive_system refuses it.
         """
         payload = json.loads(text)
         if not isinstance(payload, dict) or not {"states", "counts", "k", "s"} <= payload.keys():
@@ -309,8 +307,9 @@ class WeaklyPeriodicSystem:
         index = {st: i for i, st in enumerate(states)}
         if len(index) != len(states):
             raise ValueError("system states must not repeat")
-        _check_table_size(k, s, len(states))
-        counts = [[0] * len(states) for _ in states]
+        size = len(states)
+        check_work(size * size, f"system for k={k}, s={s} has {size} states, a table of {size * size} counts")
+        counts = [[0] * size for _ in states]
         if not isinstance(payload["counts"], dict):
             raise ValueError("system counts must be an object of rows")
         for key, row in payload["counts"].items():
@@ -330,15 +329,6 @@ class WeaklyPeriodicSystem:
             states=states,
             counts=tuple(tuple(r) for r in counts),
             spec=spec,
-        )
-
-
-def _check_table_size(k: int, s: int, size: int) -> None:
-    """Refuse a system whose dense counts table, size**2 entries, exceeds the vertex cap."""
-    cap = _vertex_cap()
-    if size * size > cap:
-        raise ResourceLimitError(
-            f"system for k={k}, s={s} has {size} states, a table of {size * size} counts, cap is {cap}"
         )
 
 
@@ -386,14 +376,10 @@ def derive_system(spec: SubgroupSpec, allow_nonsingleton: bool = False) -> Weakl
         raise ValueError(
             "derivation requires singleton A1 and A2 (pass allow_nonsingleton to probe anyway)"
         )
-    m, m0, n = len(spec.a1), len(spec.a0), spec.index
+    m, m0, n = len(spec.a1), spec.a0_size, spec.index
     if m != len(spec.a2):
-        cap = _vertex_cap()
         steps = (spec.k + 1) * 2 * n * spec.k
-        if steps > cap:
-            raise ResourceLimitError(
-                f"type automaton for k={spec.k}, s={spec.s} takes up to {steps} steps, cap is {cap}"
-            )
+        check_work(steps, f"type automaton for k={spec.k}, s={spec.s} takes up to {steps} steps")
         first, mismatched, _ = _compare_types(spec)
         st, word, profile = next(iter(mismatched.values()))
         rows = [dict(Counter((r, st[0]) for r in p)) for p in (first[st][1], profile)]
@@ -404,7 +390,9 @@ def derive_system(spec: SubgroupSpec, allow_nonsingleton: bool = False) -> Weakl
         )
     offsets = (-1, 0, 1) if m0 else (-1, 1)
     size = len(offsets) * n
-    _check_table_size(spec.k, spec.s, size)
+    check_work(
+        size * size, f"system for k={spec.k}, s={spec.s} has {size} states, a table of {size * size} counts"
+    )
     states = tuple(sorted((r, (r + d) % n) for r in range(n) for d in offsets))
     index = {st: i for i, st in enumerate(states)}
     counts = []

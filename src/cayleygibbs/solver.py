@@ -40,10 +40,9 @@ import numpy as np
 from cayleygibbs.cosets import SubgroupSpec
 from cayleygibbs.invariance import StatePair, WeaklyPeriodicSystem, derive_system, state_of
 from cayleygibbs.words import (
-    ResourceLimitError,
     Word,
-    _vertex_cap,
-    ball_size,
+    check_ball_cap,
+    check_work,
     enumerate_ball,
     parent,
     word_to_str,
@@ -330,11 +329,8 @@ def solve_fixed_points(
     multiply-adds, so a system over the vertex cap by that count raises
     ResourceLimitError before the first iteration.
     """
-    dim, cap = len(system.states), _vertex_cap()
-    if dim**3 > cap:
-        raise ResourceLimitError(
-            f"Newton on {dim} states takes {dim**3} multiply-adds per Jacobian, cap is {cap}"
-        )
+    dim = len(system.states)
+    check_work(dim**3, f"Newton on {dim} states takes {dim**3} multiply-adds per Jacobian")
     M = count_matrix(system)
     found = _with_constant_roots(_multistart(M, theta, cfg), M, system.k, theta)
     patterns = certified_patterns(system)
@@ -644,10 +640,10 @@ def verify_compatibility(
     COMPAT_TOL.  configs_checked is 2^V(n), the number of level-n
     configurations the identity covers.
 
-    n must be at least 2, since the root has no state.  A 2^V(n) with more
-    decimal digits than sys.get_int_max_str_digits() allows cannot be
-    printed, so it raises ValueError before any ball is built; with no
-    such limit the ball's vertex cap applies.
+    n must be at least 2, since the root has no state.  Before any ball is
+    built, V(n) is held to the vertex cap (check_ball_cap), and then a
+    2^V(n) with more decimal digits than sys.get_int_max_str_digits()
+    allows, which cannot be printed, raises ValueError.
     """
     if n < 2:
         raise ValueError(f"compatibility needs n >= 2, got {n}: the root has no state")
@@ -656,7 +652,7 @@ def verify_compatibility(
     if len(fields) != len(system.states):
         raise ValueError(f"{len(fields)} fields for a system of {len(system.states)} states")
     spec = system.spec
-    bits = ball_size(spec.k, n)
+    bits = check_ball_cap(spec.k, n)
     digits = int(bits * math.log10(2)) + 1
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and digits > limit:

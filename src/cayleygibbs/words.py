@@ -17,12 +17,12 @@ Word = tuple[int, ...]
 
 IDENTITY: Word = ()
 
-# Guard for ball enumeration; override via CAYLEYGIBBS_MAX_BALL.
+# Cap on the work of one call (check_work); override via CAYLEYGIBBS_MAX_BALL.
 MAX_BALL_VERTICES = 10_000_000
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when an enumeration would exceed the vertex cap."""
+    """Raised when a call's work would exceed the vertex cap (check_work)."""
 
 
 def _check_letters(letters, k: int | None) -> None:
@@ -121,23 +121,32 @@ class Ball:
 
 
 def _vertex_cap() -> int:
-    env = os.environ.get("CAYLEYGIBBS_MAX_BALL")
-    if env is None:
-        return MAX_BALL_VERTICES
+    env = os.environ.get("CAYLEYGIBBS_MAX_BALL", str(MAX_BALL_VERTICES))
     if not env.strip().isdigit() or int(env) < 1:
         raise ValueError(f"CAYLEYGIBBS_MAX_BALL must be a positive integer, got {env!r}")
     return int(env)
 
 
-def check_ball_cap(k: int, radius: int) -> int:
-    """The number of words of length <= radius; refuses a ball over the vertex cap."""
+def check_work(count: int, what: str) -> int:
+    """Return count; over the vertex cap, ResourceLimitError reads "{what}, cap is {cap}"."""
     cap = _vertex_cap()
-    total = ball_size(k, radius)
-    if total > cap:
-        raise ResourceLimitError(
-            f"ball of radius {radius} for k={k} has {total} vertices, cap is {cap}"
-        )
-    return total
+    if count > cap:
+        raise ResourceLimitError(f"{what}, cap is {cap}")
+    return count
+
+
+def check_ball_cap(k: int, radius: int) -> int:
+    """The number of words of length <= radius; refuses a ball over the vertex cap.
+
+    Spheres are summed only until the cap is passed, at most cap.bit_length()
+    of them for k >= 2 (each at least doubles); k = 1, the line, is 2*radius + 1."""
+    cap = _vertex_cap()
+    total, m = (2 * radius + 1, radius) if k == 1 else (1, 0)
+    while m < radius and total <= cap:
+        m += 1
+        total += sphere_size(k, m)
+    counted = total if m == radius else f"more than {cap}"
+    return check_work(total, f"ball of radius {radius} for k={k} has {counted} vertices")
 
 
 def enumerate_ball(k: int, radius: int) -> Ball:

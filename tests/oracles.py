@@ -15,10 +15,12 @@ float64 ones, so it refuses balls of more than MAX_SPINS vertices.
 
 check_invariance is the word-by-word ball walk that the type-automaton
 verdicts in cayleygibbs.invariance replaced, kept verbatim: it builds the
-neighbour classes, state and profile of every word and compares each with
-the first word of its state.  Both must return equal reports, violations
-included.  shared_positions_equal is computed here from the neighbour
-classes, while production stores the proven constant False.
+neighbour classes (neighbor_classes, one step per letter, where
+cayleygibbs.cosets.neighbor_counts takes one per letter set), state and
+profile of every word and compares each with the first word of its
+state.  Both must return equal reports, violations included.
+shared_positions_equal is computed here from the neighbour classes,
+while production stores the proven constant False.
 
 successor_labels, check_class_counts (with matching_permutation) and the
 hardcoded nine-state table (reference_counts, matches_reference) are second
@@ -49,14 +51,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cayleygibbs import solver
+from cayleygibbs import cosets, solver
 from cayleygibbs.cosets import (
     CosetLabel,
     SubgroupSpec,
     _alternating,
     label,
     labelled_ball,
-    neighbor_classes,
     neighbor_counts,
 )
 from cayleygibbs.invariance import (
@@ -299,6 +300,11 @@ def check_quartic_positivity(a_values: Iterable[float]) -> QuarticReport:
         descartes_no_positive_roots=descartes,
         cell_bound_certified=certified,
     )
+
+
+def neighbor_classes(p: int, spec: SubgroupSpec) -> tuple[int, ...]:
+    """Classes of the k+1 neighbours x*a_1 .. x*a_(k+1) of a word at position p."""
+    return tuple(cosets.step(p, i, spec) % spec.index for i in range(1, spec.k + 2))
 
 
 def check_invariance(spec: SubgroupSpec, radius: int) -> InvarianceReport:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import cayleygibbs
-from cayleygibbs.cli import main
+from cayleygibbs.cli import build_parser, main
 from cayleygibbs.cosets import SubgroupSpec
 from cayleygibbs.invariance import derive_system
 from cayleygibbs.solver import Theta, solve_i1_exact, verify_compatibility
@@ -413,6 +413,10 @@ COMPAT = ["compat", "--spec", STANDARD, "--theta", "0.8", "--fields", "fields.js
 # digits than an int prints
 HUGE_COMPAT = ["compat", "--spec", "{k:3000,s:1,A1:[1],A2:[2]}", "--theta", "0.8", "--n", "2",
                "--fields", "fields.json"]
+# a radius (or compat's n) whose ball is far over the vertex cap: the refusal
+# must come at once, without counting the ball's vertices
+HUGE_RADIUS = "1000000000"
+OVER_CAP = f"ball of radius {HUGE_RADIUS} for k=2 has more than 10000000 vertices, cap is 10000000"
 
 
 def _fields_list(bad):
@@ -469,6 +473,8 @@ BAD_INPUTS = [
      "--thetas needs at least one value"),
     ("sweep-thetas-text", None, ["sweep", "--spec", STANDARD, "--thetas", "abc"], {},
      "--thetas must be comma-separated numbers, got 'abc'"),
+    ("sweep-thetas-too-many", None, ["sweep", "--spec", STANDARD, "--thetas", ",".join(["0.5"] * 10001)], {},
+     "--thetas has 10001 values, more than 10000"),
     # the compat threshold, Newton's tolerance and the exact path's system are constants
     ("compat-tol-negative", None, COMPAT + ["--tol", "-1"], {}, "unrecognized arguments: --tol -1"),
     ("compat-tol-nan", None, COMPAT + ["--tol", "nan"], {}, "unrecognized arguments: --tol nan"),
@@ -512,6 +518,17 @@ BAD_INPUTS = [
     # the k=4 ball of radius 6 has 6826 words, so 46,594,276 pairs
     ("oracle-over-cap", None, ["oracle", "--spec", "{k:4,s:1,A1:[1],A2:[2]}", "--radius", "6"], {},
      "compares 46594276 pairs, cap is 10000000"),
+    ("ball-huge-radius", None, ["ball", "--k", "2", "--radius", HUGE_RADIUS], {}, OVER_CAP),
+    ("ball-line-huge-radius", None, ["ball", "--k", "1", "--radius", HUGE_RADIUS], {},
+     f"ball of radius {HUGE_RADIUS} for k=1 has 2000000001 vertices, cap is 10000000"),
+    ("invariance-huge-radius", None, ["invariance", "--spec", STANDARD, "--radius", HUGE_RADIUS], {}, OVER_CAP),
+    ("classes-huge-radius", None, ["classes", "--spec", STANDARD, "--radius", HUGE_RADIUS], {}, OVER_CAP),
+    # 2s + 1 = 1,000,000,001 classes, none of them built before the ball is refused
+    ("classes-huge-s", None, ["classes", "--spec", "{k:2,s:500000000,A1:[1],A2:[2]}", "--radius", HUGE_RADIUS], {},
+     OVER_CAP),
+    ("oracle-huge-radius", None, ["oracle", "--spec", STANDARD, "--radius", HUGE_RADIUS], {}, OVER_CAP),
+    ("draw-huge-radius", None, ["draw", "--spec", STANDARD, "--radius", HUGE_RADIUS], {}, OVER_CAP),
+    ("compat-huge-n", None, COMPAT + ["--n", HUGE_RADIUS], {}, OVER_CAP),
     ("spec-text-k", None, ["label", "--word", "e", "--spec", '{k:"2",s:1,A1:[1],A2:[2]}'], {},
      "k and s must be integers"),
     ("spec-scalar-set", None, ["label", "--word", "e", "--spec", "{k:2,s:1,A1:1,A2:[2]}"], {},
@@ -534,9 +551,10 @@ def _run_subprocess(argv, env):
     --starts would draw and iterate that many starts, an uncapped oracle
     would compare pairs for hours, an uncapped derive would build a
     table quadratic in s, an unbounded solve would run Newton cubic in
-    the number of states, and a compat that built its ball before checking
-    the digit limit would take gigabytes, so the child is bounded in time
-    and memory rather than run in process.
+    the number of states, a compat that built its ball before checking
+    the digit limit would take gigabytes, and a ball count linear in the
+    radius would run for minutes, so the child is bounded in time and
+    memory rather than run in process.
     """
     import resource
 
@@ -546,11 +564,10 @@ def _run_subprocess(argv, env):
     src = str(Path(cayleygibbs.__file__).resolve().parents[1])
     child_env = {**os.environ, **env, "OPENBLAS_NUM_THREADS": "1"}
     child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "cayleygibbs.cli", *argv],
         env=child_env, capture_output=True, text=True, timeout=60, preexec_fn=limit,
     )
-    return done.returncode, done.stderr
 
 
 @pytest.mark.parametrize(
@@ -567,8 +584,10 @@ def test_bad_input_exits_1_with_message(capsys, monkeypatch, tmp_path, edit, arg
         path = tmp_path / "system.json"
         path.write_text(json.dumps(doc))
         argv = argv + ["--system", str(path)]
-    if "--range" in argv or "--starts" in argv or argv[0] in ("oracle", "derive") or argv == HUGE_COMPAT:
-        code, err = _run_subprocess(argv, env)
+    bounded = "--range" in argv or "--starts" in argv or HUGE_RADIUS in argv
+    if bounded or argv[0] in ("oracle", "derive") or argv == HUGE_COMPAT:
+        done = _run_subprocess(argv, env)
+        code, err = done.returncode, done.stderr
     else:
         for name, value in env.items():
             monkeypatch.setenv(name, value)
@@ -580,3 +599,38 @@ def test_bad_input_exits_1_with_message(capsys, monkeypatch, tmp_path, edit, arg
     assert code == 1
     assert message in err
     assert "Traceback" not in err
+
+
+def test_derive_at_a_huge_k_allocates_nothing_of_size_k():
+    # k + 1 = 100,000,001 letters: the spec checks its letters by comparison
+    # and counts A0 as k + 1 - |A1| - |A2|, within the child's 2 GiB
+    done = _run_subprocess(["derive", "--spec", "{k:100000000,s:1,A1:[1],A2:[2]}"], {})
+    assert done.returncode == 0
+    assert '"0,0": 99999998' in done.stdout
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch, tmp_path):
+    # main builds its parser once per process; a usage error, then compat
+    # and solve on that parser, read as they do on fresh parsers
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fields.json").write_text(json.dumps([0.0] * 9))
+    calls = [["nonsense"], COMPAT + ["--n", "3"], ["solve", "--spec", STANDARD, "--theta", "0.8", "--starts", "5"]]
+
+    def outcomes(fresh):
+        build_parser.cache_clear()
+        results = []
+        for argv in calls:
+            if fresh:
+                build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    shared = outcomes(fresh=False)
+    assert [code for code, _, _ in shared] == [1, 0, 0]
+    assert shared == outcomes(fresh=True)
+    assert build_parser() is build_parser()

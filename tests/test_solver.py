@@ -9,8 +9,10 @@ pins the field identity the compatibility check tests.
 """
 
 import dataclasses
+import functools
 import itertools
 import math
+import re
 import sys
 
 import numpy as np
@@ -30,8 +32,8 @@ from oracles import (
 from oracles import _volume_distribution as spin_matrix_distribution
 
 import cayleygibbs.solver as solver
-from cayleygibbs.cosets import SubgroupSpec
-from cayleygibbs.invariance import derive_system, state_of
+from cayleygibbs.cosets import SubgroupSpec, check_cosets
+from cayleygibbs.invariance import WeaklyPeriodicSystem, check_invariance, derive_system, state_of
 from cayleygibbs.solver import (
     INVARIANT_PATTERNS,
     NINE_STATES,
@@ -50,7 +52,7 @@ from cayleygibbs.solver import (
     theta_sweep,
     verify_compatibility,
 )
-from cayleygibbs.words import ResourceLimitError, enumerate_ball, parent, word_from_str
+from cayleygibbs.words import ResourceLimitError, ball_size, enumerate_ball, parent, word_from_str
 
 STANDARD = SubgroupSpec(k=2, s=1, a1={1}, a2={2})
 
@@ -773,7 +775,7 @@ def test_marginal_identity_past_the_old_config_cap(k, n):
     for sol in roots:
         report = verify_compatibility(sol.fields, system, th, n=n)
         assert report.passed and report.max_deviation <= 1e-14, (sol.fields, report)
-        assert report.configs_checked == 2 ** solver.ball_size(k, n)
+        assert report.configs_checked == 2 ** ball_size(k, n)
     bad = [h + 0.05 for h in roots[-1].fields]
     report = verify_compatibility(bad, system, th, n=n)
     assert not report.passed and report.max_deviation > 1e-6, report
@@ -805,7 +807,7 @@ def test_compatibility_runs_any_printable_n(k, n):
     for sol in roots:
         report = verify_compatibility(sol.fields, system, th, n=n)
         assert report.passed and report.max_deviation <= 1e-10, (sol.fields, report)
-        assert report.configs_checked == 2 ** solver.ball_size(k, n)
+        assert report.configs_checked == 2 ** ball_size(k, n)
     bad = [h + 0.05 for h in roots[-1].fields]
     assert not verify_compatibility(bad, system, th, n=n).passed
     with pytest.raises(ValueError, match="limit for printing an int"):
@@ -862,6 +864,32 @@ def test_no_digit_limit_leaves_the_vertex_cap(monkeypatch):
     nine = derive_system(STANDARD)
     with pytest.raises(ResourceLimitError, match="has 24574 vertices, cap is 24573"):
         verify_compatibility([0.0] * 9, nine, Theta(0.8), n=13)
+
+
+@pytest.mark.parametrize(
+    "cap, refuse, message",
+    [
+        ("6825", lambda: check_invariance(SubgroupSpec(k=4, s=2, a1={1}, a2={3}), 6),
+         "ball of radius 6 for k=4 has 6826 vertices, cap is 6825"),
+        ("24573", lambda: verify_compatibility([0.0] * 9, derive_system(STANDARD), Theta(0.8), n=13),
+         "ball of radius 13 for k=2 has 24574 vertices, cap is 24573"),
+        ("15", lambda: check_cosets(STANDARD, 1), "coset oracle of radius 1 for k=2 compares 16 pairs, cap is 15"),
+        ("80", lambda: derive_system(STANDARD), "system for k=2, s=1 has 9 states, a table of 81 counts, cap is 80"),
+        ("80", functools.partial(WeaklyPeriodicSystem.from_json, derive_system(STANDARD).to_json()),
+         "system for k=2, s=1 has 9 states, a table of 81 counts, cap is 80"),
+        ("35", lambda: derive_system(SubgroupSpec(k=2, s=1, a1={1, 3}, a2={2}), allow_nonsingleton=True),
+         "type automaton for k=2, s=1 takes up to 36 steps, cap is 35"),
+        ("728", lambda: solve_fixed_points(derive_system(STANDARD), Theta(0.8)),
+         "Newton on 9 states takes 729 multiply-adds per Jacobian, cap is 728"),
+    ],
+    ids=["ball", "compat-ball", "oracle-pairs", "derive-table", "file-table", "type-walk", "newton"],
+)
+def test_every_refusal_reads_as_before(monkeypatch, cap, refuse, message):
+    # each bound goes through words.check_work; compat's ball is held to
+    # the vertex cap before the digit limit, so n = 13 reads as a ball
+    monkeypatch.setenv("CAYLEYGIBBS_MAX_BALL", cap)
+    with pytest.raises(ResourceLimitError, match=f"^{re.escape(message)}$"):
+        refuse()
 
 
 def test_compatibility_input_validation(nine_state):

@@ -6,6 +6,7 @@ from cayleygibbs.words import (
     IDENTITY,
     ResourceLimitError,
     ball_size,
+    check_ball_cap,
     distance,
     enumerate_ball,
     inverse,
@@ -208,6 +209,32 @@ def test_ball_deterministic():
 def test_ball_resource_cap():
     with pytest.raises(ResourceLimitError):
         enumerate_ball(2, 40)
+
+
+def test_ball_cap_counts_exactly_up_to_the_cap(monkeypatch):
+    for k in (1, 2, 3, 5):
+        for radius in range(1, 8):
+            size = ball_size(k, radius)
+            monkeypatch.setenv("CAYLEYGIBBS_MAX_BALL", str(size))
+            assert check_ball_cap(k, radius) == size
+            monkeypatch.setenv("CAYLEYGIBBS_MAX_BALL", str(size - 1))
+            message = f"^ball of radius {radius} for k={k} has {size} vertices, cap is {size - 1}$"
+            with pytest.raises(ResourceLimitError, match=message):
+                check_ball_cap(k, radius)
+
+
+@pytest.mark.parametrize(
+    "k, radius, counted",
+    [(2, 10**9, "more than 10000000"), (3, 10**100, "more than 10000000"),
+     (10**6, 5, "more than 10000000"), (1, 10**9, "2000000001")],
+)
+def test_ball_far_over_the_cap_is_refused_uncounted(monkeypatch, k, radius, counted):
+    # spheres are added only until the sum passes the cap, and the line
+    # (k = 1) is counted in closed form, so the refusal is immediate
+    monkeypatch.delenv("CAYLEYGIBBS_MAX_BALL", raising=False)
+    message = f"^ball of radius {radius} for k={k} has {counted} vertices, cap is 10000000$"
+    with pytest.raises(ResourceLimitError, match=message):
+        check_ball_cap(k, radius)
 
 
 def test_ball_cap_env_override(monkeypatch):
