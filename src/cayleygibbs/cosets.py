@@ -278,7 +278,10 @@ def check_cosets(spec: SubgroupSpec, radius: int) -> CosetCheckReport:
 
 
 def neighbor_counts(x: Word, spec: SubgroupSpec) -> tuple[int, ...]:
-    """How many of the k+1 nearest neighbors fall in each coset class; letters of one set step alike."""
+    """How many of the k+1 nearest neighbors fall in each coset class; letters of one set step alike.
+
+    The vector has one count per class, 2s+1 of them, held to the vertex cap."""
+    check_work(spec.index, f"a neighbor count vector for s={spec.s} has {spec.index} classes")
     p = position(x, spec)
     counts = [0] * spec.index
     for letter, n in ((spec.m1, len(spec.a1)), (spec.m2, len(spec.a2))):

@@ -10,19 +10,21 @@ consistent finite-volume measures by checking the field identity
 b_p = sum over the children w of p of f(b_w) on sphere n-1 of the tree,
 for any n >= 2 whose 2^V(n) configuration count Python can print (n <= 12
 at k = 2, 8 at k = 3, 6 at k = 4 under the default 4300-digit limit).
-Multistart Newton runs all
-starts of a chunk in one stacked iteration; each start still reaches the
-root a start-by-start iteration reaches, bit for bit, because the residual
-is one np.matmul matrix-vector product per start (see _residual_map).
-That one map also gives every reported residual.  The constant roots
-+-h*·1 are added wherever multistart missed them.  On the four-block
-subspace the quadratic branch is the nonzero translation-invariant pair
-and the quartic cofactor has no positive root, so that subspace holds no
-non-constant fixed point; the exact path builds the pair as +-log(x)·1.
+Multistart Newton runs every (theta, start) row of a sweep through one
+stream of stacked iterations, a chunk of rows at a time, each row at its
+own theta; solving one theta is the one-theta case of that stream.  Each
+start still reaches the root a start-by-start iteration reaches, bit for
+bit, because the residual is one np.matmul matrix-vector product per
+start (see _residual).  That one map also gives every reported residual.
+The constant roots +-h*·1 are added wherever multistart missed them.  On
+the four-block subspace the quadratic branch is the nonzero
+translation-invariant pair and the quartic cofactor has no positive root,
+so that subspace holds no non-constant fixed point; the exact path builds
+the pair as +-log(x)·1.
 
 A run sets only SolverConfig (starts, rng_seed).  The rest are
 constants: NEWTON_TOL, NEWTON_MAX_ITER, FD_STEP, LINE_SEARCH_HALVINGS,
-START_BOX, STACK_BUDGET, DEDUPE_EPS, FLAT_MERGE_RADIUS,
+START_BOX, STACK_BUDGET, STACK_ROWS, DEDUPE_EPS, FLAT_MERGE_RADIUS,
 FLAT_MERGE_RESIDUAL, TI_SPREAD (constant vectors and pattern blocks),
 EXACT_RESIDUAL_TOL, SWEEP_MATCH_TOL and COMPAT_TOL.
 """
@@ -30,10 +32,11 @@ EXACT_RESIDUAL_TOL, SWEEP_MATCH_TOL and COMPAT_TOL.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -122,9 +125,13 @@ class SolutionSet:
 
 # === Newton iteration ===
 
-# elements in one stacked (starts, dim, dim) array: a chunk of starts holds
-# max(1, STACK_BUDGET // dim**2) of them, so memory does not grow with starts
+# a chunk of (theta, start) rows holds max(1, min(STACK_ROWS, STACK_BUDGET //
+# dim**2)) of them: a stacked (rows, dim, dim) array stays within STACK_BUDGET
+# elements, and memory grows with neither the starts nor the thetas; fewer
+# rows than STACK_ROWS leave Newton's per-iteration overhead to dominate,
+# more only add memory
 STACK_BUDGET = 1 << 16
+STACK_ROWS = 100
 FD_STEP = 1e-6
 LINE_SEARCH_HALVINGS = 30
 # a start converges at residual max-norm <= NEWTON_TOL < FLAT_MERGE_RESIDUAL
@@ -142,23 +149,56 @@ FLAT_MERGE_RADIUS = 1e-2
 FLAT_MERGE_RESIDUAL = 1e-10
 
 
-def _residual_map(M: np.ndarray, theta: Theta):
-    """F(u) = u - M f(u) on the last axis of a vector or a stack of vectors.
+def _residual(M: np.ndarray, U: np.ndarray, t) -> np.ndarray:
+    """F(U) = U - M f(U) on the last axis of a vector or a stack of vectors.
 
-    np.matmul against f(u)[..., None] makes one matrix-vector product per
-    stacked vector, bit for bit the product M @ f(u) of a single vector.
-    u @ M.T, einsum and (M @ f(U).T).T sum in another order, which changes
-    the last bit once a row has three nonzero counts (k >= 3).
+    t is theta: a float, or one theta per stacked vector in an array that
+    broadcasts against U.  np.matmul against f(U)[..., None] makes one
+    matrix-vector product per stacked vector, bit for bit the product
+    M @ f(u) of a single vector.  u @ M.T, einsum and (M @ f(U).T).T sum in
+    another order, which changes the last bit once a row has three nonzero
+    counts (k >= 3).  f is built in one buffer, which then takes F.
     """
+    f = _edge(U, t)
+    return np.subtract(U, np.matmul(M, f[..., None])[..., 0], out=f)
 
-    def F(U: np.ndarray) -> np.ndarray:
-        return U - np.matmul(M, edge_field(U, theta)[..., None])[..., 0]
 
-    return F
+def _edge(U: np.ndarray, t) -> np.ndarray:
+    """edge_field of an array at theta t, built in one new buffer."""
+    f = np.tanh(U)
+    np.multiply(t, f, out=f)
+    return np.arctanh(f, out=f)
+
+
+def _shifted_residuals(
+    M: np.ndarray, u: np.ndarray, E: np.ndarray, t: np.ndarray, stack: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """F at u_b + E_j, row j of a multiple E of the identity, into out[b, j].
+
+    Bit for bit _residual(M, u[:, None, :] + E, t[..., None]).  That point
+    differs from u_b + E[0, -1], the signed zero off the diagonal, only in
+    coordinate j, so f is taken on 2 * dim values per row, not dim**2; the
+    matrix-vector products stay one np.matmul per point.  stack and out are
+    (rows, dim, dim) buffers the caller owns, filled by broadcast copies,
+    which unlike a broadcast add allocate no ufunc buffers.
+    """
+    n, dim = u.shape
+    off, diagonal = u + E[0, -1], u + np.diagonal(E)
+    stack[...] = _edge(off, t)[:, None, :]
+    stack.reshape(n, dim * dim)[:, :: dim + 1] = _edge(diagonal, t)
+    np.matmul(M, stack[..., None], out=out[..., None])
+    stack[...] = off[:, None, :]
+    stack.reshape(n, dim * dim)[:, :: dim + 1] = diagonal
+    return np.subtract(stack, out, out=out)
+
+
+def _max_norm(M: np.ndarray, U: np.ndarray, t) -> np.ndarray:
+    """max|F(U)| over the last axis (see _residual)."""
+    return np.max(np.abs(_residual(M, U, t)), axis=-1)
 
 
 def _solve_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Newton steps J[b]^-1 rhs[b] and a mask of the starts that got one."""
+    """Newton steps J[b]^-1 rhs[b] and a mask of the rows that got one."""
     try:
         return np.linalg.solve(J, rhs[..., None])[..., 0], np.ones(len(J), dtype=bool)
     except np.linalg.LinAlgError:
@@ -172,35 +212,41 @@ def _solve_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
         return steps, ok
 
 
-def _newton_batch(F, U0: np.ndarray) -> list[np.ndarray | None]:
-    """Damped Newton from every row of U0 at once: one root or None per row.
+def _newton_batch(M: np.ndarray, t: np.ndarray, U0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton on u = M f(u) from every row of U0 at once, row b at theta t[b].
 
-    Each row follows the scalar rule exactly: stop at a residual max-norm
-    <= NEWTON_TOL, fail at a non-finite norm or a singular Jacobian, take
-    the central-difference Jacobian with step FD_STEP, halve the step up to
-    LINE_SEARCH_HALVINGS times until the norm strictly drops (else fail),
-    and after NEWTON_MAX_ITER iterations keep the point only if its norm is
-    <= NEWTON_TOL.  Rows leave the live set when they converge or fail.
+    Returns the rows' end points and their residual max-norms there, NaN
+    where a row found no root.  Each row follows the scalar rule exactly:
+    stop at a residual max-norm <= NEWTON_TOL, fail at a non-finite norm or
+    a singular Jacobian, take the central-difference Jacobian with step
+    FD_STEP, halve the step up to LINE_SEARCH_HALVINGS times until the norm
+    strictly drops (else fail), and after NEWTON_MAX_ITER iterations keep
+    the point only if its norm is <= NEWTON_TOL.  Rows leave the live set
+    when they converge or fail; no row's arithmetic depends on another's.
     """
     U = U0.astype(float)
-    out: list[np.ndarray | None] = [None] * len(U)
+    norms = np.full(len(U), np.nan)
     live = np.arange(len(U))
     E = FD_STEP * np.eye(U.shape[1])
+    # the Jacobian stacks of the live rows, allocated once for the batch
+    work = np.empty((3, len(U), U.shape[1], U.shape[1]))
     for _ in range(NEWTON_MAX_ITER):
-        u = U[live]
-        r = F(u)
+        u, tl = U[live], t[live, None]
+        r = _residual(M, u, tl)
         norm = np.max(np.abs(r), axis=1)
-        finite = np.isfinite(norm)
-        for b in live[finite & (norm <= NEWTON_TOL)]:
-            out[b] = U[b]
-        keep = finite & (norm > NEWTON_TOL)
-        live, u, r, norm = live[keep], u[keep], r[keep], norm[keep]
+        done = norm <= NEWTON_TOL
+        norms[live[done]] = norm[done]
+        keep = np.isfinite(norm) & ~done
+        live, u, tl, r, norm = live[keep], u[keep], tl[keep], r[keep], norm[keep]
         if not live.size:
-            return out
-        # column j of each Jacobian is the central difference along e_j
-        stack = u[:, None, :]
-        J = ((F(stack + E) - F(stack - E)) / (2 * FD_STEP)).transpose(0, 2, 1)
-        steps, solved = _solve_steps(J, -r)
+            return U, norms
+        # row j of each stack is F(u_b +- FD_STEP e_j), so column j of each
+        # Jacobian is the central difference along e_j
+        J, minus, stack = work[:, : live.size]
+        _shifted_residuals(M, u, E, tl, stack, J)
+        J -= _shifted_residuals(M, u, -E, tl, stack, minus)
+        J /= 2 * FD_STEP
+        steps, solved = _solve_steps(J.transpose(0, 2, 1), -r)
         pending = solved.copy()
         lam = 1.0
         for _ in range(LINE_SEARCH_HALVINGS):
@@ -208,7 +254,7 @@ def _newton_batch(F, U0: np.ndarray) -> list[np.ndarray | None]:
             if not idx.size:
                 break
             trial = u[idx] + lam * steps[idx]
-            better = np.max(np.abs(F(trial)), axis=1) < norm[idx]
+            better = _max_norm(M, trial, tl[idx]) < norm[idx]
             u[idx[better]] = trial[better]
             pending[idx[better]] = False
             lam *= 0.5
@@ -216,61 +262,90 @@ def _newton_batch(F, U0: np.ndarray) -> list[np.ndarray | None]:
         live = live[moved]
         U[live] = u[moved]
     if live.size:
-        norm = np.max(np.abs(F(U[live])), axis=1)
-        for b in live[norm <= NEWTON_TOL]:
-            out[b] = U[b]
-    return out
+        norm = _max_norm(M, U[live], t[live, None])
+        done = norm <= NEWTON_TOL
+        norms[live[done]] = norm[done]
+    return U, norms
 
 
-def _multistart(M: np.ndarray, theta: Theta, cfg: SolverConfig) -> list[tuple[np.ndarray, float]]:
-    """Deterministic multistart Newton on u = M f(u): deduped (root, residual).
-
-    The zero start and cfg.starts uniform draws from START_BOX run through
-    the batched kernel in chunks of max(1, STACK_BUDGET // dim**2) starts;
-    each start's root is bit for bit the one a start-by-start iteration
-    gives, because the residual is taken as np.matmul(M, f(U)[..., None])
-    (see _residual_map) and every other step is elementwise or per start.
-    The residual returned with a root is its max-norm under that map, bit
-    for bit max|u - M @ f(u)| of the root alone.
-
-    Plain distance dedupe, plus a flatness merge: when two candidates are
-    within FLAT_MERGE_RADIUS and the residual at their midpoint is still
-    below FLAT_MERGE_RESIDUAL, nothing separates them at working precision
-    and the one with smaller residual represents both.
-    """
-    F = _residual_map(M, theta)
-    dim = M.shape[0]
+def _starts(dim: int, cfg: SolverConfig) -> np.ndarray:
+    """The zero start, then cfg.starts uniform draws from START_BOX, seeded by cfg.rng_seed."""
     rng = np.random.default_rng(cfg.rng_seed)
-    starts = np.vstack([np.zeros(dim), rng.uniform(*START_BOX, size=(cfg.starts, dim))])
-    chunk = max(1, STACK_BUDGET // (dim * dim))
-    candidates = [
-        u
-        for i in range(0, len(starts), chunk)
-        for u in _newton_batch(F, starts[i : i + chunk])
-        if u is not None
-    ]
-    # each candidate's residual once, in one stacked call, kept next to it
-    norms = np.max(np.abs(F(np.reshape(candidates, (-1, dim)))), axis=1)
-    found: list[tuple[np.ndarray, float]] = []
-    for u, norm in sorted(zip(candidates, norms.tolist()), key=lambda c: tuple(c[0])):
-        for i, (v, v_norm) in enumerate(found):
-            gap = float(np.max(np.abs(u - v)))
+    return np.vstack([np.zeros(dim), rng.uniform(*START_BOX, size=(cfg.starts, dim))])
+
+
+def _multistart(
+    M: np.ndarray, thetas: Sequence[Theta], cfg: SolverConfig
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Deterministic multistart Newton on u = M f(u) at each theta: deduped roots, residuals.
+
+    Every theta runs Newton from the same starts (_starts).  The (theta,
+    start) rows of all thetas go through the batched kernel in order, as
+    one stream of chunks of max(1, min(STACK_ROWS, STACK_BUDGET // dim**2))
+    rows, so a chunk may hold the rows of several thetas and one theta's
+    rows may span two chunks.  Each row carries its theta and reaches bit
+    for bit the root a start-by-start iteration gives, because the residual
+    is taken as np.matmul(M, f(U)[..., None]) (see _residual) and every
+    other step is elementwise or per row.  As soon as a theta's last row is done, its
+    candidates are deduped (_dedupe) and yielded, so the stream holds one
+    chunk and one theta's candidates at a time.  The residual yielded with
+    a root is its max-norm under _residual, bit for bit max|u - M @ f(u)|
+    of the root alone.
+    """
+    dim = len(M)
+    starts = _starts(dim, cfg)
+    per = len(starts)
+    t = np.array([theta.value for theta in thetas])
+    chunk = max(1, min(STACK_ROWS, STACK_BUDGET // (dim * dim)))
+    total = len(t) * per
+    roots: list[np.ndarray] = []
+    norms: list[np.ndarray] = []
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        rows = np.arange(lo, hi)
+        U, norm = _newton_batch(M, t[rows // per], starts[rows % per])
+        for i in range(lo // per, (hi - 1) // per + 1):
+            part = slice(max(lo, i * per) - lo, min(hi, (i + 1) * per) - lo)
+            found = ~np.isnan(norm[part])
+            roots.append(U[part][found])
+            norms.append(norm[part][found])
+            if (i + 1) * per <= hi:
+                yield _dedupe(M, t[i], np.concatenate(roots), np.concatenate(norms))
+                roots, norms = [], []
+
+
+def _dedupe(
+    M: np.ndarray, t: float, roots: np.ndarray, norms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One theta's candidates, deduped in lexicographic order: roots sorted, residuals.
+
+    Plain distance dedupe, plus a flatness merge: when a candidate is
+    within FLAT_MERGE_RADIUS of a kept root and the residual at their
+    midpoint is still below FLAT_MERGE_RESIDUAL, nothing separates them at
+    working precision.  A candidate merges into the first kept root it
+    matches, and the one with smaller residual represents both.
+    """
+    kept = np.empty_like(roots)
+    kept_norms = np.empty_like(norms)
+    n = 0
+    for u, norm in zip(*_lex_sorted(roots, norms)):
+        for i, gap in enumerate(np.abs(kept[:n] - u).max(axis=1).tolist()):
             if gap < DEDUPE_EPS or (
-                gap <= FLAT_MERGE_RADIUS
-                and float(np.max(np.abs(F(0.5 * (u + v))))) <= FLAT_MERGE_RESIDUAL
+                gap <= FLAT_MERGE_RADIUS and _max_norm(M, 0.5 * (u + kept[i]), t) <= FLAT_MERGE_RESIDUAL
             ):
-                if norm < v_norm:
-                    found[i] = (u, norm)
+                if norm < kept_norms[i]:
+                    kept[i], kept_norms[i] = u, norm
                 break
         else:
-            found.append((u, norm))
-    found.sort(key=lambda c: tuple(c[0]))
-    return found
+            kept[n], kept_norms[n] = u, norm
+            n += 1
+    return _lex_sorted(kept[:n], kept_norms[:n])
 
 
-def _classify(fields: np.ndarray) -> str:
-    spread = float(np.max(fields) - np.min(fields))
-    return "translation-invariant" if spread < TI_SPREAD else "weakly-periodic"
+def _lex_sorted(roots: np.ndarray, residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """roots and their residuals, in the order the roots' coordinate tuples sort in."""
+    order = sorted(range(len(roots)), key=roots.tolist().__getitem__)
+    return roots[order], residuals[order]
 
 
 def _constant_field(k: int, theta: Theta) -> float:
@@ -292,9 +367,9 @@ def _constant_field(k: int, theta: Theta) -> float:
 
 
 def _with_constant_roots(
-    found: list[tuple[np.ndarray, float]], M: np.ndarray, k: int, theta: Theta
-) -> list[tuple[np.ndarray, float]]:
-    """found plus each of +-h*·1 that no root lies within DEDUPE_EPS of, sorted.
+    roots: np.ndarray, residuals: np.ndarray, M: np.ndarray, k: int, theta: Theta
+) -> tuple[np.ndarray, np.ndarray]:
+    """roots plus each of +-h*·1 that no root lies within DEDUPE_EPS of, sorted.
 
     Rows of M sum to k, so W(c·1) = k f(c)·1 and +-h*·1 are fixed points
     whenever k theta > 1.  Random starts reach them less often as the
@@ -303,17 +378,39 @@ def _with_constant_roots(
     found root keeps its bits.
     """
     if k * theta.value <= 1:
-        return found
-    F = _residual_map(M, theta)
+        return roots, residuals
     h = _constant_field(k, theta)
-    roots = np.reshape([u for u, _ in found], (-1, len(M)))
-    for u in (np.full(len(M), -h), np.full(len(M), h)):
-        if not np.any(np.max(np.abs(roots - u), axis=1) < DEDUPE_EPS):
-            residual = float(np.max(np.abs(F(u))))
-            if residual <= NEWTON_TOL:
-                found.append((u, residual))
-    found.sort(key=lambda c: tuple(c[0]))
-    return found
+    pair = np.array([np.full(len(M), -h), np.full(len(M), h)])
+    absent = [not np.any(np.max(np.abs(roots - u), axis=1) < DEDUPE_EPS) for u in pair]
+    added = _max_norm(M, pair, theta.value)
+    added_ok = np.array(absent) & (added <= NEWTON_TOL)
+    return _lex_sorted(np.vstack([roots, pair[added_ok]]), np.concatenate([residuals, added[added_ok]]))
+
+
+def _solution_sets(
+    system: WeaklyPeriodicSystem, thetas: Sequence[Theta], cfg: SolverConfig
+) -> list[SolutionSet]:
+    """The fixed points at every theta, from one multistart stream (see solve_fixed_points)."""
+    if not thetas:
+        return []
+    dim = len(system.states)
+    check_work(dim**3, f"Newton on {dim} states takes {dim**3} multiply-adds per Jacobian")
+    M = count_matrix(system)
+    found = [
+        _with_constant_roots(roots, residuals, M, system.k, theta)
+        for theta, (roots, residuals) in zip(thetas, _multistart(M, thetas, cfg))
+    ]
+    solutions = iter(
+        _solutions(
+            np.concatenate([roots for roots, _ in found]),
+            np.concatenate([residuals for _, residuals in found]),
+            certified_patterns(system),
+        )
+    )
+    return [
+        SolutionSet(theta.value, system.states, tuple(itertools.islice(solutions, len(roots))))
+        for theta, (roots, _) in zip(thetas, found)
+    ]
 
 
 def solve_fixed_points(
@@ -321,26 +418,36 @@ def solve_fixed_points(
 ) -> SolutionSet:
     """All fixed points found by seeded multistart Newton, deduplicated.
 
-    The zero vector is always a fixed point and is always included, and so
-    are the constant roots +-h*·1 when k theta > 1 (_with_constant_roots).
+    The one-theta case of the stream theta_sweep runs (_multistart).  The
+    zero vector is always a fixed point and is always included, and so are
+    the constant roots +-h*·1 when k theta > 1 (_with_constant_roots).
     Each solution is classified by coordinate spread and annotated with the
     equality patterns it satisfies among those restrict certifies for the
     system.  One start's finite-difference Jacobian takes states**3
     multiply-adds, so a system over the vertex cap by that count raises
     ResourceLimitError before the first iteration.
     """
-    dim = len(system.states)
-    check_work(dim**3, f"Newton on {dim} states takes {dim**3} multiply-adds per Jacobian")
-    M = count_matrix(system)
-    found = _with_constant_roots(_multistart(M, theta, cfg), M, system.k, theta)
-    patterns = certified_patterns(system)
-    solutions = tuple(_solution(u, residual, patterns) for u, residual in found)
-    return SolutionSet(theta=theta.value, states=system.states, solutions=solutions)
+    return _solution_sets(system, [theta], cfg)[0]
 
 
-def _solution(u: np.ndarray, residual: float, patterns: tuple[str, ...]) -> Solution:
-    fields = tuple(float(v) for v in u)
-    return Solution(fields, residual, _classify(u), invariant_sets_containing(fields, patterns))
+def _solutions(fields: np.ndarray, residuals: np.ndarray, patterns: tuple[str, ...]) -> list[Solution]:
+    """A Solution per row of fields, classified in one pass over all rows.
+
+    A row is translation-invariant when its coordinate spread is below
+    TI_SPREAD, and names the patterns among those given that it satisfies
+    (_pattern_hits).
+    """
+    constant = (np.max(fields, axis=1) - np.min(fields, axis=1) < TI_SPREAD).tolist()
+    hits = _pattern_hits(fields, patterns).tolist()
+    return [
+        Solution(
+            tuple(u),
+            residual,
+            "translation-invariant" if flat else "weakly-periodic",
+            tuple(pid for pid, hit in zip(patterns, row) if hit),
+        )
+        for u, residual, flat, row in zip(fields.tolist(), residuals.tolist(), constant, hits)
+    ]
 
 
 # === invariant equality patterns of the nine-state system ===
@@ -382,14 +489,33 @@ def certified_patterns(system: WeaklyPeriodicSystem) -> tuple[str, ...]:
 
 def invariant_sets_containing(fields: Sequence[float], pattern_ids: Iterable[str]) -> tuple[str, ...]:
     """Those pattern ids whose blocks the field vector satisfies within TI_SPREAD."""
-    return tuple(
-        pid
-        for pid in pattern_ids
-        if all(
-            max(fields[i] for i in block) - min(fields[i] for i in block) < TI_SPREAD
-            for block in INVARIANT_PATTERNS[pid].blocks
-        )
-    )
+    ids = tuple(pattern_ids)
+    hits = _pattern_hits(np.array([fields], dtype=float), ids)[0]
+    return tuple(pid for pid, hit in zip(ids, hits) if hit)
+
+
+def _pattern_hits(fields: np.ndarray, pattern_ids: tuple[str, ...]) -> np.ndarray:
+    """hits[b, j]: row b's spread within every block of pattern j is below TI_SPREAD."""
+    if not pattern_ids:
+        return np.ones((len(fields), 0), dtype=bool)
+    columns, blocks, patterns = _pattern_layout(pattern_ids)
+    part = fields[:, columns]
+    spread = np.maximum.reduceat(part, blocks, axis=1) - np.minimum.reduceat(part, blocks, axis=1)
+    return np.logical_and.reduceat(spread < TI_SPREAD, patterns, axis=1)
+
+
+@functools.cache
+def _pattern_layout(pattern_ids: tuple[str, ...]) -> tuple[list[int], list[int], list[int]]:
+    """The blocks of the patterns' states laid end to end, where each block starts, and each pattern."""
+    columns: list[int] = []
+    blocks: list[int] = []
+    patterns: list[int] = []
+    for pid in pattern_ids:
+        patterns.append(len(blocks))
+        for block in INVARIANT_PATTERNS[pid].blocks:
+            blocks.append(len(columns))
+            columns.extend(block)
+    return columns, blocks, patterns
 
 
 @dataclass(frozen=True)
@@ -498,27 +624,22 @@ def solve_i1_exact(theta: Theta) -> ExactBranchResult:
     a = theta.a
     disc, roots = quadratic_branch(a)
     boundary = abs(disc) <= BOUNDARY_DISC_EPS
-    F = _residual_map(count_matrix(system), theta)
     values = [0.0]
     if roots and not boundary:
         h = math.log(roots[0])
         values = [-h, 0.0, h]
-    solutions = []
-    for v in values:
-        u = np.full(9, v)
-        residual = float(np.max(np.abs(F(u))))
+    fields = np.repeat(np.array(values)[:, None], len(NINE_STATES), axis=1)
+    residuals = _max_norm(count_matrix(system), fields, theta.value)
+    for v, residual in zip(values, residuals.tolist()):
         if residual > EXACT_RESIDUAL_TOL:
             raise ArithmeticError(f"branch {v!r}·1 misses the full system (residual {residual:.3e})")
-        solutions.append(_solution(u, residual, patterns))
     return ExactBranchResult(
         theta=theta.value,
         a=a,
         discriminant=disc,
         roots=() if boundary else roots,
         boundary_degenerate=boundary,
-        solution_set=SolutionSet(
-            theta=theta.value, states=NINE_STATES, solutions=tuple(solutions)
-        ),
+        solution_set=SolutionSet(theta.value, NINE_STATES, tuple(_solutions(fields, residuals, patterns))),
     )
 
 
@@ -551,51 +672,60 @@ def theta_sweep(
     A pattern counts only where restrict certifies it, so for every system
     off the nine states both are 0, even where non-constant roots exist.
     Agreement means the exact-branch solutions and the Newton solutions
-    match pairwise within SWEEP_MATCH_TOL.  The exact path solves one table
-    (_i1_table); for every other system the Newton result stands alone and
-    agreement is vacuously true.
+    match pairwise within SWEEP_MATCH_TOL (_agreement).  The exact path
+    solves one table (_i1_table); for every other system the Newton result
+    stands alone and agreement is vacuously true.  Every theta's fixed
+    points come from one Newton stream over all (theta, start) rows
+    (_multistart), each set equal to what solve_fixed_points gives at that
+    theta alone.
     """
-    rows = []
+    thetas = [Theta(value) for value in theta_values]
+    sets = _solution_sets(system, thetas, cfg)
     # equal counts give equal k, since rows sum to k
-    has_exact = system.states == NINE_STATES and system.counts == _i1_table()[0].counts
-    for value in theta_values:
-        theta = Theta(value)
-        found = solve_fixed_points(system, theta, cfg)
-        n_ti = len(found.translation_invariant())
-        n_wp_i1 = sum(
-            1 for s in found.weakly_periodic() if "I1" in s.invariant_sets
+    if sets and system.states == NINE_STATES and system.counts == _i1_table()[0].counts:
+        agreement = _agreement(sets, [solve_i1_exact(theta).solution_set for theta in thetas])
+    else:
+        agreement = [True] * len(sets)
+    return [
+        SweepRow(
+            theta=theta.value,
+            n_ti=len(found.translation_invariant()),
+            n_wp_i1=sum(1 for s in found.weakly_periodic() if "I1" in s.invariant_sets),
+            n_wp_i2=sum(1 for s in found.weakly_periodic() if "I2" in s.invariant_sets),
+            agreement=agrees,
+            max_residual=max((s.residual for s in found.solutions), default=0.0),
         )
-        n_wp_i2 = sum(
-            1 for s in found.weakly_periodic() if "I2" in s.invariant_sets
-        )
-        agreement = True
-        if has_exact:
-            exact = solve_i1_exact(theta).solution_set
-            for sol in exact.solutions:
-                if _nearest_distance(sol.fields, found.solutions) > SWEEP_MATCH_TOL:
-                    agreement = False
-            for sol in found.solutions:
-                if "I1" in sol.invariant_sets:
-                    if _nearest_distance(sol.fields, exact.solutions) > SWEEP_MATCH_TOL:
-                        agreement = False
-        rows.append(
-            SweepRow(
-                theta=value,
-                n_ti=n_ti,
-                n_wp_i1=n_wp_i1,
-                n_wp_i2=n_wp_i2,
-                agreement=agreement,
-                max_residual=max((s.residual for s in found.solutions), default=0.0),
-            )
-        )
-    return rows
+        for theta, found, agrees in zip(thetas, sets, agreement)
+    ]
 
 
-def _nearest_distance(fields: tuple[float, ...], solutions: tuple[Solution, ...]) -> float:
-    if not solutions:
-        return math.inf
-    target = np.array(fields)
-    return min(float(np.max(np.abs(target - np.array(s.fields)))) for s in solutions)
+def _agreement(newton: Sequence[SolutionSet], exact: Sequence[SolutionSet]) -> list[bool]:
+    """Per theta, whether the exact and the Newton solutions match within SWEEP_MATCH_TOL.
+
+    Every exact solution needs a Newton one that close in max-norm, and
+    every Newton one in I1 an exact one.  One pass over all of a sweep's
+    roots: each Newton root is measured against the exact solutions of its
+    own theta, padded with infinite vectors to one count per theta.
+    """
+    dim = len(newton[0].states)
+    width = max(len(e.solutions) for e in exact)
+    padded = np.full((len(exact), width, dim), np.inf)
+    real = np.zeros((len(exact), width), dtype=bool)
+    for g, e in enumerate(exact):
+        padded[g, : len(e.solutions)] = [s.fields for s in e.solutions]
+        real[g, : len(e.solutions)] = True
+    roots = [s for found in newton for s in found.solutions]
+    sizes = [len(found.solutions) for found in newton]
+    owner = np.repeat(np.arange(len(newton)), sizes)
+    fields = np.reshape([s.fields for s in roots], (-1, dim))
+    gaps = np.max(np.abs(fields[:, None, :] - padded[owner]), axis=2)
+    # each theta's roots are consecutive, and every theta has one: the zero start's
+    nearest = np.minimum.reduceat(gaps, list(itertools.accumulate(sizes[:-1], initial=0)), axis=0)
+    exact_missed = real & (nearest > SWEEP_MATCH_TOL)
+    in_i1 = np.array(["I1" in s.invariant_sets for s in roots], dtype=bool)
+    newton_missed = np.zeros(len(newton), dtype=bool)
+    newton_missed[owner[in_i1 & (np.min(gaps, axis=1) > SWEEP_MATCH_TOL)]] = True
+    return (~np.any(exact_missed, axis=1) & ~newton_missed).tolist()
 
 
 def sweep_to_csv(rows: Iterable[SweepRow]) -> str:

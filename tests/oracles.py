@@ -235,10 +235,8 @@ def solve_reduced(
 ) -> list[tuple[tuple[float, ...], float]]:
     """Multistart Newton on a block-collapsed system: (block values, residual)."""
     M = np.array(reduced.matrix, dtype=float)
-    return [
-        (tuple(float(v) for v in u), residual)
-        for u, residual in solver._multistart(M, theta, cfg)
-    ]
+    roots, residuals = next(solver._multistart(M, [theta], cfg))
+    return [(tuple(float(v) for v in u), residual) for u, residual in zip(roots, residuals.tolist())]
 
 
 def quartic_coefficients(a: float) -> tuple[float, float, float, float, float]:

@@ -527,6 +527,9 @@ BAD_INPUTS = [
     ("classes-huge-s", None, ["classes", "--spec", "{k:2,s:500000000,A1:[1],A2:[2]}", "--radius", HUGE_RADIUS], {},
      OVER_CAP),
     ("oracle-huge-radius", None, ["oracle", "--spec", STANDARD, "--radius", HUGE_RADIUS], {}, OVER_CAP),
+    # 2s + 1 = 200,000,001 counts, refused before any is built
+    ("qvec-huge-s", None, ["qvec", "--spec", "{k:2,s:100000000,A1:[1],A2:[2]}", "--word", "e"], {},
+     "a neighbor count vector for s=100000000 has 200000001 classes, cap is 10000000"),
     ("draw-huge-radius", None, ["draw", "--spec", STANDARD, "--radius", HUGE_RADIUS], {}, OVER_CAP),
     ("compat-huge-n", None, COMPAT + ["--n", HUGE_RADIUS], {}, OVER_CAP),
     ("spec-text-k", None, ["label", "--word", "e", "--spec", '{k:"2",s:1,A1:[1],A2:[2]}'], {},
@@ -552,9 +555,10 @@ def _run_subprocess(argv, env):
     would compare pairs for hours, an uncapped derive would build a
     table quadratic in s, an unbounded solve would run Newton cubic in
     the number of states, a compat that built its ball before checking
-    the digit limit would take gigabytes, and a ball count linear in the
-    radius would run for minutes, so the child is bounded in time and
-    memory rather than run in process.
+    the digit limit would take gigabytes, a ball count linear in the
+    radius would run for minutes, and an unbounded qvec would build 2s+1
+    counts, so the child is bounded in time and memory rather than run in
+    process.
     """
     import resource
 
@@ -585,7 +589,7 @@ def test_bad_input_exits_1_with_message(capsys, monkeypatch, tmp_path, edit, arg
         path.write_text(json.dumps(doc))
         argv = argv + ["--system", str(path)]
     bounded = "--range" in argv or "--starts" in argv or HUGE_RADIUS in argv
-    if bounded or argv[0] in ("oracle", "derive") or argv == HUGE_COMPAT:
+    if bounded or argv[0] in ("oracle", "derive", "qvec") or argv == HUGE_COMPAT:
         done = _run_subprocess(argv, env)
         code, err = done.returncode, done.stderr
     else:

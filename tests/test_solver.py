@@ -14,6 +14,7 @@ import itertools
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,6 +330,12 @@ def _oracle_roots(M, theta, starts, tol=solver.NEWTON_TOL, max_iter=solver.NEWTO
     return [_newton(F, u0, tol, max_iter) for u0 in starts]
 
 
+def _kernel_roots(M, theta, starts):
+    """The batched kernel at one theta: per start, the root or None."""
+    U, norms = solver._newton_batch(M, np.full(len(starts), theta.value), starts)
+    return [None if np.isnan(norm) else u for u, norm in zip(U, norms)]
+
+
 def _assert_same_roots(got, expect):
     assert len(got) == len(expect)
     for i, (g, e) in enumerate(zip(got, expect)):
@@ -350,7 +357,7 @@ def test_batched_newton_matches_oracle_bit_for_bit(k, s, theta, seed):
     M = count_matrix(system)
     th = Theta(theta)
     starts = _starts(M.shape[0], seed)
-    got = solver._newton_batch(solver._residual_map(M, th), starts)
+    got = _kernel_roots(M, th, starts)
     _assert_same_roots(got, _oracle_roots(M, th, starts))
     found = solve_fixed_points(system, th, SolverConfig(starts=50, rng_seed=seed))
     for sol in found.solutions:
@@ -364,7 +371,7 @@ def test_batched_newton_drops_a_non_finite_start_alone(nine_state):
     starts = _starts(9, 3, n=12)
     starts[4, 2] = np.inf
     starts[7, 0] = np.nan
-    got = solver._newton_batch(solver._residual_map(M, th), starts)
+    got = _kernel_roots(M, th, starts)
     assert got[4] is None and got[7] is None
     expect = _oracle_roots(M, th, starts)
     _assert_same_roots(got, expect)
@@ -391,7 +398,7 @@ def test_batched_newton_drops_a_singular_start_alone(nine_state, monkeypatch):
         return real_solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", solve)
-    got = solver._newton_batch(solver._residual_map(M, th), starts)
+    got = _kernel_roots(M, th, starts)
     assert stacked_calls
     assert clean[6] is not None and got[6] is None
     _assert_same_roots(got[:6] + got[7:], clean[:6] + clean[7:])
@@ -405,20 +412,20 @@ def test_multistart_in_several_chunks_matches_oracle(nine_state, monkeypatch):
     chunks, roots = [], []
     batch = solver._newton_batch
 
-    def recording(F, U0):
+    def recording(M, t, U0):
         chunks.append(len(U0))
-        out = batch(F, U0)
-        roots.extend(out)
-        return out
+        U, norms = batch(M, t, U0)
+        roots.extend(None if np.isnan(norm) else u for u, norm in zip(U, norms))
+        return U, norms
 
     monkeypatch.setattr(solver, "_newton_batch", recording)
-    found = solver._multistart(M, th, cfg)
+    found, residuals = next(solver._multistart(M, [th], cfg))
     assert chunks == [7] * 5 + [6]
     _assert_same_roots(roots, _oracle_roots(M, th, _starts(9, 11, n=40)))
     monkeypatch.setattr(solver, "STACK_BUDGET", 1 << 16)
-    whole = solver._multistart(M, th, cfg)
+    whole, whole_residuals = next(solver._multistart(M, [th], cfg))
     assert len(found) == len(whole) == 3
-    assert all(np.array_equal(a, b) and r == q for (a, r), (b, q) in zip(found, whole))
+    assert np.array_equal(found, whole) and np.array_equal(residuals, whole_residuals)
 
 
 # === the exact polynomial path ===
@@ -642,6 +649,86 @@ def test_sweep_csv_deterministic(nine_state):
     assert lines[0] == "theta,n_ti,n_wp_I1,n_wp_I2,agreement"
     assert lines[1].startswith("0.45,")
     assert len(lines) == 3
+
+
+# rows one chunk holds, per starts count: a chunk holds the rows of several
+# thetas, and with any random start one theta's rows span two chunks
+CHUNK_ROWS = {0: 3, 3: 6, 50: 70}
+
+
+def _swept_and_solo(system, thetas, cfg, monkeypatch):
+    """theta_sweep's per-theta SolutionSets, its chunks' thetas, and each theta solved alone."""
+    swept, chunks = [], []
+    sets, batch = solver._solution_sets, solver._newton_batch
+
+    def recording_sets(system, thetas, cfg):
+        swept.extend(sets(system, thetas, cfg))
+        return swept
+
+    def recording_batch(M, t, U0):
+        chunks.append(t.tolist())
+        return batch(M, t, U0)
+
+    monkeypatch.setattr(solver, "_solution_sets", recording_sets)
+    monkeypatch.setattr(solver, "_newton_batch", recording_batch)
+    rows = theta_sweep(system, thetas, cfg)
+    monkeypatch.setattr(solver, "_solution_sets", sets)
+    monkeypatch.setattr(solver, "_newton_batch", batch)
+    solo = [solve_fixed_points(system, Theta(t), cfg) for t in thetas]
+    assert [r.n_ti for r in rows] == [len(found.translation_invariant()) for found in solo]
+    return swept, chunks, solo
+
+
+@pytest.mark.parametrize("starts", sorted(CHUNK_ROWS))
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_sweep_equals_solve_across_chunk_boundaries(k, s, starts, monkeypatch):
+    system = derive_system(SubgroupSpec(k=k, s=s, a1={1}, a2={2}))
+    dim = len(system.states)
+    monkeypatch.setattr(solver, "STACK_BUDGET", CHUNK_ROWS[starts] * dim * dim)
+    # at 1/k the zero root is degenerate and its candidates merge by flatness
+    thetas = [0.2, 1 / k, 0.6, 0.9]
+    cfg = SolverConfig(starts=starts, rng_seed=k + s)
+    swept, chunks, solo = _swept_and_solo(system, thetas, cfg, monkeypatch)
+    assert len(chunks[0]) == CHUNK_ROWS[starts] and len(set(chunks[0])) > 1
+    spans = any(a[-1] == b[0] for a, b in zip(chunks, chunks[1:]))
+    assert spans == (starts > 0)
+    assert repr(swept) == repr(solo)  # every field and residual, bit for bit
+
+
+def test_sweep_equals_solve_with_non_finite_starts(nine_state, monkeypatch):
+    starts = solver._starts
+
+    def poisoned(dim, cfg):
+        out = starts(dim, cfg)
+        out[2, 4] = np.inf
+        out[5, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(solver, "_starts", poisoned)
+    monkeypatch.setattr(solver, "STACK_BUDGET", 7 * 81)
+    swept, chunks, solo = _swept_and_solo(nine_state, [0.3, 0.5, 0.8], SolverConfig(starts=10), monkeypatch)
+    assert len(chunks) == 5 and repr(swept) == repr(solo)
+    assert [len(found.solutions) for found in solo] == [1, 1, 3]
+
+
+def test_sweep_memory_does_not_grow_with_the_thetas(nine_state):
+    # the stream holds one chunk and one theta's candidates, so forty thetas
+    # peak where two do; holding every theta's 201 candidates would not
+    cfg = SolverConfig(starts=200)
+
+    def peak(thetas):
+        tracemalloc.start()
+        try:
+            theta_sweep(nine_state, thetas, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak([0.3, 0.8])  # caches filled outside the measurement
+    two = peak([0.3, 0.8])
+    forty = peak([round(0.1 + 0.02 * i, 2) for i in range(40)])
+    assert forty <= 1.2 * two, (two, forty)
 
 
 # === finite-volume measures ===
