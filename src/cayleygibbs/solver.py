@@ -10,9 +10,13 @@ consistent finite-volume measures by checking the field identity
 b_p = sum over the children w of p of f(b_w) on sphere n-1 of the tree,
 for any n >= 2 whose 2^V(n) configuration count Python can print (n <= 12
 at k = 2, 8 at k = 3, 6 at k = 4 under the default 4300-digit limit).
-Multistart Newton runs every (theta, start) row of a sweep through one
-stream of stacked iterations, a chunk of rows at a time, each row at its
-own theta; solving one theta is the one-theta case of that stream.  Each
+Where k theta <= 1 the zero field is proved the only fixed point, not
+sampled: |f(h)| < theta |h| for h != 0 and the rows of the non-negative
+count matrix sum to k, so a nonzero u would have |u_i| < k theta |u_i| at
+its largest coordinate (_solution_sets).  Multistart Newton runs every
+other (theta, start) row of a sweep through one stream of stacked
+iterations, a chunk of rows at a time, each row at its own theta;
+solving one theta is the one-theta case of that stream.  Each
 start still reaches the root a start-by-start iteration reaches, bit for
 bit, because the residual is one np.matmul matrix-vector product per
 start (see _residual).  That one map also gives every reported residual.
@@ -36,6 +40,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -390,15 +395,29 @@ def _with_constant_roots(
 def _solution_sets(
     system: WeaklyPeriodicSystem, thetas: Sequence[Theta], cfg: SolverConfig
 ) -> list[SolutionSet]:
-    """The fixed points at every theta, from one multistart stream (see solve_fixed_points)."""
+    """The fixed points at every theta: zero alone where k theta <= 1, else one multistart stream.
+
+    For k theta <= 1, taken exactly (Fraction), the zero field is the only
+    fixed point.  f'(h) = theta sech^2 h / (1 - theta^2 tanh^2 h) <= theta,
+    so |f(h)| < theta |h| for h != 0.  M is non-negative and its rows sum to
+    k (derive_system and from_json both guarantee it).  So at the largest
+    coordinate of a fixed point u != 0, |u_i| <= sum_j M_ij |f(u_j)| <
+    theta sum_j M_ij |u_j| <= k theta |u_i| <= |u_i|, the strict step
+    because u_i != 0 needs some f(u_j) != 0 with M_ij > 0: no such u
+    exists.  Such a theta gets the zero root with residual 0.0, the zero
+    start's own bits, and only the other thetas go through the stream (see
+    solve_fixed_points).
+    """
     if not thetas:
         return []
     dim = len(system.states)
     check_work(dim**3, f"Newton on {dim} states takes {dim**3} multiply-adds per Jacobian")
     M = count_matrix(system)
+    zero_only = [Fraction(theta.value) * system.k <= 1 for theta in thetas]
+    searched = _multistart(M, [theta for theta, zero in zip(thetas, zero_only) if not zero], cfg)
     found = [
-        _with_constant_roots(roots, residuals, M, system.k, theta)
-        for theta, (roots, residuals) in zip(thetas, _multistart(M, thetas, cfg))
+        (np.zeros((1, dim)), np.zeros(1)) if zero else _with_constant_roots(*next(searched), M, system.k, theta)
+        for theta, zero in zip(thetas, zero_only)
     ]
     solutions = iter(
         _solutions(
@@ -421,6 +440,9 @@ def solve_fixed_points(
     The one-theta case of the stream theta_sweep runs (_multistart).  The
     zero vector is always a fixed point and is always included, and so are
     the constant roots +-h*·1 when k theta > 1 (_with_constant_roots).
+    When k theta <= 1 zero is proved the only fixed point, since
+    |f(h)| < theta |h| for h != 0 and M's rows sum to k, and it is returned
+    with residual 0.0 without a Newton step (_solution_sets).
     Each solution is classified by coordinate spread and annotated with the
     equality patterns it satisfies among those restrict certifies for the
     system.  One start's finite-difference Jacobian takes states**3
@@ -620,27 +642,48 @@ def solve_i1_exact(theta: Theta) -> ExactBranchResult:
     theta = 1/2 the quadratic degenerates to the double root x = 1 and is
     reported as boundary-degenerate with no extra branch.
     """
-    system, patterns = _i1_table()
-    a = theta.a
-    disc, roots = quadratic_branch(a)
-    boundary = abs(disc) <= BOUNDARY_DISC_EPS
-    values = [0.0]
-    if roots and not boundary:
-        h = math.log(roots[0])
-        values = [-h, 0.0, h]
-    fields = np.repeat(np.array(values)[:, None], len(NINE_STATES), axis=1)
-    residuals = _max_norm(count_matrix(system), fields, theta.value)
-    for v, residual in zip(values, residuals.tolist()):
-        if residual > EXACT_RESIDUAL_TOL:
-            raise ArithmeticError(f"branch {v!r}·1 misses the full system (residual {residual:.3e})")
+    disc, roots, boundary, values = _branch(theta)
+    fields, residuals = _checked_branches([theta], [values])
     return ExactBranchResult(
         theta=theta.value,
-        a=a,
+        a=theta.a,
         discriminant=disc,
-        roots=() if boundary else roots,
+        roots=roots,
         boundary_degenerate=boundary,
-        solution_set=SolutionSet(theta.value, NINE_STATES, tuple(_solutions(fields, residuals, patterns))),
+        solution_set=SolutionSet(theta.value, NINE_STATES, tuple(_solutions(fields, residuals, _i1_table()[1]))),
     )
+
+
+def _branch(theta: Theta) -> tuple[float, tuple[float, ...], bool, tuple[float, ...]]:
+    """The quadratic's discriminant, its reported roots, boundary degeneracy and the branch values at theta.
+
+    The values are 0, or -log(x), 0, log(x) with x the larger root when the
+    quadratic has roots away from the boundary (see solve_i1_exact).
+    """
+    disc, roots = quadratic_branch(theta.a)
+    boundary = abs(disc) <= BOUNDARY_DISC_EPS
+    if boundary or not roots:
+        return disc, (), boundary, (0.0,)
+    h = math.log(roots[0])
+    return disc, roots, False, (-h, 0.0, h)
+
+
+def _checked_branches(
+    thetas: Sequence[Theta], values: Sequence[Sequence[float]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every value·1 of every theta on the k = 2 table, as rows, and their residuals.
+
+    All the vectors' residuals are one _max_norm call, each at its own
+    theta; one over EXACT_RESIDUAL_TOL raises ArithmeticError.
+    """
+    flat = np.array([v for vs in values for v in vs])
+    t = np.repeat([theta.value for theta in thetas], [len(vs) for vs in values])
+    fields = np.repeat(flat[:, None], len(NINE_STATES), axis=1)
+    residuals = _max_norm(count_matrix(_i1_table()[0]), fields, t[:, None])
+    for v, residual in zip(flat.tolist(), residuals.tolist()):
+        if residual > EXACT_RESIDUAL_TOL:
+            raise ArithmeticError(f"branch {v!r}·1 misses the full system (residual {residual:.3e})")
+    return fields, residuals
 
 
 # === theta sweep ===
@@ -674,16 +717,21 @@ def theta_sweep(
     Agreement means the exact-branch solutions and the Newton solutions
     match pairwise within SWEEP_MATCH_TOL (_agreement).  The exact path
     solves one table (_i1_table); for every other system the Newton result
-    stands alone and agreement is vacuously true.  Every theta's fixed
-    points come from one Newton stream over all (theta, start) rows
+    stands alone and agreement is vacuously true.  A theta with
+    k theta <= 1 has the zero field alone, proved (|f(h)| < theta |h| for
+    h != 0 and M's rows sum to k), not sampled.  Every other theta's fixed
+    points come from one Newton stream over their (theta, start) rows
     (_multistart), each set equal to what solve_fixed_points gives at that
-    theta alone.
+    theta alone.  The exact vectors of all thetas are built and checked in
+    one array (_checked_branches).
     """
     thetas = [Theta(value) for value in theta_values]
     sets = _solution_sets(system, thetas, cfg)
     # equal counts give equal k, since rows sum to k
     if sets and system.states == NINE_STATES and system.counts == _i1_table()[0].counts:
-        agreement = _agreement(sets, [solve_i1_exact(theta).solution_set for theta in thetas])
+        values = [_branch(theta)[3] for theta in thetas]
+        _checked_branches(thetas, values)
+        agreement = _agreement(sets, values)
     else:
         agreement = [True] * len(sets)
     return [
@@ -699,21 +747,23 @@ def theta_sweep(
     ]
 
 
-def _agreement(newton: Sequence[SolutionSet], exact: Sequence[SolutionSet]) -> list[bool]:
+def _agreement(newton: Sequence[SolutionSet], exact: Sequence[Sequence[float]]) -> list[bool]:
     """Per theta, whether the exact and the Newton solutions match within SWEEP_MATCH_TOL.
 
-    Every exact solution needs a Newton one that close in max-norm, and
-    every Newton one in I1 an exact one.  One pass over all of a sweep's
-    roots: each Newton root is measured against the exact solutions of its
-    own theta, padded with infinite vectors to one count per theta.
+    exact holds each theta's branch values; its solutions are the constant
+    vectors value·1.  Every exact solution needs a Newton one that close in
+    max-norm, and every Newton one in I1 an exact one.  One pass over all
+    of a sweep's roots: each Newton root is measured against the exact
+    solutions of its own theta, padded with infinite vectors to one count
+    per theta.
     """
     dim = len(newton[0].states)
-    width = max(len(e.solutions) for e in exact)
+    width = max(map(len, exact))
     padded = np.full((len(exact), width, dim), np.inf)
     real = np.zeros((len(exact), width), dtype=bool)
-    for g, e in enumerate(exact):
-        padded[g, : len(e.solutions)] = [s.fields for s in e.solutions]
-        real[g, : len(e.solutions)] = True
+    for g, values in enumerate(exact):
+        padded[g, : len(values)] = np.array(values)[:, None]
+        real[g, : len(values)] = True
     roots = [s for found in newton for s in found.solutions]
     sizes = [len(found.solutions) for found in newton]
     owner = np.repeat(np.arange(len(newton)), sizes)

@@ -11,10 +11,12 @@ pins the field identity the compatibility check tests.
 import dataclasses
 import functools
 import itertools
+import json
 import math
 import re
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -623,13 +625,13 @@ def test_sweep_certifies_patterns_once(nine_state, monkeypatch):
 
 def test_sweep_cross_checks_only_the_exact_path_table(nine_state, monkeypatch):
     calls = []
-    exact = solver.solve_i1_exact
+    exact = solver._branch
 
     def recording(theta):
         calls.append(theta.value)
         return exact(theta)
 
-    monkeypatch.setattr(solver, "solve_i1_exact", recording)
+    monkeypatch.setattr(solver, "_branch", recording)
     assert all(r.agreement for r in theta_sweep(nine_state, [0.3, 0.8], SolverConfig(starts=20)))
     assert calls == [0.3, 0.8]
     # the same nine states with one row moved: no exact path, Newton stands alone
@@ -686,8 +688,10 @@ def test_sweep_equals_solve_across_chunk_boundaries(k, s, starts, monkeypatch):
     system = derive_system(SubgroupSpec(k=k, s=s, a1={1}, a2={2}))
     dim = len(system.states)
     monkeypatch.setattr(solver, "STACK_BUDGET", CHUNK_ROWS[starts] * dim * dim)
-    # at 1/k the zero root is degenerate and its candidates merge by flatness
-    thetas = [0.2, 1 / k, 0.6, 0.9]
+    # 0.2 and 1/k have k theta <= 1 and get the proved zero root without
+    # entering the stream; the three thetas above 1/k fill it, so with no
+    # random start one chunk still holds three thetas
+    thetas = [0.2, 1 / k, 0.6, 0.75, 0.9]
     cfg = SolverConfig(starts=starts, rng_seed=k + s)
     swept, chunks, solo = _swept_and_solo(system, thetas, cfg, monkeypatch)
     assert len(chunks[0]) == CHUNK_ROWS[starts] and len(set(chunks[0])) > 1
@@ -707,9 +711,65 @@ def test_sweep_equals_solve_with_non_finite_starts(nine_state, monkeypatch):
 
     monkeypatch.setattr(solver, "_starts", poisoned)
     monkeypatch.setattr(solver, "STACK_BUDGET", 7 * 81)
-    swept, chunks, solo = _swept_and_solo(nine_state, [0.3, 0.5, 0.8], SolverConfig(starts=10), monkeypatch)
+    # 0.3 and 0.5 are proved zero-only; the 33 rows of 0.6, 0.7 and 0.8 run
+    # in chunks of 7
+    thetas = [0.3, 0.5, 0.6, 0.7, 0.8]
+    swept, chunks, solo = _swept_and_solo(nine_state, thetas, SolverConfig(starts=10), monkeypatch)
     assert len(chunks) == 5 and repr(swept) == repr(solo)
-    assert [len(found.solutions) for found in solo] == [1, 1, 3]
+    assert [len(found.solutions) for found in solo] == [1, 1, 3, 3, 3]
+
+
+def _zero_only_systems(tmp_path):
+    """The derived systems of k = 2..6, s = 1..3, and an edited nine-state table read as --system reads it."""
+    systems = [derive_system(SubgroupSpec(k=k, s=s, a1={1}, a2={2})) for k in range(2, 7) for s in range(1, 4)]
+    doc = json.loads(systems[0].to_json())
+    doc["counts"]["0,1"] = {"0,0": 2}
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return systems + [WeaklyPeriodicSystem.from_json(path.read_text())]
+
+
+def test_zero_only_thetas_agree_with_the_full_stream(tmp_path, monkeypatch):
+    # k theta <= 1 proves zero the only fixed point; the stream run directly
+    # (with the flat merge at the degenerate 1/k) finds that root alone, with
+    # the bits solve_fixed_points now gives without a Newton step
+    rows = []
+    batch = solver._newton_batch
+
+    def recording(M, t, U0):
+        rows.extend(t.tolist())
+        return batch(M, t, U0)
+
+    monkeypatch.setattr(solver, "_newton_batch", recording)
+    for system in _zero_only_systems(tmp_path):
+        k, dim = system.k, len(system.states)
+        M = solver.count_matrix(system)
+        for t in (0.05, 1 / k, math.nextafter(1 / k, 0)):
+            [(roots, residuals)] = solver._multistart(M, [Theta(t)], SolverConfig())
+            assert rows == [t] * 201
+            assert roots.tobytes() == np.zeros((1, dim)).tobytes(), (k, dim, t, roots)
+            assert residuals.tolist() == [0.0], (k, dim, t)
+            rows.clear()
+            found = solve_fixed_points(system, Theta(t))
+            # the float 1/5 lies above 1/5, so the proof does not cover it
+            assert rows == ([] if Fraction(t) * k <= 1 else [t] * 201), (k, dim, t)
+            rows.clear()
+            assert repr([(s.fields, s.residual) for s in found.solutions]) == repr([(tuple(roots[0].tolist()), 0.0)])
+        # just above 1/k the proof does not apply, and every start runs
+        above = math.nextafter(1 / k, 1)
+        solve_fixed_points(system, Theta(above), SolverConfig(starts=5))
+        assert rows == [above] * 6, (k, dim)
+        rows.clear()
+
+
+def test_edge_field_is_within_theta_h():
+    # the bound behind the zero-only certificate: |f(h)| <= theta |h|
+    grid = np.concatenate([np.linspace(-30, 30, 601), [1e-300, 5e-324, 1e-8, 20.0, 700.0, 710.0]])
+    h = np.concatenate([grid, -grid])
+    for t in (1e-6, 0.05, 0.2, 0.5, math.nextafter(0.5, 1), 0.9, 0.999999):
+        f = edge_field(h, Theta(t))
+        assert np.all(np.abs(f) <= t * np.abs(h)), t
+        assert np.array_equal(solver._edge(h, t), f)
 
 
 def test_sweep_memory_does_not_grow_with_the_thetas(nine_state):
