@@ -15,7 +15,8 @@ sampled: |f(h)| < theta |h| for h != 0 and the rows of the non-negative
 count matrix sum to k, so a nonzero u would have |u_i| < k theta |u_i| at
 its largest coordinate (_solution_sets).  Multistart Newton runs every
 other (theta, start) row of a sweep through one stream of stacked
-iterations, a chunk of rows at a time, each row at its own theta;
+iterations, each row at its own theta, in chunks as large as
+STACK_BUDGET allows (all 459 rows of a 9-state sweep at 50 starts);
 solving one theta is the one-theta case of that stream.  Each
 start still reaches the root a start-by-start iteration reaches, bit for
 bit, because the residual is one np.matmul matrix-vector product per
@@ -28,7 +29,7 @@ the pair as +-log(x)·1.
 
 A run sets only SolverConfig (starts, rng_seed).  The rest are
 constants: NEWTON_TOL, NEWTON_MAX_ITER, FD_STEP, LINE_SEARCH_HALVINGS,
-START_BOX, STACK_BUDGET, STACK_ROWS, DEDUPE_EPS, FLAT_MERGE_RADIUS,
+START_BOX, STACK_BUDGET, DEDUPE_EPS, FLAT_MERGE_RADIUS,
 FLAT_MERGE_RESIDUAL, TI_SPREAD (constant vectors and pattern blocks),
 EXACT_RESIDUAL_TOL, SWEEP_MATCH_TOL and COMPAT_TOL.
 """
@@ -130,13 +131,15 @@ class SolutionSet:
 
 # === Newton iteration ===
 
-# a chunk of (theta, start) rows holds max(1, min(STACK_ROWS, STACK_BUDGET //
-# dim**2)) of them: a stacked (rows, dim, dim) array stays within STACK_BUDGET
-# elements, and memory grows with neither the starts nor the thetas; fewer
-# rows than STACK_ROWS leave Newton's per-iteration overhead to dominate,
-# more only add memory
+# a chunk of (theta, start) rows holds max(1, STACK_BUDGET // dim**2) of
+# them, so each of Newton's three stacked (rows, dim, dim) arrays stays within
+# STACK_BUDGET elements: 1.5 MB for the three at any dim, and memory grows
+# with neither the starts nor the thetas.  Rows are capped by memory alone:
+# at 9 and 15 states an iteration's cost is mostly per-call overhead, so a
+# chunk runs about as many iterations as its slowest row whatever its size,
+# and the 459 rows of a 9-state sweep at 50 starts take 15 iterations in one
+# chunk against 61 in chunks of 100
 STACK_BUDGET = 1 << 16
-STACK_ROWS = 100
 FD_STEP = 1e-6
 LINE_SEARCH_HALVINGS = 30
 # a start converges at residual max-norm <= NEWTON_TOL < FLAT_MERGE_RESIDUAL
@@ -286,10 +289,10 @@ def _multistart(
 
     Every theta runs Newton from the same starts (_starts).  The (theta,
     start) rows of all thetas go through the batched kernel in order, as
-    one stream of chunks of max(1, min(STACK_ROWS, STACK_BUDGET // dim**2))
-    rows, so a chunk may hold the rows of several thetas and one theta's
-    rows may span two chunks.  Each row carries its theta and reaches bit
-    for bit the root a start-by-start iteration gives, because the residual
+    one stream of chunks of max(1, STACK_BUDGET // dim**2) rows, as many
+    as memory allows, so a chunk may hold the rows of several thetas and
+    one theta's rows may span two chunks.  Each row carries its theta and
+    reaches bit for bit the root a start-by-start iteration gives, because the residual
     is taken as np.matmul(M, f(U)[..., None]) (see _residual) and every
     other step is elementwise or per row.  As soon as a theta's last row is done, its
     candidates are deduped (_dedupe) and yielded, so the stream holds one
@@ -301,7 +304,7 @@ def _multistart(
     starts = _starts(dim, cfg)
     per = len(starts)
     t = np.array([theta.value for theta in thetas])
-    chunk = max(1, min(STACK_ROWS, STACK_BUDGET // (dim * dim)))
+    chunk = max(1, STACK_BUDGET // (dim * dim))
     total = len(t) * per
     roots: list[np.ndarray] = []
     norms: list[np.ndarray] = []
@@ -328,23 +331,34 @@ def _dedupe(
     within FLAT_MERGE_RADIUS of a kept root and the residual at their
     midpoint is still below FLAT_MERGE_RESIDUAL, nothing separates them at
     working precision.  A candidate merges into the first kept root it
-    matches, and the one with smaller residual represents both.
+    matches, and the one with smaller residual represents both.  Whether a
+    candidate matches kept root i depends only on the earlier candidates
+    that matched it, so the roots are kept one at a time: each pass scans,
+    in order, the candidates no earlier kept root matched, and those it
+    does not match go on to the next pass.  A root's max-norm distances to
+    every candidate are one vector, taken when it is kept or represents,
+    so memory stays linear in the candidates.
     """
-    kept = np.empty_like(roots)
-    kept_norms = np.empty_like(norms)
-    n = 0
-    for u, norm in zip(*_lex_sorted(roots, norms)):
-        for i, gap in enumerate(np.abs(kept[:n] - u).max(axis=1).tolist()):
-            if gap < DEDUPE_EPS or (
-                gap <= FLAT_MERGE_RADIUS and _max_norm(M, 0.5 * (u + kept[i]), t) <= FLAT_MERGE_RESIDUAL
+    roots, norms = _lex_sorted(roots, norms)
+    residuals = norms.tolist()
+    kept = []
+    pending = list(range(len(roots)))
+    while pending:
+        rep, unmatched = pending[0], []
+        gaps = np.abs(roots - roots[rep]).max(axis=1).tolist()
+        for c in pending[1:]:
+            if gaps[c] < DEDUPE_EPS or (
+                gaps[c] <= FLAT_MERGE_RADIUS
+                and _max_norm(M, 0.5 * (roots[c] + roots[rep]), t) <= FLAT_MERGE_RESIDUAL
             ):
-                if norm < kept_norms[i]:
-                    kept[i], kept_norms[i] = u, norm
-                break
-        else:
-            kept[n], kept_norms[n] = u, norm
-            n += 1
-    return _lex_sorted(kept[:n], kept_norms[:n])
+                if residuals[c] < residuals[rep]:
+                    rep = c
+                    gaps = np.abs(roots - roots[rep]).max(axis=1).tolist()
+            else:
+                unmatched.append(c)
+        kept.append(rep)
+        pending = unmatched
+    return _lex_sorted(roots[kept], norms[kept])
 
 
 def _lex_sorted(roots: np.ndarray, residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

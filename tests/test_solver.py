@@ -2,7 +2,8 @@
 
 Oracles: the scalar edge map is checked against its log form, the constant
 fixed point against a closed form, the batched Newton kernel against the
-start-by-start iteration in tests/oracles.py, and the spin-matrix
+start-by-start iteration in tests/oracles.py, the dedupe against its
+candidate-by-candidate loop there, and the spin-matrix
 finite-volume distribution in tests/oracles.py against a brute-force
 dictionary implementation; summed over its outer sphere, that distribution
 pins the field identity the compatibility check tests.
@@ -430,6 +431,35 @@ def test_multistart_in_several_chunks_matches_oracle(nine_state, monkeypatch):
     assert np.array_equal(found, whole) and np.array_equal(residuals, whole_residuals)
 
 
+@pytest.mark.parametrize("k, s", [(2, 1), (3, 1), (3, 2)])
+def test_dedupe_matches_the_sequential_oracle(k, s, monkeypatch):
+    # the stream's own candidates, with the flat merge of the cloud at the
+    # degenerate 1/k, and the same candidates again jittered within
+    # DEDUPE_EPS with shuffled residuals, so kept roots are often replaced
+    M = count_matrix(derive_system(SubgroupSpec(k=k, s=s, a1={1}, a2={2})))
+    calls = []
+    dedupe = solver._dedupe
+
+    def recording(M, t, roots, norms):
+        calls.append((t, roots, norms))
+        return dedupe(M, t, roots, norms)
+
+    monkeypatch.setattr(solver, "_dedupe", recording)
+    thetas = [Theta(v) for v in (1 / k, 0.55, 0.8, 0.97)]
+    list(solver._multistart(M, thetas, SolverConfig(starts=60, rng_seed=k + s)))
+    rng = np.random.default_rng(7)
+    kept = []
+    for t, roots, norms in calls:
+        jittered = np.vstack([roots, roots + rng.uniform(-4e-9, 4e-9, roots.shape)])
+        shuffled = rng.permutation(np.concatenate([norms, norms]))
+        for cand, res in ((roots, norms), (jittered, shuffled)):
+            got, expect = dedupe(M, t, cand, res), oracles.dedupe(M, t, cand, res)
+            assert got[0].tobytes() == expect[0].tobytes() and got[1].tobytes() == expect[1].tobytes()
+            kept.append((len(cand), len(got[0])))
+    # at 1/k the 61 starts' cloud around zero merges into one root
+    assert len(calls) == 4 and kept[0] == (61, 1)
+
+
 # === the exact polynomial path ===
 
 
@@ -719,6 +749,29 @@ def test_sweep_equals_solve_with_non_finite_starts(nine_state, monkeypatch):
     assert [len(found.solutions) for found in solo] == [1, 1, 3, 3, 3]
 
 
+@pytest.mark.parametrize(
+    "k, s, starts, calls",
+    [
+        (2, 1, 50, [459]),  # 9 thetas above 1/2 × 51 rows, one chunk of up to 809
+        (3, 2, 200, [291] * 8 + [285]),  # 13 thetas above 1/3 × 201 = 2,613 rows, chunks of 291
+    ],
+)
+def test_sweep_chunks_are_sized_by_the_stack_budget(k, s, starts, calls, monkeypatch):
+    system = derive_system(SubgroupSpec(k=k, s=s, a1={1}, a2={2}))
+    dim = len(system.states)
+    rows = []
+    batch = solver._newton_batch
+
+    def recording(M, t, U0):
+        rows.append(len(U0))
+        return batch(M, t, U0)
+
+    monkeypatch.setattr(solver, "_newton_batch", recording)
+    theta_sweep(system, [round(0.1 + 0.05 * i, 2) for i in range(18)], SolverConfig(starts=starts))
+    assert rows == calls
+    assert max(rows) <= max(1, solver.STACK_BUDGET // dim**2)
+
+
 def _zero_only_systems(tmp_path):
     """The derived systems of k = 2..6, s = 1..3, and an edited nine-state table read as --system reads it."""
     systems = [derive_system(SubgroupSpec(k=k, s=s, a1={1}, a2={2})) for k in range(2, 7) for s in range(1, 4)]
@@ -774,7 +827,9 @@ def test_edge_field_is_within_theta_h():
 
 def test_sweep_memory_does_not_grow_with_the_thetas(nine_state):
     # the stream holds one chunk and one theta's candidates, so forty thetas
-    # peak where two do; holding every theta's 201 candidates would not
+    # peak where six do; holding every theta's 201 candidates would not.
+    # The six thetas' 1,005 rows fill a whole 809-row chunk, as the forty's
+    # 3,819 do; two thetas' 201 rows would fill a quarter of one
     cfg = SolverConfig(starts=200)
 
     def peak(thetas):
@@ -785,10 +840,11 @@ def test_sweep_memory_does_not_grow_with_the_thetas(nine_state):
         finally:
             tracemalloc.stop()
 
-    peak([0.3, 0.8])  # caches filled outside the measurement
-    two = peak([0.3, 0.8])
+    six = [0.3, 0.6, 0.7, 0.8, 0.9, 0.95]
+    peak(six)  # caches filled outside the measurement
+    baseline = peak(six)
     forty = peak([round(0.1 + 0.02 * i, 2) for i in range(40)])
-    assert forty <= 1.2 * two, (two, forty)
+    assert forty <= 1.2 * baseline, (baseline, forty)
 
 
 # === finite-volume measures ===
