@@ -132,13 +132,14 @@ class SolutionSet:
 # === Newton iteration ===
 
 # a chunk of (theta, start) rows holds max(1, STACK_BUDGET // dim**2) of
-# them, so each of Newton's three stacked (rows, dim, dim) arrays stays within
-# STACK_BUDGET elements: 1.5 MB for the three at any dim, and memory grows
-# with neither the starts nor the thetas.  Rows are capped by memory alone:
-# at 9 and 15 states an iteration's cost is mostly per-call overhead, so a
-# chunk runs about as many iterations as its slowest row whatever its size,
-# and the 459 rows of a 9-state sweep at 50 starts take 15 iterations in one
-# chunk against 61 in chunks of 100
+# them, so while dim <= 256 each of Newton's three stacked (rows, dim, dim)
+# arrays stays within STACK_BUDGET elements, at most 1.5 MB for the three;
+# above 256 states a chunk is one row.  Memory grows with neither the starts
+# nor the thetas.  Rows are capped by memory alone: at 9 and 15 states an
+# iteration's cost is mostly per-call overhead, so a chunk runs about as many
+# iterations as its slowest row whatever its size, and the 459 rows of a
+# 9-state sweep at 50 starts take 15 iterations in one chunk against 61 in
+# chunks of 100
 STACK_BUDGET = 1 << 16
 FD_STEP = 1e-6
 LINE_SEARCH_HALVINGS = 30
@@ -292,9 +293,9 @@ def _multistart(
     one stream of chunks of max(1, STACK_BUDGET // dim**2) rows, as many
     as memory allows, so a chunk may hold the rows of several thetas and
     one theta's rows may span two chunks.  Each row carries its theta and
-    reaches bit for bit the root a start-by-start iteration gives, because the residual
-    is taken as np.matmul(M, f(U)[..., None]) (see _residual) and every
-    other step is elementwise or per row.  As soon as a theta's last row is done, its
+    reaches bit for bit the root a start-by-start iteration gives, because
+    the residual is taken as np.matmul(M, f(U)[..., None]) (see _residual)
+    and every other step is elementwise or per row.  As soon as a theta's last row is done, its
     candidates are deduped (_dedupe) and yielded, so the stream holds one
     chunk and one theta's candidates at a time.  The residual yielded with
     a root is its max-norm under _residual, bit for bit max|u - M @ f(u)|
@@ -331,34 +332,23 @@ def _dedupe(
     within FLAT_MERGE_RADIUS of a kept root and the residual at their
     midpoint is still below FLAT_MERGE_RESIDUAL, nothing separates them at
     working precision.  A candidate merges into the first kept root it
-    matches, and the one with smaller residual represents both.  Whether a
-    candidate matches kept root i depends only on the earlier candidates
-    that matched it, so the roots are kept one at a time: each pass scans,
-    in order, the candidates no earlier kept root matched, and those it
-    does not match go on to the next pass.  A root's max-norm distances to
-    every candidate are one vector, taken when it is kept or represents,
-    so memory stays linear in the candidates.
+    matches, and the one with smaller residual represents both.
     """
-    roots, norms = _lex_sorted(roots, norms)
-    residuals = norms.tolist()
-    kept = []
-    pending = list(range(len(roots)))
-    while pending:
-        rep, unmatched = pending[0], []
-        gaps = np.abs(roots - roots[rep]).max(axis=1).tolist()
-        for c in pending[1:]:
-            if gaps[c] < DEDUPE_EPS or (
-                gaps[c] <= FLAT_MERGE_RADIUS
-                and _max_norm(M, 0.5 * (roots[c] + roots[rep]), t) <= FLAT_MERGE_RESIDUAL
+    kept = np.empty_like(roots)
+    kept_norms = np.empty_like(norms)
+    n = 0
+    for u, norm in zip(*_lex_sorted(roots, norms)):
+        for i, gap in enumerate(np.abs(kept[:n] - u).max(axis=1).tolist()):
+            if gap < DEDUPE_EPS or (
+                gap <= FLAT_MERGE_RADIUS and _max_norm(M, 0.5 * (u + kept[i]), t) <= FLAT_MERGE_RESIDUAL
             ):
-                if residuals[c] < residuals[rep]:
-                    rep = c
-                    gaps = np.abs(roots - roots[rep]).max(axis=1).tolist()
-            else:
-                unmatched.append(c)
-        kept.append(rep)
-        pending = unmatched
-    return _lex_sorted(roots[kept], norms[kept])
+                if norm < kept_norms[i]:
+                    kept[i], kept_norms[i] = u, norm
+                break
+        else:
+            kept[n], kept_norms[n] = u, norm
+            n += 1
+    return _lex_sorted(kept[:n], kept_norms[:n])
 
 
 def _lex_sorted(roots: np.ndarray, residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -3,9 +3,6 @@
 _jacobian and _newton are the start-by-start damped Newton iteration the
 batched kernel in cayleygibbs.solver replaced, kept verbatim: the kernel
 must give, for every start, the same root bit for bit or the same None.
-dedupe is the candidate-by-candidate dedupe that solver._dedupe's one
-distance vector per kept root replaced; both must keep the same roots
-and residuals, bit for bit.
 
 _volume_distribution is the finite-volume Gibbs distribution by brute
 force: it builds all 2^V(n) spin configurations of the radius-n ball as a
@@ -113,26 +110,6 @@ def _newton(F, u0: np.ndarray, tol: float, max_iter: int) -> np.ndarray | None:
             return None
     r = F(u)
     return u if np.max(np.abs(r)) <= tol else None
-
-
-def dedupe(M: np.ndarray, t: float, roots: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The candidate-by-candidate dedupe solver._dedupe replaced, kept verbatim."""
-    kept = np.empty_like(roots)
-    kept_norms = np.empty_like(norms)
-    n = 0
-    for u, norm in zip(*solver._lex_sorted(roots, norms)):
-        for i, gap in enumerate(np.abs(kept[:n] - u).max(axis=1).tolist()):
-            if gap < solver.DEDUPE_EPS or (
-                gap <= solver.FLAT_MERGE_RADIUS
-                and solver._max_norm(M, 0.5 * (u + kept[i]), t) <= solver.FLAT_MERGE_RESIDUAL
-            ):
-                if norm < kept_norms[i]:
-                    kept[i], kept_norms[i] = u, norm
-                break
-        else:
-            kept[n], kept_norms[n] = u, norm
-            n += 1
-    return solver._lex_sorted(kept[:n], kept_norms[:n])
 
 
 # largest ball _volume_distribution builds: at 22 spins its int8 spin rows

@@ -2,8 +2,7 @@
 
 Oracles: the scalar edge map is checked against its log form, the constant
 fixed point against a closed form, the batched Newton kernel against the
-start-by-start iteration in tests/oracles.py, the dedupe against its
-candidate-by-candidate loop there, and the spin-matrix
+start-by-start iteration in tests/oracles.py, and the spin-matrix
 finite-volume distribution in tests/oracles.py against a brute-force
 dictionary implementation; summed over its outer sphere, that distribution
 pins the field identity the compatibility check tests.
@@ -429,35 +428,6 @@ def test_multistart_in_several_chunks_matches_oracle(nine_state, monkeypatch):
     whole, whole_residuals = next(solver._multistart(M, [th], cfg))
     assert len(found) == len(whole) == 3
     assert np.array_equal(found, whole) and np.array_equal(residuals, whole_residuals)
-
-
-@pytest.mark.parametrize("k, s", [(2, 1), (3, 1), (3, 2)])
-def test_dedupe_matches_the_sequential_oracle(k, s, monkeypatch):
-    # the stream's own candidates, with the flat merge of the cloud at the
-    # degenerate 1/k, and the same candidates again jittered within
-    # DEDUPE_EPS with shuffled residuals, so kept roots are often replaced
-    M = count_matrix(derive_system(SubgroupSpec(k=k, s=s, a1={1}, a2={2})))
-    calls = []
-    dedupe = solver._dedupe
-
-    def recording(M, t, roots, norms):
-        calls.append((t, roots, norms))
-        return dedupe(M, t, roots, norms)
-
-    monkeypatch.setattr(solver, "_dedupe", recording)
-    thetas = [Theta(v) for v in (1 / k, 0.55, 0.8, 0.97)]
-    list(solver._multistart(M, thetas, SolverConfig(starts=60, rng_seed=k + s)))
-    rng = np.random.default_rng(7)
-    kept = []
-    for t, roots, norms in calls:
-        jittered = np.vstack([roots, roots + rng.uniform(-4e-9, 4e-9, roots.shape)])
-        shuffled = rng.permutation(np.concatenate([norms, norms]))
-        for cand, res in ((roots, norms), (jittered, shuffled)):
-            got, expect = dedupe(M, t, cand, res), oracles.dedupe(M, t, cand, res)
-            assert got[0].tobytes() == expect[0].tobytes() and got[1].tobytes() == expect[1].tobytes()
-            kept.append((len(cand), len(got[0])))
-    # at 1/k the 61 starts' cloud around zero merges into one root
-    assert len(calls) == 4 and kept[0] == (61, 1)
 
 
 # === the exact polynomial path ===
