@@ -21,8 +21,14 @@ solving one theta is the one-theta case of that stream.  Each
 start still reaches the root a start-by-start iteration reaches, bit for
 bit, because the residual is one np.matmul matrix-vector product per
 start (see _residual).  That one map also gives every reported residual.
-The constant roots +-h*·1 are added wherever multistart missed them.  On
-the four-block subspace the quadratic branch is the nonzero
+The central-difference Jacobian perturbs structurally orthogonal columns
+together (Curtis, Powell and Reid, J. Inst. Math. Appl. 13, 1974):
+columns whose rows of M, with the diagonal, are disjoint share one
+perturbed point, so a row costs 2 * groups matrix-vector products, 8 for
+every singleton system derived (4 groups), where one column at a time
+cost 2 * states, and every entry keeps the bits of the column-by-column
+difference (_jacobians).  The constant roots +-h*·1 are added wherever
+multistart missed them.  On the four-block subspace the quadratic branch is the nonzero
 translation-invariant pair and the quartic cofactor has no positive root,
 so that subspace holds no non-constant fixed point; the exact path builds
 the pair as +-log(x)·1.
@@ -132,14 +138,16 @@ class SolutionSet:
 # === Newton iteration ===
 
 # a chunk of (theta, start) rows holds max(1, STACK_BUDGET // dim**2) of
-# them, so while dim <= 256 each of Newton's three stacked (rows, dim, dim)
-# arrays stays within STACK_BUDGET elements, at most 1.5 MB for the three;
-# above 256 states a chunk is one row.  Memory grows with neither the starts
-# nor the thetas.  Rows are capped by memory alone: at 9 and 15 states an
-# iteration's cost is mostly per-call overhead, so a chunk runs about as many
-# iterations as its slowest row whatever its size, and the 459 rows of a
-# 9-state sweep at 50 starts take 15 iterations in one chunk against 61 in
-# chunks of 100
+# them, so while dim <= 256 its (rows, dim, dim) Jacobians stay within
+# STACK_BUDGET elements (512 KB), and each of its three (rows, groups, dim)
+# difference stacks within groups / dim of that: 1.2 MB for the four at 9
+# states and 4 groups, 2 MB for a dense table, where every column is its own
+# group; above 256 states a chunk is one row.  Memory grows with neither
+# the starts nor the thetas.  Rows are capped by memory alone: at 9 and 15
+# states an iteration's cost is mostly per-call overhead, so a chunk runs
+# about as many iterations as its slowest row whatever its size, and the 459
+# rows of a 9-state sweep at 50 starts take 15 iterations in one chunk
+# against 61 in chunks of 100
 STACK_BUDGET = 1 << 16
 FD_STEP = 1e-6
 LINE_SEARCH_HALVINGS = 30
@@ -179,26 +187,89 @@ def _edge(U: np.ndarray, t) -> np.ndarray:
     return np.arctanh(f, out=f)
 
 
-def _shifted_residuals(
-    M: np.ndarray, u: np.ndarray, E: np.ndarray, t: np.ndarray, stack: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """F at u_b + E_j, row j of a multiple E of the identity, into out[b, j].
+def _column_groups(pattern: np.ndarray) -> list[list[int]]:
+    """The columns of a boolean pattern in groups whose supports are pairwise disjoint.
 
-    Bit for bit _residual(M, u[:, None, :] + E, t[..., None]).  That point
-    differs from u_b + E[0, -1], the signed zero off the diagonal, only in
-    coordinate j, so f is taken on 2 * dim values per row, not dim**2; the
-    matrix-vector products stay one np.matmul per point.  stack and out are
-    (rows, dim, dim) buffers the caller owns, filled by broadcast copies,
-    which unlike a broadcast add allocate no ufunc buffers.
+    First fit in index order: column j joins the first group none of whose
+    columns has a true entry in a row where column j has one, else opens a
+    new group.  Each group keeps the set of rows its columns cover, so a
+    column costs one disjointness test per group.
     """
-    n, dim = u.shape
-    off, diagonal = u + E[0, -1], u + np.diagonal(E)
-    stack[...] = _edge(off, t)[:, None, :]
-    stack.reshape(n, dim * dim)[:, :: dim + 1] = _edge(diagonal, t)
-    np.matmul(M, stack[..., None], out=out[..., None])
-    stack[...] = off[:, None, :]
-    stack.reshape(n, dim * dim)[:, :: dim + 1] = diagonal
-    return np.subtract(stack, out, out=out)
+    covered: list[set[int]] = []
+    groups: list[list[int]] = []
+    for j, column in enumerate(pattern.T):
+        support = set(np.flatnonzero(column).tolist())
+        for rows, members in zip(covered, groups):
+            if rows.isdisjoint(support):
+                rows |= support
+                members.append(j)
+                break
+        else:
+            covered.append(support)
+            groups.append([j])
+    return groups
+
+
+def _difference_layout(M: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """How _jacobians perturbs and scatters: groups, own, src, dst.
+
+    The pattern is P = (M != 0) | I, whose column j holds the rows of F that
+    u_j enters.  Its columns are grouped by _column_groups.  own[j] is
+    group(j) * dim + j, where column j's perturbed coordinate sits in a
+    flattened (groups, dim) stack; for every true P[i, j], src holds
+    group(j) * dim + i, the flat place of F_i in that stack, and dst
+    i * dim + j, the flat place of J[i, j].
+    """
+    dim = len(M)
+    pattern = (M != 0) | np.eye(dim, dtype=bool)
+    groups = _column_groups(pattern)
+    group = np.empty(dim, dtype=np.intp)
+    for g, columns in enumerate(groups):
+        group[columns] = g
+    rows, cols = np.nonzero(pattern)
+    return len(groups), group * dim + np.arange(dim), group[cols] * dim + rows, rows * dim + cols
+
+
+def _jacobians(
+    M: np.ndarray,
+    u: np.ndarray,
+    t: np.ndarray,
+    layout: tuple[int, np.ndarray, np.ndarray, np.ndarray],
+    J: np.ndarray,
+    work: np.ndarray,
+) -> np.ndarray:
+    """Central-difference Jacobians of F at every row u_b, into J[b], in column groups.
+
+    Bit for bit the column-by-column difference (F(u + FD_STEP e_j) -
+    F(u - FD_STEP e_j)) / (2 FD_STEP) of tests/oracles.py.  One side's
+    point for group g is u_b + step on g's columns and u_b + step * 0.0,
+    the signed zero that column-by-column perturbation leaves, elsewhere.
+    For a row i that u_j enters, every other column j' of j's group has
+    M[i, j'] = 0 and j' != i, so its term in F_i is an exact zero and F_i
+    at the group's point is F_i at u_b + step e_j.  Every other entry of
+    the column-by-column J is (x - x) / (2 FD_STEP) = +0.0, so J must be
+    +0.0 off the pattern (the caller zeroes it once) and only the
+    pattern's entries are written.  f is taken on 2 * dim values per row
+    and the products stay one np.matmul matrix-vector product per point
+    (see _residual).  work is three (rows, groups, dim) buffers the caller
+    owns, filled by broadcast copies, which unlike a broadcast add
+    allocate no ufunc buffers.
+    """
+    _, own, src, dst = layout
+    n = len(u)
+    plus, minus, stack = work
+    for step, out in ((FD_STEP, plus), (-FD_STEP, minus)):
+        off, moved = u + step * 0.0, u + step
+        stack[...] = _edge(off, t)[:, None, :]
+        stack.reshape(n, -1)[:, own] = _edge(moved, t)
+        np.matmul(M, stack[..., None], out=out[..., None])
+        stack[...] = off[:, None, :]
+        stack.reshape(n, -1)[:, own] = moved
+        np.subtract(stack, out, out=out)
+    plus -= minus
+    plus /= 2 * FD_STEP
+    J.reshape(n, -1)[:, dst] = plus.reshape(n, -1)[:, src]
+    return J
 
 
 def _max_norm(M: np.ndarray, U: np.ndarray, t) -> np.ndarray:
@@ -228,17 +299,24 @@ def _newton_batch(M: np.ndarray, t: np.ndarray, U0: np.ndarray) -> tuple[np.ndar
     where a row found no root.  Each row follows the scalar rule exactly:
     stop at a residual max-norm <= NEWTON_TOL, fail at a non-finite norm or
     a singular Jacobian, take the central-difference Jacobian with step
-    FD_STEP, halve the step up to LINE_SEARCH_HALVINGS times until the norm
-    strictly drops (else fail), and after NEWTON_MAX_ITER iterations keep
-    the point only if its norm is <= NEWTON_TOL.  Rows leave the live set
+    FD_STEP in column groups (_jacobians), halve the step up to
+    LINE_SEARCH_HALVINGS times until the norm strictly drops (else fail),
+    and after NEWTON_MAX_ITER iterations keep the point only if its norm is
+    <= NEWTON_TOL.  Rows leave the live set
     when they converge or fail; no row's arithmetic depends on another's.
+    The Jacobians are one (rows, dim, dim) buffer, zeroed once, whose
+    entries off M's pattern stay +0.0 while each iteration overwrites the
+    pattern's entries of its live rows.
     """
     U = U0.astype(float)
     norms = np.full(len(U), np.nan)
     live = np.arange(len(U))
-    E = FD_STEP * np.eye(U.shape[1])
-    # the Jacobian stacks of the live rows, allocated once for the batch
-    work = np.empty((3, len(U), U.shape[1], U.shape[1]))
+    dim = U.shape[1]
+    layout = _difference_layout(M)
+    # the live rows' Jacobians, +0.0 off the pattern, and the difference
+    # stacks, allocated once for the batch
+    jacobians = np.zeros((len(U), dim, dim))
+    work = np.empty((3, len(U), layout[0], dim))
     for _ in range(NEWTON_MAX_ITER):
         u, tl = U[live], t[live, None]
         r = _residual(M, u, tl)
@@ -249,13 +327,8 @@ def _newton_batch(M: np.ndarray, t: np.ndarray, U0: np.ndarray) -> tuple[np.ndar
         live, u, tl, r, norm = live[keep], u[keep], tl[keep], r[keep], norm[keep]
         if not live.size:
             return U, norms
-        # row j of each stack is F(u_b +- FD_STEP e_j), so column j of each
-        # Jacobian is the central difference along e_j
-        J, minus, stack = work[:, : live.size]
-        _shifted_residuals(M, u, E, tl, stack, J)
-        J -= _shifted_residuals(M, u, -E, tl, stack, minus)
-        J /= 2 * FD_STEP
-        steps, solved = _solve_steps(J.transpose(0, 2, 1), -r)
+        J = _jacobians(M, u, tl, layout, jacobians[: live.size], work[:, : live.size])
+        steps, solved = _solve_steps(J, -r)
         pending = solved.copy()
         lam = 1.0
         for _ in range(LINE_SEARCH_HALVINGS):
@@ -449,9 +522,11 @@ def solve_fixed_points(
     with residual 0.0 without a Newton step (_solution_sets).
     Each solution is classified by coordinate spread and annotated with the
     equality patterns it satisfies among those restrict certifies for the
-    system.  One start's finite-difference Jacobian takes states**3
-    multiply-adds, so a system over the vertex cap by that count raises
-    ResourceLimitError before the first iteration.
+    system.  One start's Newton step solves a dense states x states system,
+    of the order of states**3 multiply-adds, while its Jacobian, taken in
+    column groups, costs 2 * groups * states**2; a system over the vertex
+    cap by states**3 raises ResourceLimitError before the first iteration,
+    with the message it always gave ("... multiply-adds per Jacobian").
     """
     return _solution_sets(system, [theta], cfg)[0]
 

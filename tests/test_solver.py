@@ -430,6 +430,129 @@ def test_multistart_in_several_chunks_matches_oracle(nine_state, monkeypatch):
     assert np.array_equal(found, whole) and np.array_equal(residuals, whole_residuals)
 
 
+# === the grouped central-difference Jacobian ===
+
+
+def _edited_table():
+    """The k = 2 nine-state table with three rows moved off the derived pattern."""
+    doc = json.loads(derive_system(STANDARD).to_json())
+    doc["counts"].update({"0,0": {"0,0": 1, "1,1": 1}, "1,1": {"2,2": 2}, "2,2": {"0,1": 1, "2,2": 1}})
+    return WeaklyPeriodicSystem.from_json(json.dumps(doc))
+
+
+def _dense_table():
+    """Nine states at k = 9, every count 1: no two columns can share a group."""
+    doc = json.loads(derive_system(STANDARD).to_json())
+    names = list(doc["counts"])
+    return WeaklyPeriodicSystem.from_json(
+        json.dumps({"states": doc["states"], "counts": {a: dict.fromkeys(names, 1) for a in names}, "k": 9, "s": 1})
+    )
+
+
+PAIR_SPECS = [
+    SubgroupSpec(k=3, s=1, a1={1, 2}, a2={3, 4}),
+    SubgroupSpec(k=3, s=2, a1={1, 2}, a2={3, 4}),
+    SubgroupSpec(k=4, s=2, a1={1, 2}, a2={3, 4}),
+    SubgroupSpec(k=5, s=1, a1={1, 2}, a2={3, 4}),
+]
+
+# (system, its number of column groups); every singleton system gives 4
+GROUPED_SYSTEMS = {
+    **{
+        f"k{k}-s{s}-{min(a2)}": (lambda k=k, s=s, a2=a2: derive_system(SubgroupSpec(k=k, s=s, a1={1}, a2=a2)), 4)
+        for k in range(2, 9)
+        for s in range(1, 6)
+        for a2 in ({2}, {3})
+    },
+    **{
+        f"pairs-k{spec.k}-s{spec.s}": (lambda spec=spec: derive_system(spec, allow_nonsingleton=True), groups)
+        for spec, groups in zip(PAIR_SPECS, [3, 4, 5, 4])
+    },
+    "edited": (_edited_table, 5),
+    "dense": (_dense_table, 9),
+}
+
+
+def _grouped_jacobians(M, U, theta):
+    layout = solver._difference_layout(M)
+    n, dim = U.shape
+    J = np.zeros((n, dim, dim))
+    work = np.empty((3, n, layout[0], dim))
+    return solver._jacobians(M, U, np.full((n, 1), theta), layout, J, work)
+
+
+def _assert_oracle_jacobian(M, u, theta, J):
+    expect = _jacobian(lambda v: v - M @ edge_field(v, Theta(theta)), u)
+    assert np.array_equal(J, expect)
+    assert np.array_equal(np.signbit(J), np.signbit(expect))
+
+
+@pytest.mark.parametrize("name", list(GROUPED_SYSTEMS))
+def test_column_groups_are_disjoint_first_fit_and_cover_every_column(name):
+    build, expect = GROUPED_SYSTEMS[name]
+    M = count_matrix(build())
+    pattern = (M != 0) | np.eye(len(M), dtype=bool)
+    groups = solver._column_groups(pattern)
+    assert len(groups) == expect == solver._difference_layout(M)[0]
+    assert sorted(j for group in groups for j in group) == list(range(len(M)))
+    for g, group in enumerate(groups):
+        assert group == sorted(group)
+        for a, b in itertools.combinations(group, 2):
+            assert not np.any(pattern[:, a] & pattern[:, b])
+        # first fit: each column clashes with every earlier group's columns before it
+        for j in group:
+            for earlier in groups[:g]:
+                assert any(np.any(pattern[:, i] & pattern[:, j]) for i in earlier if i < j)
+
+
+@pytest.mark.parametrize("name", list(GROUPED_SYSTEMS))
+def test_grouped_jacobian_matches_the_column_oracle_bit_for_bit(name):
+    # value and sign bit of every entry, off the pattern (+0.0) included, at
+    # random points, at zero, and at points holding -0.0 coordinates
+    M = count_matrix(GROUPED_SYSTEMS[name][0]())
+    dim = len(M)
+    U = np.random.default_rng(dim).uniform(-5.0, 5.0, size=(6, dim))
+    U[0] = 0.0
+    U[1] = -0.0
+    U[2, ::2] = -0.0
+    U[3, 1::3] = 0.0
+    for theta in (0.3, 0.8, 0.97):
+        J = _grouped_jacobians(M, U, theta)
+        for u, got in zip(U, J):
+            _assert_oracle_jacobian(M, u, theta, got)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: derive_system(STANDARD),
+        lambda: derive_system(SubgroupSpec(k=3, s=2, a1={1}, a2={2})),
+        lambda: derive_system(SubgroupSpec(k=8, s=3, a1={1}, a2={3})),
+        lambda: derive_system(PAIR_SPECS[2], allow_nonsingleton=True),
+        _edited_table,
+        _dense_table,
+    ],
+    ids=["k2-s1", "k3-s2", "k8-s3", "pairs-k4-s2", "edited", "dense"],
+)
+def test_grouped_jacobian_matches_the_oracle_at_newton_iterates(build, monkeypatch):
+    M = count_matrix(build())
+    seen = []
+    jacobians = solver._jacobians
+
+    def recording(M, u, t, layout, J, work):
+        got = jacobians(M, u, t, layout, J, work)
+        seen.extend(zip(u.copy(), t[:, 0].copy(), got.copy()))
+        return got
+
+    monkeypatch.setattr(solver, "_jacobians", recording)
+    starts = _starts(len(M), 2, n=8)
+    t = np.repeat([0.6, 0.9], len(starts))
+    solver._newton_batch(M, t, np.vstack([starts, starts]))
+    assert len(seen) > len(t)
+    for u, theta, J in seen:
+        _assert_oracle_jacobian(M, u, theta, J)
+
+
 # === the exact polynomial path ===
 
 
