@@ -7,37 +7,30 @@ solves those equations two ways, batched multistart damped Newton on the
 full system and the exact k = 2 branch on the four-block invariant
 subspace of the nine-state system, and verifies that solutions give
 consistent finite-volume measures by checking the field identity
-b_p = sum over the children w of p of f(b_w) on sphere n-1 of the tree,
-for any n >= 2 whose 2^V(n) configuration count Python can print (n <= 12
-at k = 2, 8 at k = 3, 6 at k = 4 under the default 4300-digit limit).
-Where k theta <= 1 the zero field is proved the only fixed point, not
-sampled: |f(h)| < theta |h| for h != 0 and the rows of the non-negative
-count matrix sum to k, so a nonzero u would have |u_i| < k theta |u_i| at
-its largest coordinate (_solution_sets).  Multistart Newton runs every
+b_p = sum over the children w of p of f(b_w) on sphere n-1 of the tree
+(verify_compatibility).  Where k theta <= 1 the zero field is proved the
+only fixed point, not sampled (_solution_sets).  Multistart Newton runs every
 other (theta, start) row of a sweep through one stream of stacked
 iterations, each row at its own theta, in chunks as large as
-STACK_BUDGET allows (all 459 rows of a 9-state sweep at 50 starts);
-solving one theta is the one-theta case of that stream.  Each
-start still reaches the root a start-by-start iteration reaches, bit for
-bit, because the residual is one np.matmul matrix-vector product per
-start (see _residual).  That one map also gives every reported residual.
-The central-difference Jacobian perturbs structurally orthogonal columns
-together (Curtis, Powell and Reid, J. Inst. Math. Appl. 13, 1974):
-columns whose rows of M, with the diagonal, are disjoint share one
-perturbed point, so a row costs 2 * groups matrix-vector products, 8 for
-every singleton system derived (4 groups), where one column at a time
-cost 2 * states, and every entry keeps the bits of the column-by-column
-difference (_jacobians).  The constant roots +-h*·1 are added wherever
-multistart missed them.  On the four-block subspace the quadratic branch is the nonzero
+STACK_BUDGET allows; solving one theta is the one-theta case.  Each
+start reaches bit for bit the root a start-by-start iteration reaches
+(_newton_batch), though its line search tries the step lengths in three
+stacked stages: the residual is one np.matmul matrix-vector product per
+vector (_residual), and the central-difference Jacobian perturbs
+structurally orthogonal columns together (Curtis, Powell and Reid, 1974),
+3 DSatur groups for every singleton system (Coleman and More, 1983), so
+a row costs 6 matrix-vector products, not 2 * states (_jacobians).  The
+constant roots +-h*·1 are added wherever multistart missed them.  On the
+four-block subspace the quadratic branch is the nonzero
 translation-invariant pair and the quartic cofactor has no positive root,
 so that subspace holds no non-constant fixed point; the exact path builds
 the pair as +-log(x)·1.
 
 A run sets only SolverConfig (starts, rng_seed).  The rest are
-constants: NEWTON_TOL, NEWTON_MAX_ITER, FD_STEP, LINE_SEARCH_HALVINGS,
-START_BOX, STACK_BUDGET, DEDUPE_EPS, FLAT_MERGE_RADIUS,
-FLAT_MERGE_RESIDUAL, TI_SPREAD (constant vectors and pattern blocks),
-EXACT_RESIDUAL_TOL, SWEEP_MATCH_TOL and COMPAT_TOL.
+constants: NEWTON_TOL, NEWTON_MAX_ITER, FD_STEP, LINE_SEARCH_HALVINGS
+(in LINE_SEARCH_STAGES), START_BOX, STACK_BUDGET, DEDUPE_EPS,
+FLAT_MERGE_RADIUS, FLAT_MERGE_RESIDUAL, TI_SPREAD (constant vectors and
+pattern blocks), EXACT_RESIDUAL_TOL, SWEEP_MATCH_TOL and COMPAT_TOL.
 """
 
 from __future__ import annotations
@@ -137,20 +130,21 @@ class SolutionSet:
 
 # === Newton iteration ===
 
-# a chunk of (theta, start) rows holds max(1, STACK_BUDGET // dim**2) of
-# them, so while dim <= 256 its (rows, dim, dim) Jacobians stay within
-# STACK_BUDGET elements (512 KB), and each of its three (rows, groups, dim)
-# difference stacks within groups / dim of that: 1.2 MB for the four at 9
-# states and 4 groups, 2 MB for a dense table, where every column is its own
-# group; above 256 states a chunk is one row.  Memory grows with neither
-# the starts nor the thetas.  Rows are capped by memory alone: at 9 and 15
-# states an iteration's cost is mostly per-call overhead, so a chunk runs
-# about as many iterations as its slowest row whatever its size, and the 459
-# rows of a 9-state sweep at 50 starts take 15 iterations in one chunk
-# against 61 in chunks of 100
+# a chunk holds max(1, STACK_BUDGET // dim**2) (theta, start) rows, so up
+# to 256 states its Jacobians stay within STACK_BUDGET elements (512 KB),
+# its three (rows, groups, dim) difference stacks within 3 groups / dim of
+# that, and each stack of line-search trials within STACK_BUDGET.  Memory
+# grows with neither the starts nor the thetas.  A chunk runs as many
+# iterations as its slowest row, mostly per-call overhead at 9 and 15
+# states, so rows are capped by memory alone
 STACK_BUDGET = 1 << 16
 FD_STEP = 1e-6
 LINE_SEARCH_HALVINGS = 30
+# the step lengths 2**-j, j < LINE_SEARCH_HALVINGS, in the line search's
+# three stacked stages: 1, then 1/2 to 1/8, then the rest
+LINE_SEARCH_STAGES = tuple(
+    np.array([math.ldexp(1.0, -j) for j in range(*ends)]) for ends in ((0, 1), (1, 4), (4, LINE_SEARCH_HALVINGS))
+)
 # a start converges at residual max-norm <= NEWTON_TOL < FLAT_MERGE_RESIDUAL
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 200
@@ -166,18 +160,17 @@ FLAT_MERGE_RADIUS = 1e-2
 FLAT_MERGE_RESIDUAL = 1e-10
 
 
-def _residual(M: np.ndarray, U: np.ndarray, t) -> np.ndarray:
-    """F(U) = U - M f(U) on the last axis of a vector or a stack of vectors.
+def _residual(M: np.ndarray, U: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """f(U) and F(U) = U - M f(U) on the last axis of a vector or a stack of vectors.
 
-    t is theta: a float, or one theta per stacked vector in an array that
-    broadcasts against U.  np.matmul against f(U)[..., None] makes one
-    matrix-vector product per stacked vector, bit for bit the product
-    M @ f(u) of a single vector.  u @ M.T, einsum and (M @ f(U).T).T sum in
-    another order, which changes the last bit once a row has three nonzero
-    counts (k >= 3).  f is built in one buffer, which then takes F.
+    t is theta, a float or an array that broadcasts against U.  np.matmul
+    against f(U)[..., None] makes one matrix-vector product per stacked
+    vector, bit for bit M @ f(u); u @ M.T, einsum and (M @ f(U).T).T sum in
+    another order, which moves the last bit at k >= 3.
     """
     f = _edge(U, t)
-    return np.subtract(U, np.matmul(M, f[..., None])[..., 0], out=f)
+    F = np.matmul(M, f[..., None])[..., 0]
+    return f, np.subtract(U, F, out=F)
 
 
 def _edge(U: np.ndarray, t) -> np.ndarray:
@@ -190,24 +183,25 @@ def _edge(U: np.ndarray, t) -> np.ndarray:
 def _column_groups(pattern: np.ndarray) -> list[list[int]]:
     """The columns of a boolean pattern in groups whose supports are pairwise disjoint.
 
-    First fit in index order: column j joins the first group none of whose
-    columns has a true entry in a row where column j has one, else opens a
-    new group.  Each group keeps the set of rows its columns cover, so a
-    column costs one disjointness test per group.
+    Columns clash when they share a true row.  The groups colour the clash
+    graph by DSatur (Brelaz, 1979: next the column whose neighbours hold
+    most colours, then with most neighbours, then lowest), or by first fit
+    in index order where that gives fewer.
     """
-    covered: list[set[int]] = []
-    groups: list[list[int]] = []
-    for j, column in enumerate(pattern.T):
-        support = set(np.flatnonzero(column).tolist())
-        for rows, members in zip(covered, groups):
-            if rows.isdisjoint(support):
-                rows |= support
-                members.append(j)
-                break
-        else:
-            covered.append(support)
-            groups.append([j])
-    return groups
+    clash = pattern.T @ pattern
+    near = [np.flatnonzero(row).tolist() for row in clash]
+    dim = len(near)
+    dsatur, held = [-1] * dim, [set() for _ in range(dim)]
+    for _ in range(dim):
+        j = max((v for v in range(dim) if dsatur[v] < 0), key=lambda v: (len(held[v]), len(near[v]), -v))
+        dsatur[j] = min(set(range(dim)) - held[j])
+        for v in near[j]:
+            held[v].add(dsatur[j])
+    first_fit: list[int] = []
+    for j in range(dim):
+        first_fit.append(min(set(range(dim)) - {first_fit[v] for v in near[j] if v < j}))
+    colour = min(dsatur, first_fit, key=max)
+    return [[j for j in range(dim) if colour[j] == c] for c in range(max(colour, default=-1) + 1)]
 
 
 def _difference_layout(M: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
@@ -233,6 +227,7 @@ def _difference_layout(M: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.n
 def _jacobians(
     M: np.ndarray,
     u: np.ndarray,
+    f: np.ndarray,
     t: np.ndarray,
     layout: tuple[int, np.ndarray, np.ndarray, np.ndarray],
     J: np.ndarray,
@@ -240,27 +235,27 @@ def _jacobians(
 ) -> np.ndarray:
     """Central-difference Jacobians of F at every row u_b, into J[b], in column groups.
 
-    Bit for bit the column-by-column difference (F(u + FD_STEP e_j) -
-    F(u - FD_STEP e_j)) / (2 FD_STEP) of tests/oracles.py.  One side's
-    point for group g is u_b + step on g's columns and u_b + step * 0.0,
-    the signed zero that column-by-column perturbation leaves, elsewhere.
-    For a row i that u_j enters, every other column j' of j's group has
-    M[i, j'] = 0 and j' != i, so its term in F_i is an exact zero and F_i
-    at the group's point is F_i at u_b + step e_j.  Every other entry of
-    the column-by-column J is (x - x) / (2 FD_STEP) = +0.0, so J must be
-    +0.0 off the pattern (the caller zeroes it once) and only the
-    pattern's entries are written.  f is taken on 2 * dim values per row
-    and the products stay one np.matmul matrix-vector product per point
-    (see _residual).  work is three (rows, groups, dim) buffers the caller
-    owns, filled by broadcast copies, which unlike a broadcast add
-    allocate no ufunc buffers.
+    f is _edge(u, t).  Bit for bit the column-by-column difference
+    (F(u + FD_STEP e_j) - F(u - FD_STEP e_j)) / (2 FD_STEP) of
+    tests/oracles.py.  One side's point for group g is u_b + step on g's
+    columns and, elsewhere, u_b + step * 0.0: u_b on the - side, and on
+    the + side v = u_b + 0.0, whose f is f + v * 0.0 (f keeps its
+    argument's sign; f + 0.0 would lose the -0.0 f of a negative subnormal
+    can give).  For a row i that u_j enters, every other column j' of j's
+    group has M[i, j'] = 0 and j' != i, so its term in F_i is an exact
+    zero and F_i at the group's point is F_i at u_b + step e_j.  J's other
+    entries are +0.0 there, so the caller zeroes J once and only the
+    pattern's entries are written.  work is three (rows, groups, dim)
+    buffers the caller owns, filled by broadcast copies (a broadcast add
+    would allocate ufunc buffers).
     """
     _, own, src, dst = layout
     n = len(u)
     plus, minus, stack = work
-    for step, out in ((FD_STEP, plus), (-FD_STEP, minus)):
-        off, moved = u + step * 0.0, u + step
-        stack[...] = _edge(off, t)[:, None, :]
+    lifted = u + 0.0
+    for step, out, off, f_off in ((FD_STEP, plus, lifted, f + lifted * 0.0), (-FD_STEP, minus, u, f)):
+        moved = u + step
+        stack[...] = f_off[:, None, :]
         stack.reshape(n, -1)[:, own] = _edge(moved, t)
         np.matmul(M, stack[..., None], out=out[..., None])
         stack[...] = off[:, None, :]
@@ -274,7 +269,7 @@ def _jacobians(
 
 def _max_norm(M: np.ndarray, U: np.ndarray, t) -> np.ndarray:
     """max|F(U)| over the last axis (see _residual)."""
-    return np.max(np.abs(_residual(M, U, t)), axis=-1)
+    return np.max(np.abs(_residual(M, U, t)[1]), axis=-1)
 
 
 def _solve_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -292,61 +287,78 @@ def _solve_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
         return steps, ok
 
 
-def _newton_batch(M: np.ndarray, t: np.ndarray, U0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _line_search_stage(
+    M: np.ndarray, u: np.ndarray, steps: np.ndarray, t: np.ndarray, norm: np.ndarray, lams: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Trials u + lam * steps in one (rows, lams, dim) stack: the rows that lower norm.
+
+    Returns hit, and per hit row the first lam's point, f, residual and
+    max-norm below norm, each with the bits of that trial alone.
+    """
+    trial = u[:, None, :] + lams[:, None] * steps[:, None, :]
+    f, r = _residual(M, trial, t[:, None])
+    norms = np.max(np.abs(r), axis=2)
+    # lams fall, so the first lam that lowers a row's norm is the largest that does
+    lam = np.max(np.where(norms < norm[:, None], lams, 0.0), axis=1)
+    first = lams == lam[:, None]
+    return lam > 0.0, trial[first], f[first], r[first], norms[first]
+
+
+def _newton_batch(M: np.ndarray, t: np.ndarray, U0: np.ndarray, layout: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton on u = M f(u) from every row of U0 at once, row b at theta t[b].
 
-    Returns the rows' end points and their residual max-norms there, NaN
-    where a row found no root.  Each row follows the scalar rule exactly:
-    stop at a residual max-norm <= NEWTON_TOL, fail at a non-finite norm or
-    a singular Jacobian, take the central-difference Jacobian with step
-    FD_STEP in column groups (_jacobians), halve the step up to
-    LINE_SEARCH_HALVINGS times until the norm strictly drops (else fail),
+    Returns the roots and their residual max-norms; a row that finds none
+    keeps its start and a NaN norm.  Each row follows the scalar rule
+    exactly: stop at a norm <= NEWTON_TOL, fail at a non-finite norm or a
+    singular Jacobian (_jacobians), take the first step length 1, 1/2, ...,
+    2**(1 - LINE_SEARCH_HALVINGS) that strictly lowers the norm (else fail),
     and after NEWTON_MAX_ITER iterations keep the point only if its norm is
-    <= NEWTON_TOL.  Rows leave the live set
-    when they converge or fail; no row's arithmetic depends on another's.
-    The Jacobians are one (rows, dim, dim) buffer, zeroed once, whose
-    entries off M's pattern stay +0.0 while each iteration overwrites the
-    pattern's entries of its live rows.
+    <= NEWTON_TOL.  Each of the LINE_SEARCH_STAGES is one stacked call on
+    the rows still pending while they fit STACK_BUDGET, and an accepted
+    trial's f, residual and norm carry into the next iteration.
     """
     U = U0.astype(float)
     norms = np.full(len(U), np.nan)
-    live = np.arange(len(U))
     dim = U.shape[1]
-    layout = _difference_layout(M)
-    # the live rows' Jacobians, +0.0 off the pattern, and the difference
-    # stacks, allocated once for the batch
+    # zeroed once: entries off M's pattern stay +0.0 (see _jacobians)
     jacobians = np.zeros((len(U), dim, dim))
     work = np.empty((3, len(U), layout[0], dim))
+    f, r = _residual(M, U, t[:, None])
+    norm = np.max(np.abs(r), axis=1)
+    # an accepted trial's norm is below a finite one, so only a start's can be NaN or inf
+    live = np.flatnonzero(np.isfinite(norm))
+    u, tl, f, r, norm = U[live], t[live, None], f[live], r[live], norm[live]
     for _ in range(NEWTON_MAX_ITER):
-        u, tl = U[live], t[live, None]
-        r = _residual(M, u, tl)
-        norm = np.max(np.abs(r), axis=1)
         done = norm <= NEWTON_TOL
-        norms[live[done]] = norm[done]
-        keep = np.isfinite(norm) & ~done
-        live, u, tl, r, norm = live[keep], u[keep], tl[keep], r[keep], norm[keep]
+        if done.any():
+            U[live[done]] = u[done]
+            norms[live[done]] = norm[done]
+            keep = ~done
+            live, u, tl, f, r, norm = live[keep], u[keep], tl[keep], f[keep], r[keep], norm[keep]
         if not live.size:
             return U, norms
-        J = _jacobians(M, u, tl, layout, jacobians[: live.size], work[:, : live.size])
+        J = _jacobians(M, u, f, tl, layout, jacobians[: live.size], work[:, : live.size])
         steps, solved = _solve_steps(J, -r)
-        pending = solved.copy()
-        lam = 1.0
-        for _ in range(LINE_SEARCH_HALVINGS):
-            idx = np.flatnonzero(pending)
-            if not idx.size:
+        pending = np.flatnonzero(solved)
+        for lams in LINE_SEARCH_STAGES:
+            if not pending.size:
                 break
-            trial = u[idx] + lam * steps[idx]
-            better = _max_norm(M, trial, tl[idx]) < norm[idx]
-            u[idx[better]] = trial[better]
-            pending[idx[better]] = False
-            lam *= 0.5
-        moved = solved & ~pending
-        live = live[moved]
-        U[live] = u[moved]
-    if live.size:
-        norm = _max_norm(M, U[live], t[live, None])
-        done = norm <= NEWTON_TOL
-        norms[live[done]] = norm[done]
+            per = max(1, STACK_BUDGET // (lams.size * dim))
+            hits = []
+            for lo in range(0, pending.size, per):
+                idx = pending[lo : lo + per]
+                rows = idx if idx.size < live.size else slice(None)  # all rows: views, not copies
+                hit, *accepted = _line_search_stage(M, u[rows], steps[rows], tl[rows], norm[rows], lams)
+                won = idx[hit]
+                u[won], f[won], r[won], norm[won] = accepted
+                hits.append(hit)
+            pending = pending[~np.concatenate(hits)]
+        if pending.size or not solved.all():
+            solved[pending] = False  # no length lowered their norms
+            live, u, tl, f, r, norm = live[solved], u[solved], tl[solved], f[solved], r[solved], norm[solved]
+    done = norm <= NEWTON_TOL
+    U[live[done]] = u[done]
+    norms[live[done]] = norm[done]
     return U, norms
 
 
@@ -362,17 +374,12 @@ def _multistart(
     """Deterministic multistart Newton on u = M f(u) at each theta: deduped roots, residuals.
 
     Every theta runs Newton from the same starts (_starts).  The (theta,
-    start) rows of all thetas go through the batched kernel in order, as
-    one stream of chunks of max(1, STACK_BUDGET // dim**2) rows, as many
-    as memory allows, so a chunk may hold the rows of several thetas and
-    one theta's rows may span two chunks.  Each row carries its theta and
-    reaches bit for bit the root a start-by-start iteration gives, because
-    the residual is taken as np.matmul(M, f(U)[..., None]) (see _residual)
-    and every other step is elementwise or per row.  As soon as a theta's last row is done, its
-    candidates are deduped (_dedupe) and yielded, so the stream holds one
-    chunk and one theta's candidates at a time.  The residual yielded with
-    a root is its max-norm under _residual, bit for bit max|u - M @ f(u)|
-    of the root alone.
+    start) rows of all thetas go through the batched kernel in order, in
+    chunks of max(1, STACK_BUDGET // dim**2) rows, each row at its theta,
+    with one column layout for the stream.  As soon as a theta's last row
+    is done, its candidates are deduped (_dedupe) and yielded, so the
+    stream holds one chunk and one theta's candidates at a time.  A root's
+    residual is its max-norm under _residual, bit for bit max|u - M @ f(u)|.
     """
     dim = len(M)
     starts = _starts(dim, cfg)
@@ -380,12 +387,13 @@ def _multistart(
     t = np.array([theta.value for theta in thetas])
     chunk = max(1, STACK_BUDGET // (dim * dim))
     total = len(t) * per
+    layout = _difference_layout(M)
     roots: list[np.ndarray] = []
     norms: list[np.ndarray] = []
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
         rows = np.arange(lo, hi)
-        U, norm = _newton_batch(M, t[rows // per], starts[rows % per])
+        U, norm = _newton_batch(M, t[rows // per], starts[rows % per], layout)
         for i in range(lo // per, (hi - 1) // per + 1):
             part = slice(max(lo, i * per) - lo, min(hi, (i + 1) * per) - lo)
             found = ~np.isnan(norm[part])
@@ -517,16 +525,17 @@ def solve_fixed_points(
     The one-theta case of the stream theta_sweep runs (_multistart).  The
     zero vector is always a fixed point and is always included, and so are
     the constant roots +-h*·1 when k theta > 1 (_with_constant_roots).
-    When k theta <= 1 zero is proved the only fixed point, since
-    |f(h)| < theta |h| for h != 0 and M's rows sum to k, and it is returned
+    When k theta <= 1 zero is proved the only fixed point and is returned
     with residual 0.0 without a Newton step (_solution_sets).
     Each solution is classified by coordinate spread and annotated with the
     equality patterns it satisfies among those restrict certifies for the
-    system.  One start's Newton step solves a dense states x states system,
-    of the order of states**3 multiply-adds, while its Jacobian, taken in
-    column groups, costs 2 * groups * states**2; a system over the vertex
-    cap by states**3 raises ResourceLimitError before the first iteration,
-    with the message it always gave ("... multiply-adds per Jacobian").
+    system.  One start's Newton iteration solves a dense states x states
+    system, of the order of states**3 multiply-adds, while its Jacobian
+    costs 2 * groups * states**2 (6 * states**2 for a singleton system) and
+    its line search one to three stacked residuals; a system over the
+    vertex cap by states**3 raises ResourceLimitError before the first
+    iteration, with the message it always gave ("... multiply-adds per
+    Jacobian").
     """
     return _solution_sets(system, [theta], cfg)[0]
 
@@ -796,13 +805,10 @@ def theta_sweep(
     Agreement means the exact-branch solutions and the Newton solutions
     match pairwise within SWEEP_MATCH_TOL (_agreement).  The exact path
     solves one table (_i1_table); for every other system the Newton result
-    stands alone and agreement is vacuously true.  A theta with
-    k theta <= 1 has the zero field alone, proved (|f(h)| < theta |h| for
-    h != 0 and M's rows sum to k), not sampled.  Every other theta's fixed
-    points come from one Newton stream over their (theta, start) rows
-    (_multistart), each set equal to what solve_fixed_points gives at that
-    theta alone.  The exact vectors of all thetas are built and checked in
-    one array (_checked_branches).
+    stands alone and agreement is vacuously true.  The fixed points come
+    from _solution_sets, each theta's set equal to what solve_fixed_points
+    gives at that theta alone.  The exact vectors of all thetas are built
+    and checked in one array (_checked_branches).
     """
     thetas = [Theta(value) for value in theta_values]
     sets = _solution_sets(system, thetas, cfg)
@@ -902,7 +908,8 @@ def verify_compatibility(
     n must be at least 2, since the root has no state.  Before any ball is
     built, V(n) is held to the vertex cap (check_ball_cap), and then a
     2^V(n) with more decimal digits than sys.get_int_max_str_digits()
-    allows, which cannot be printed, raises ValueError.
+    allows, which cannot be printed, raises ValueError (by default n <= 12
+    runs at k = 2, 8 at k = 3, 6 at k = 4).
     """
     if n < 2:
         raise ValueError(f"compatibility needs n >= 2, got {n}: the root has no state")

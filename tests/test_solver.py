@@ -334,7 +334,7 @@ def _oracle_roots(M, theta, starts, tol=solver.NEWTON_TOL, max_iter=solver.NEWTO
 
 def _kernel_roots(M, theta, starts):
     """The batched kernel at one theta: per start, the root or None."""
-    U, norms = solver._newton_batch(M, np.full(len(starts), theta.value), starts)
+    U, norms = solver._newton_batch(M, np.full(len(starts), theta.value), starts, solver._difference_layout(M))
     return [None if np.isnan(norm) else u for u, norm in zip(U, norms)]
 
 
@@ -414,9 +414,9 @@ def test_multistart_in_several_chunks_matches_oracle(nine_state, monkeypatch):
     chunks, roots = [], []
     batch = solver._newton_batch
 
-    def recording(M, t, U0):
+    def recording(M, t, U0, layout):
         chunks.append(len(U0))
-        U, norms = batch(M, t, U0)
+        U, norms = batch(M, t, U0, layout)
         roots.extend(None if np.isnan(norm) else u for u, norm in zip(U, norms))
         return U, norms
 
@@ -428,6 +428,93 @@ def test_multistart_in_several_chunks_matches_oracle(nine_state, monkeypatch):
     whole, whole_residuals = next(solver._multistart(M, [th], cfg))
     assert len(found) == len(whole) == 3
     assert np.array_equal(found, whole) and np.array_equal(residuals, whole_residuals)
+
+
+def _recorded_stages(monkeypatch):
+    """Per Newton iteration, each line-search stage call's (lams, hits, misses, accepted lams, rows)."""
+    iterations = []
+    jacobians, stage = solver._jacobians, solver._line_search_stage
+
+    def recording_jacobians(*args):
+        iterations.append([])
+        return jacobians(*args)
+
+    def recording_stage(M, u, steps, t, norm, lams):
+        out = stage(M, u, steps, t, norm, lams)
+        hit, trials = out[0], out[1]
+        # a hit row's trial is u + lam * step at the first lam that lowers its norm
+        accepted = [
+            lams[np.all(u[i] + lams[:, None] * steps[i] == trial, axis=1)][0]
+            for i, trial in zip(np.flatnonzero(hit), trials)
+        ]
+        iterations[-1].append((lams.tolist(), int(hit.sum()), int((~hit).sum()), accepted, len(u)))
+        return out
+
+    monkeypatch.setattr(solver, "_jacobians", recording_jacobians)
+    monkeypatch.setattr(solver, "_line_search_stage", recording_stage)
+    return iterations
+
+
+@pytest.mark.parametrize("budget", [1 << 16, 26 * 15 * 2])
+def test_staged_line_search_matches_the_halving_oracle_bit_for_bit(budget, monkeypatch):
+    # at k = 3, s = 2, theta = 0.9 the starts take lam = 1, lams in 1/2..1/8
+    # and lams down to 2**-29, and some rows exhaust all 30 halvings and
+    # fail; the small budget splits every stage into stacks of at most
+    # budget elements (two rows for the 26 smallest lams)
+    M = count_matrix(derive_system(SubgroupSpec(k=3, s=2, a1={1}, a2={2})))
+    th = Theta(0.9)
+    starts = np.random.default_rng(7).uniform(-5.0, 5.0, size=(40, len(M)))
+    monkeypatch.setattr(solver, "STACK_BUDGET", budget)
+    iterations = _recorded_stages(monkeypatch)
+    got = _kernel_roots(M, th, starts)
+    _assert_same_roots(got, _oracle_roots(M, th, starts))
+    stages = [call for calls in iterations for call in calls]
+    halvings = [2.0**-j for j in range(solver.LINE_SEARCH_HALVINGS)]
+    assert {tuple(lams) for lams, *_ in stages} == {tuple(halvings[:1]), tuple(halvings[1:4]), tuple(halvings[4:])}
+    accepted = [lam for *_, lams, _ in stages for lam in lams]
+    assert 1.0 in accepted
+    assert any(0.125 <= lam <= 0.5 for lam in accepted)
+    assert any(lam <= 2.0**-4 for lam in accepted)
+    # rows still pending after the last stage fail
+    assert sum(missed for lams, _, missed, *_ in stages if len(lams) == 26) > 0
+    assert any(root is None for root in got)
+    assert all(rows * len(lams) * len(M) <= budget for lams, *_, rows in stages)
+    most = max(len(calls) for calls in iterations)
+    if budget == 1 << 16:
+        assert most == 3
+    else:
+        assert most > 3
+
+
+@pytest.mark.parametrize("k, s, starts", [(2, 1, 50), (3, 2, 200)])
+def test_an_iteration_makes_at_most_three_stacked_line_search_calls(k, s, starts, monkeypatch):
+    iterations = _recorded_stages(monkeypatch)
+    system = derive_system(SubgroupSpec(k=k, s=s, a1={1}, a2={2}))
+    theta_sweep(system, [0.4, 0.6, 0.8, 0.95], SolverConfig(starts=starts))
+    assert iterations and all(1 <= len(calls) <= 3 for calls in iterations)
+    assert max(len(calls) for calls in iterations) == 3
+
+
+def test_the_column_layout_is_built_once_per_stream(monkeypatch):
+    # k = 8, s = 3 has 21 states: 148 rows a chunk, so 3 thetas x 201 starts
+    # take 5 chunks, and the grouping is taken once for all of them
+    system = derive_system(SubgroupSpec(k=8, s=3, a1={1}, a2={2}))
+    builds, batches = [], []
+    layout, batch = solver._difference_layout, solver._newton_batch
+
+    def recording_layout(M):
+        builds.append(len(M))
+        return layout(M)
+
+    def recording_batch(M, t, U0, layout):
+        batches.append(len(U0))
+        return batch(M, t, U0, layout)
+
+    monkeypatch.setattr(solver, "_difference_layout", recording_layout)
+    monkeypatch.setattr(solver, "_newton_batch", recording_batch)
+    solver._solution_sets(system, [Theta(0.1), Theta(0.5), Theta(0.7), Theta(0.9)], SolverConfig(starts=200))
+    assert batches == [148] * 4 + [11]
+    assert builds == [21]
 
 
 # === the grouped central-difference Jacobian ===
@@ -456,10 +543,11 @@ PAIR_SPECS = [
     SubgroupSpec(k=5, s=1, a1={1, 2}, a2={3, 4}),
 ]
 
-# (system, its number of column groups); every singleton system gives 4
+# (system, its number of column groups); every singleton system gives 3,
+# where first fit in index order gives 4
 GROUPED_SYSTEMS = {
     **{
-        f"k{k}-s{s}-{min(a2)}": (lambda k=k, s=s, a2=a2: derive_system(SubgroupSpec(k=k, s=s, a1={1}, a2=a2)), 4)
+        f"k{k}-s{s}-{min(a2)}": (lambda k=k, s=s, a2=a2: derive_system(SubgroupSpec(k=k, s=s, a1={1}, a2=a2)), 3)
         for k in range(2, 9)
         for s in range(1, 6)
         for a2 in ({2}, {3})
@@ -468,7 +556,7 @@ GROUPED_SYSTEMS = {
         f"pairs-k{spec.k}-s{spec.s}": (lambda spec=spec: derive_system(spec, allow_nonsingleton=True), groups)
         for spec, groups in zip(PAIR_SPECS, [3, 4, 5, 4])
     },
-    "edited": (_edited_table, 5),
+    "edited": (_edited_table, 4),  # first fit: 5
     "dense": (_dense_table, 9),
 }
 
@@ -478,7 +566,8 @@ def _grouped_jacobians(M, U, theta):
     n, dim = U.shape
     J = np.zeros((n, dim, dim))
     work = np.empty((3, n, layout[0], dim))
-    return solver._jacobians(M, U, np.full((n, 1), theta), layout, J, work)
+    t = np.full((n, 1), theta)
+    return solver._jacobians(M, U, solver._edge(U, t), t, layout, J, work)
 
 
 def _assert_oracle_jacobian(M, u, theta, J):
@@ -487,22 +576,40 @@ def _assert_oracle_jacobian(M, u, theta, J):
     assert np.array_equal(np.signbit(J), np.signbit(expect))
 
 
+def _first_fit_groups(pattern):
+    """First fit in index order: column j joins the first group whose rows its own miss."""
+    covered, groups = [], []
+    for j, column in enumerate(pattern.T):
+        support = set(np.flatnonzero(column).tolist())
+        for rows, members in zip(covered, groups):
+            if rows.isdisjoint(support):
+                rows |= support
+                members.append(j)
+                break
+        else:
+            covered.append(support)
+            groups.append([j])
+    return groups
+
+
 @pytest.mark.parametrize("name", list(GROUPED_SYSTEMS))
 def test_column_groups_are_disjoint_first_fit_and_cover_every_column(name):
+    # disjoint, deterministic, covering, and never more groups than first fit
     build, expect = GROUPED_SYSTEMS[name]
     M = count_matrix(build())
     pattern = (M != 0) | np.eye(len(M), dtype=bool)
     groups = solver._column_groups(pattern)
     assert len(groups) == expect == solver._difference_layout(M)[0]
+    first_fit = len(_first_fit_groups(pattern))
+    assert len(groups) <= first_fit
+    if name.startswith("k"):  # a singleton system
+        assert first_fit == 4
+    assert solver._column_groups(pattern.copy()) == groups
     assert sorted(j for group in groups for j in group) == list(range(len(M)))
-    for g, group in enumerate(groups):
+    for group in groups:
         assert group == sorted(group)
         for a, b in itertools.combinations(group, 2):
             assert not np.any(pattern[:, a] & pattern[:, b])
-        # first fit: each column clashes with every earlier group's columns before it
-        for j in group:
-            for earlier in groups[:g]:
-                assert any(np.any(pattern[:, i] & pattern[:, j]) for i in earlier if i < j)
 
 
 @pytest.mark.parametrize("name", list(GROUPED_SYSTEMS))
@@ -511,11 +618,13 @@ def test_grouped_jacobian_matches_the_column_oracle_bit_for_bit(name):
     # random points, at zero, and at points holding -0.0 coordinates
     M = count_matrix(GROUPED_SYSTEMS[name][0]())
     dim = len(M)
-    U = np.random.default_rng(dim).uniform(-5.0, 5.0, size=(6, dim))
+    U = np.random.default_rng(dim).uniform(-5.0, 5.0, size=(7, dim))
     U[0] = 0.0
     U[1] = -0.0
     U[2, ::2] = -0.0
     U[3, 1::3] = 0.0
+    # at theta <= 1/2, f of the smallest negative subnormal underflows to -0.0
+    U[6, ::2] = -5e-324
     for theta in (0.3, 0.8, 0.97):
         J = _grouped_jacobians(M, U, theta)
         for u, got in zip(U, J):
@@ -539,15 +648,16 @@ def test_grouped_jacobian_matches_the_oracle_at_newton_iterates(build, monkeypat
     seen = []
     jacobians = solver._jacobians
 
-    def recording(M, u, t, layout, J, work):
-        got = jacobians(M, u, t, layout, J, work)
+    def recording(M, u, f, t, layout, J, work):
+        assert np.array_equal(f, solver._edge(u, t)) and np.array_equal(np.signbit(f), np.signbit(solver._edge(u, t)))
+        got = jacobians(M, u, f, t, layout, J, work)
         seen.extend(zip(u.copy(), t[:, 0].copy(), got.copy()))
         return got
 
     monkeypatch.setattr(solver, "_jacobians", recording)
     starts = _starts(len(M), 2, n=8)
     t = np.repeat([0.6, 0.9], len(starts))
-    solver._newton_batch(M, t, np.vstack([starts, starts]))
+    solver._newton_batch(M, t, np.vstack([starts, starts]), solver._difference_layout(M))
     assert len(seen) > len(t)
     for u, theta, J in seen:
         _assert_oracle_jacobian(M, u, theta, J)
@@ -790,9 +900,9 @@ def _swept_and_solo(system, thetas, cfg, monkeypatch):
         swept.extend(sets(system, thetas, cfg))
         return swept
 
-    def recording_batch(M, t, U0):
+    def recording_batch(M, t, U0, layout):
         chunks.append(t.tolist())
-        return batch(M, t, U0)
+        return batch(M, t, U0, layout)
 
     monkeypatch.setattr(solver, "_solution_sets", recording_sets)
     monkeypatch.setattr(solver, "_newton_batch", recording_batch)
@@ -855,9 +965,9 @@ def test_sweep_chunks_are_sized_by_the_stack_budget(k, s, starts, calls, monkeyp
     rows = []
     batch = solver._newton_batch
 
-    def recording(M, t, U0):
+    def recording(M, t, U0, layout):
         rows.append(len(U0))
-        return batch(M, t, U0)
+        return batch(M, t, U0, layout)
 
     monkeypatch.setattr(solver, "_newton_batch", recording)
     theta_sweep(system, [round(0.1 + 0.05 * i, 2) for i in range(18)], SolverConfig(starts=starts))
@@ -882,9 +992,9 @@ def test_zero_only_thetas_agree_with_the_full_stream(tmp_path, monkeypatch):
     rows = []
     batch = solver._newton_batch
 
-    def recording(M, t, U0):
+    def recording(M, t, U0, layout):
         rows.extend(t.tolist())
-        return batch(M, t, U0)
+        return batch(M, t, U0, layout)
 
     monkeypatch.setattr(solver, "_newton_batch", recording)
     for system in _zero_only_systems(tmp_path):
