@@ -422,17 +422,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
 
     p = add("solve", _cmd_solve, "multistart Newton on the field equations")
-    p.add_argument("--spec")
-    p.add_argument("--system", help="JSON file from the derive subcommand")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--spec")
+    source.add_argument("--system", help="JSON file from the derive subcommand")
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--starts", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("sweep", _cmd_sweep, "CSV of solution counts across theta values")
-    p.add_argument("--spec")
-    p.add_argument("--system")
-    p.add_argument("--thetas", help="comma-separated list, e.g. 0.3,0.5,0.8")
-    p.add_argument("--range", help="lo:hi:step inclusive grid")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--spec")
+    source.add_argument("--system")
+    grid = p.add_mutually_exclusive_group()
+    grid.add_argument("--thetas", help="comma-separated list, e.g. 0.3,0.5,0.8")
+    grid.add_argument("--range", help="lo:hi:step inclusive grid")
     p.add_argument("--starts", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
 
@@ -440,16 +443,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, required=True)
 
     p = add("compat", _cmd_compat, "finite-volume compatibility check (exit 2 on failure)")
-    p.add_argument("--spec")
-    p.add_argument("--system")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--spec")
+    source.add_argument("--system")
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--fields", required=True, help="JSON field vector (list or state map)")
 
     p = add("draw", _cmd_draw, "Graphviz DOT drawing of a ball, colored by class")
-    p.add_argument("--k", type=int)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--k", type=int)
+    source.add_argument("--spec")
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--spec")
 
     return parser
 

@@ -541,23 +541,28 @@ def solve_fixed_points(
 
 
 def _solutions(fields: np.ndarray, residuals: np.ndarray, patterns: tuple[str, ...]) -> list[Solution]:
-    """A Solution per row of fields, classified in one pass over all rows.
+    """A Solution per row of fields, with the patterns among those given that it satisfies.
 
-    A row is translation-invariant when its coordinate spread is below
-    TI_SPREAD, and names the patterns among those given that it satisfies
-    (_pattern_hits).
+    A row is translation-invariant when its spread, max - min, is below
+    TI_SPREAD, and lies in a pattern when the spread within every block
+    is.  A block's max is at most its row's and its min at least, and
+    rounding is monotone, so a block's spread never exceeds its row's: a
+    constant row lies in every pattern, and only the other rows are
+    measured, block by block, none when there are none.
     """
-    constant = (np.max(fields, axis=1) - np.min(fields, axis=1) < TI_SPREAD).tolist()
-    hits = _pattern_hits(fields, patterns).tolist()
-    return [
-        Solution(
-            tuple(u),
-            residual,
-            "translation-invariant" if flat else "weakly-periodic",
-            tuple(pid for pid, hit in zip(patterns, row) if hit),
-        )
-        for u, residual, flat, row in zip(fields.tolist(), residuals.tolist(), constant, hits)
+    constant = np.max(fields, axis=1) - np.min(fields, axis=1) < TI_SPREAD
+    loose = fields[~constant]
+    # per pattern, whether each other row's spread within every block is below TI_SPREAD
+    columns = [
+        np.all([np.ptp(loose[:, b], axis=1) < TI_SPREAD for b in INVARIANT_PATTERNS[pid].blocks], axis=0).tolist()
+        for pid in (patterns if len(loose) else ())
     ]
+    loose_hits = zip(*columns)
+    solutions = []
+    for u, residual, flat in zip(fields.tolist(), residuals.tolist(), constant.tolist()):
+        hits = patterns if flat else tuple(pid for pid, hit in zip(patterns, next(loose_hits, ())) if hit)
+        solutions.append(Solution(tuple(u), residual, "translation-invariant" if flat else "weakly-periodic", hits))
+    return solutions
 
 
 # === invariant equality patterns of the nine-state system ===
@@ -595,37 +600,6 @@ def certified_patterns(system: WeaklyPeriodicSystem) -> tuple[str, ...]:
             continue
         ids.append(pid)
     return tuple(ids)
-
-
-def invariant_sets_containing(fields: Sequence[float], pattern_ids: Iterable[str]) -> tuple[str, ...]:
-    """Those pattern ids whose blocks the field vector satisfies within TI_SPREAD."""
-    ids = tuple(pattern_ids)
-    hits = _pattern_hits(np.array([fields], dtype=float), ids)[0]
-    return tuple(pid for pid, hit in zip(ids, hits) if hit)
-
-
-def _pattern_hits(fields: np.ndarray, pattern_ids: tuple[str, ...]) -> np.ndarray:
-    """hits[b, j]: row b's spread within every block of pattern j is below TI_SPREAD."""
-    if not pattern_ids:
-        return np.ones((len(fields), 0), dtype=bool)
-    columns, blocks, patterns = _pattern_layout(pattern_ids)
-    part = fields[:, columns]
-    spread = np.maximum.reduceat(part, blocks, axis=1) - np.minimum.reduceat(part, blocks, axis=1)
-    return np.logical_and.reduceat(spread < TI_SPREAD, patterns, axis=1)
-
-
-@functools.cache
-def _pattern_layout(pattern_ids: tuple[str, ...]) -> tuple[list[int], list[int], list[int]]:
-    """The blocks of the patterns' states laid end to end, where each block starts, and each pattern."""
-    columns: list[int] = []
-    blocks: list[int] = []
-    patterns: list[int] = []
-    for pid in pattern_ids:
-        patterns.append(len(blocks))
-        for block in INVARIANT_PATTERNS[pid].blocks:
-            blocks.append(len(columns))
-            columns.extend(block)
-    return columns, blocks, patterns
 
 
 @dataclass(frozen=True)
@@ -836,31 +810,23 @@ def _agreement(newton: Sequence[SolutionSet], exact: Sequence[Sequence[float]]) 
     """Per theta, whether the exact and the Newton solutions match within SWEEP_MATCH_TOL.
 
     exact holds each theta's branch values; its solutions are the constant
-    vectors value·1.  Every exact solution needs a Newton one that close in
-    max-norm, and every Newton one in I1 an exact one.  One pass over all
-    of a sweep's roots: each Newton root is measured against the exact
-    solutions of its own theta, padded with infinite vectors to one count
-    per theta.
+    vectors c·1.  Every exact solution needs a Newton one that close in
+    max-norm, and every Newton one in I1 an exact one.  The max-norm
+    distance from u to c·1 is max(max(u) - c, c - min(u)): rounding is
+    monotone and c - x = -(x - c) exactly, so that is max|u - c| bit for
+    bit, and a root is read through its min and max alone.
     """
-    dim = len(newton[0].states)
-    width = max(map(len, exact))
-    padded = np.full((len(exact), width, dim), np.inf)
-    real = np.zeros((len(exact), width), dtype=bool)
-    for g, values in enumerate(exact):
-        padded[g, : len(values)] = np.array(values)[:, None]
-        real[g, : len(values)] = True
-    roots = [s for found in newton for s in found.solutions]
-    sizes = [len(found.solutions) for found in newton]
-    owner = np.repeat(np.arange(len(newton)), sizes)
-    fields = np.reshape([s.fields for s in roots], (-1, dim))
-    gaps = np.max(np.abs(fields[:, None, :] - padded[owner]), axis=2)
-    # each theta's roots are consecutive, and every theta has one: the zero start's
-    nearest = np.minimum.reduceat(gaps, list(itertools.accumulate(sizes[:-1], initial=0)), axis=0)
-    exact_missed = real & (nearest > SWEEP_MATCH_TOL)
-    in_i1 = np.array(["I1" in s.invariant_sets for s in roots], dtype=bool)
-    newton_missed = np.zeros(len(newton), dtype=bool)
-    newton_missed[owner[in_i1 & (np.min(gaps, axis=1) > SWEEP_MATCH_TOL)]] = True
-    return (~np.any(exact_missed, axis=1) & ~newton_missed).tolist()
+    agreement = []
+    for found, values in zip(newton, exact):
+        unmatched, agrees = set(values), True
+        for s in found.solutions:
+            lo, hi = min(s.fields), max(s.fields)
+            near = {c for c in values if max(hi - c, c - lo) <= SWEEP_MATCH_TOL}
+            unmatched -= near
+            if not near and "I1" in s.invariant_sets:
+                agrees = False
+        agreement.append(agrees and not unmatched)
+    return agreement
 
 
 def sweep_to_csv(rows: Iterable[SweepRow]) -> str:

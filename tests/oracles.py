@@ -43,8 +43,19 @@ QuarticReport) certify the I1 quartic cofactor on a fixed mesh of
 (0, QUARTIC_X_MAX], and finite_volume_probability reads one configuration's
 probability off _volume_distribution (looked up on this module so tests can
 replace it).
+
+_agreement and _pattern_hits (with _pattern_layout) are the array forms of
+the sweep's exact-branch cross-check and of pattern membership that
+cayleygibbs.solver replaced, kept verbatim: _agreement pads every theta's
+exact vectors with infinite ones into one stack, measures every root
+against its theta's stack and regroups by np.minimum.reduceat, and
+_pattern_hits lays the patterns' blocks end to end and reduces them with
+reduceat.  solver._agreement and the invariant sets and kinds of
+solver._solutions must equal them on every input.
 """
 
+import functools
+import itertools
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -67,7 +78,11 @@ from cayleygibbs.invariance import (
     WeaklyPeriodicSystem,
 )
 from cayleygibbs.solver import (
+    INVARIANT_PATTERNS,
+    SWEEP_MATCH_TOL,
+    TI_SPREAD,
     ReducedSystem,
+    SolutionSet,
     SolverConfig,
     Theta,
     count_matrix,
@@ -175,6 +190,61 @@ def apply_recursion(system: WeaklyPeriodicSystem, h: Sequence[float], theta: The
     if h.shape != (len(system.states),):
         raise ValueError(f"field vector must have length {len(system.states)}")
     return count_matrix(system) @ edge_field(h, theta)
+
+
+def _pattern_hits(fields: np.ndarray, pattern_ids: tuple[str, ...]) -> np.ndarray:
+    """hits[b, j]: row b's spread within every block of pattern j is below TI_SPREAD."""
+    if not pattern_ids:
+        return np.ones((len(fields), 0), dtype=bool)
+    columns, blocks, patterns = _pattern_layout(pattern_ids)
+    part = fields[:, columns]
+    spread = np.maximum.reduceat(part, blocks, axis=1) - np.minimum.reduceat(part, blocks, axis=1)
+    return np.logical_and.reduceat(spread < TI_SPREAD, patterns, axis=1)
+
+
+@functools.cache
+def _pattern_layout(pattern_ids: tuple[str, ...]) -> tuple[list[int], list[int], list[int]]:
+    """The blocks of the patterns' states laid end to end, where each block starts, and each pattern."""
+    columns: list[int] = []
+    blocks: list[int] = []
+    patterns: list[int] = []
+    for pid in pattern_ids:
+        patterns.append(len(blocks))
+        for block in INVARIANT_PATTERNS[pid].blocks:
+            blocks.append(len(columns))
+            columns.extend(block)
+    return columns, blocks, patterns
+
+
+def _agreement(newton: Sequence[SolutionSet], exact: Sequence[Sequence[float]]) -> list[bool]:
+    """Per theta, whether the exact and the Newton solutions match within SWEEP_MATCH_TOL.
+
+    exact holds each theta's branch values; its solutions are the constant
+    vectors value·1.  Every exact solution needs a Newton one that close in
+    max-norm, and every Newton one in I1 an exact one.  One pass over all
+    of a sweep's roots: each Newton root is measured against the exact
+    solutions of its own theta, padded with infinite vectors to one count
+    per theta.
+    """
+    dim = len(newton[0].states)
+    width = max(map(len, exact))
+    padded = np.full((len(exact), width, dim), np.inf)
+    real = np.zeros((len(exact), width), dtype=bool)
+    for g, values in enumerate(exact):
+        padded[g, : len(values)] = np.array(values)[:, None]
+        real[g, : len(values)] = True
+    roots = [s for found in newton for s in found.solutions]
+    sizes = [len(found.solutions) for found in newton]
+    owner = np.repeat(np.arange(len(newton)), sizes)
+    fields = np.reshape([s.fields for s in roots], (-1, dim))
+    gaps = np.max(np.abs(fields[:, None, :] - padded[owner]), axis=2)
+    # each theta's roots are consecutive, and every theta has one: the zero start's
+    nearest = np.minimum.reduceat(gaps, list(itertools.accumulate(sizes[:-1], initial=0)), axis=0)
+    exact_missed = real & (nearest > SWEEP_MATCH_TOL)
+    in_i1 = np.array(["I1" in s.invariant_sets for s in roots], dtype=bool)
+    newton_missed = np.zeros(len(newton), dtype=bool)
+    newton_missed[owner[in_i1 & (np.min(gaps, axis=1) > SWEEP_MATCH_TOL)]] = True
+    return (~np.any(exact_missed, axis=1) & ~newton_missed).tolist()
 
 
 # bisection for a constant field stops once its bracket is this narrow,

@@ -205,6 +205,42 @@ def test_solve_stdout_sha256_golden(capsys, spec):
     assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_SHA256_GOLDEN[spec]
 
 
+# the sweep CSV at k = 8, s = 1 (nine states), taken on the commit before
+# pattern membership skipped the block-by-block check on constant rows:
+# from theta = 0.25 non-constant roots lie in I1 and I2.  Which roots
+# Newton reaches and dedupe keeps hangs on the bits of every iteration, so,
+# as the sha256 goldens, it is asserted on the build it was taken on
+K8_SWEEP_GOLDEN = """theta,n_ti,n_wp_I1,n_wp_I2,agreement
+0.1,1,0,0,true
+0.15,3,0,0,true
+0.2,3,0,0,true
+0.25,3,2,0,true
+0.3,3,0,1,true
+0.35,3,0,1,true
+0.4,3,5,6,true
+0.45,3,5,5,true
+0.5,3,6,6,true
+0.55,3,6,6,true
+0.6,3,6,6,true
+0.65,3,5,4,true
+0.7,3,5,5,true
+0.75,3,6,5,true
+0.8,3,8,4,true
+0.85,3,7,5,true
+0.9,3,6,6,true
+0.95,3,7,7,true
+"""
+
+
+def test_sweep_k8_nine_state_golden(capsys):
+    argv = ["--range", "0.1:0.95:0.05", "--starts", "200", "--seed", "0"]
+    code, out = run(capsys, "sweep", "--spec", "{k:8,s:1,A1:[1],A2:[2]}", *argv)
+    assert code == 0
+    if _rounding_probe() != SOLVE_GOLDEN_PROBE:
+        pytest.skip("this numpy build rounds Newton's operations differently from the golden's build")
+    assert out == K8_SWEEP_GOLDEN
+
+
 def test_sweep_counts_every_constant_root(capsys):
     # 21 states: multistart alone counts 3, 1, 1, 1
     code, out = run(
@@ -410,6 +446,43 @@ def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--spec", STANDARD])  # no theta grid
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["solve", "--spec", STANDARD, "--system", "s.json", "--theta", "0.8"],
+            "--system: not allowed with argument --spec",
+        ),
+        (
+            ["sweep", "--spec", "{k:3,s:1,A1:[1],A2:[2]}", "--system", "s.json", "--thetas", "0.8"],
+            "--system: not allowed with argument --spec",
+        ),
+        (
+            ["sweep", "--system", "s.json", "--thetas", "0.8", "--range", "0.1:0.2:0.1"],
+            "--range: not allowed with argument --thetas",
+        ),
+        (
+            ["compat", "--system", "s.json", "--spec", STANDARD, "--theta", "0.8", "--fields", "zeros.json"],
+            "--spec: not allowed with argument --system",
+        ),
+        (["draw", "--spec", STANDARD, "--k", "3", "--radius", "1"], "--k: not allowed with argument --spec"),
+    ],
+    ids=["solve-spec-system", "sweep-spec-system", "sweep-thetas-range", "compat-system-spec", "draw-spec-k"],
+)
+def test_conflicting_inputs_exit_1(capsys, monkeypatch, tmp_path, argv, message):
+    # each pair names one input two ways; neither is dropped for the other
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.json").write_text(derive_system(SubgroupSpec.from_json(STANDARD)).to_json())
+    (tmp_path / "zeros.json").write_text(json.dumps([0.0] * 9))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_bad_spec_reports_error(capsys):

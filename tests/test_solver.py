@@ -40,13 +40,16 @@ from cayleygibbs.invariance import WeaklyPeriodicSystem, check_invariance, deriv
 from cayleygibbs.solver import (
     INVARIANT_PATTERNS,
     NINE_STATES,
+    SWEEP_MATCH_TOL,
+    TI_SPREAD,
     NotInvariantError,
+    Solution,
+    SolutionSet,
     SolverConfig,
     Theta,
     certified_patterns,
     count_matrix,
     edge_field,
-    invariant_sets_containing,
     quadratic_branch,
     restrict,
     solve_fixed_points,
@@ -222,13 +225,76 @@ def test_reduced_expand_roundtrip(nine_state):
     reduced = restrict(nine_state, "I1")
     vec = expand(reduced, [1.0, 2.0, 3.0, 4.0])
     assert vec == (1.0, 1.0, 2.0, 1.0, 1.0, 2.0, 3.0, 3.0, 4.0)
-    assert "I1" in invariant_sets_containing(vec, INVARIANT_PATTERNS)
-    assert "I2" not in invariant_sets_containing(vec, INVARIANT_PATTERNS)
+    (found,) = solver._solutions(np.array([vec]), np.zeros(1), tuple(INVARIANT_PATTERNS))
+    assert "I1" in found.invariant_sets
+    assert "I2" not in found.invariant_sets
 
 
 def test_pattern_membership_of_constant_vector():
-    hits = invariant_sets_containing((0.5,) * 9, INVARIANT_PATTERNS)
-    assert set(hits) == set(INVARIANT_PATTERNS)
+    (found,) = solver._solutions(np.full((1, 9), 0.5), np.zeros(1), tuple(INVARIANT_PATTERNS))
+    assert set(found.invariant_sets) == set(INVARIANT_PATTERNS)
+
+
+def _near(rng, c, gap):
+    """c + gap or c - gap, rounded, or the float one ulp either side of it."""
+    u = c + rng.choice([-1.0, 1.0]) * gap
+    return float(np.nextafter(u, rng.choice([-np.inf, u, np.inf])))
+
+
+def _oracle_solutions(fields, residuals, patterns):
+    """_solutions as it was, every row's blocks measured by oracles._pattern_hits."""
+    constant = (np.max(fields, axis=1) - np.min(fields, axis=1) < TI_SPREAD).tolist()
+    hits = oracles._pattern_hits(fields, patterns).tolist()
+    return [
+        Solution(
+            tuple(u),
+            residual,
+            "translation-invariant" if flat else "weakly-periodic",
+            tuple(pid for pid, hit in zip(patterns, row) if hit),
+        )
+        for u, residual, flat, row in zip(fields.tolist(), residuals.tolist(), constant, hits)
+    ]
+
+
+def _pattern_case(rng):
+    """Rows of fields with the patterns to test them against: constant, near-constant and mixed rows."""
+    ids = list(INVARIANT_PATTERNS)
+    if rng.random() < 0.1:  # a system off the nine states certifies no pattern
+        dim, patterns = int(rng.integers(1, 22)), ()
+    else:
+        dim, patterns = 9, tuple(rng.permutation(ids)[: rng.integers(0, 7)].tolist())
+    rows = []
+    for _ in range(rng.integers(1, 6)):
+        c = 0.0 if rng.random() < 0.3 else float(rng.uniform(-3.0, 3.0))
+        u = np.full(dim, c)
+        kind = rng.integers(4) if dim == 9 else rng.integers(2)
+        if kind == 1:  # the row's spread at TI_SPREAD or one ulp either side
+            u[rng.integers(dim)] = _near(rng, c, TI_SPREAD)
+        elif kind == 2:  # one pattern's blocks, each spread at the edge of TI_SPREAD
+            for block in INVARIANT_PATTERNS[ids[rng.integers(len(ids))]].blocks:
+                b = 0.0 if rng.random() < 0.3 else float(rng.uniform(-3.0, 3.0))
+                u[list(block)] = b
+                u[block[rng.integers(len(block))]] = _near(rng, b, TI_SPREAD)
+        elif kind == 3:
+            u += rng.uniform(-2 * TI_SPREAD, 2 * TI_SPREAD, dim)
+        rows.append(u)
+    return np.array(rows), rng.uniform(0.0, 1e-12, len(rows)), patterns
+
+
+def test_solutions_match_the_pattern_hits_oracle_on_random_rows():
+    rng = np.random.default_rng(29)
+    cases, hits, at_edge = set(), set(), 0
+    for _ in range(10_000):
+        fields, residuals, patterns = _pattern_case(rng)
+        found = solver._solutions(fields, residuals, patterns)
+        assert repr(found) == repr(_oracle_solutions(fields, residuals, patterns))
+        cases.add(frozenset(s.kind for s in found))
+        hits.update((s.kind, bool(s.invariant_sets)) for s in found)
+        blocks = [b for pid in patterns for b in INVARIANT_PATTERNS[pid].blocks]
+        at_edge += sum(np.ptp(u[list(b)]) == TI_SPREAD for u in fields for b in blocks)
+    assert len(cases) == 3  # all rows constant, none, and mixed
+    assert len(hits) == 4
+    assert at_edge > 1000
 
 
 def test_certified_patterns_are_those_restrict_accepts():
@@ -873,6 +939,74 @@ def test_sweep_cross_checks_only_the_exact_path_table(nine_state, monkeypatch):
     edited = dataclasses.replace(nine_state, counts=tuple(map(tuple, counts)))
     assert all(r.agreement for r in theta_sweep(edited, [0.3, 0.8], SolverConfig(starts=20)))
     assert calls == [0.3, 0.8]
+
+
+def test_sweep_disagrees_where_an_exact_value_has_no_newton_root(nine_state, monkeypatch):
+    exact = solver._branch
+
+    def shifted(theta):
+        disc, roots, boundary, values = exact(theta)
+        return disc, roots, boundary, tuple(v + math.copysign(2 * SWEEP_MATCH_TOL, v) if v else v for v in values)
+
+    monkeypatch.setattr(solver, "_branch", shifted)
+    # +-(h* + 2e-8)·1 leave residuals near 1e-8 on the full system
+    monkeypatch.setattr(solver, "EXACT_RESIDUAL_TOL", 1e-6)
+    rows = theta_sweep(nine_state, [0.3, 0.8], SolverConfig(starts=20))
+    assert [(r.n_ti, r.agreement) for r in rows] == [(1, True), (3, False)]
+
+
+def test_sweep_disagrees_where_a_newton_root_in_i1_has_no_exact_partner(nine_state, monkeypatch):
+    # the exact path keeps only the zero vector; Newton's +-h*·1 lie in I1
+    exact = solver._branch
+    monkeypatch.setattr(solver, "_branch", lambda theta: (*exact(theta)[:3], (0.0,)))
+    rows = theta_sweep(nine_state, [0.3, 0.8], SolverConfig(starts=20))
+    assert [(r.n_ti, r.agreement) for r in rows] == [(1, True), (3, False)]
+
+
+def _agreement_case(rng):
+    """A sweep's Newton SolutionSets and exact values, roots at, near and past SWEEP_MATCH_TOL."""
+    newton, exact = [], []
+    for _ in range(rng.integers(1, 5)):
+        h = float(rng.uniform(0.0, 3.0))
+        values = [(0.0,), (-h, 0.0, h), (h,), ()][rng.choice(4, p=[0.3, 0.5, 0.15, 0.05])]
+        in_i1 = rng.choice([0.0, 0.5, 1.0])  # 0.0: no root of this theta lies in I1
+        roots = []
+        for _ in range(rng.integers(1, 6)):  # every theta has a root: the zero start's
+            c = float(rng.choice(values)) if values and rng.random() < 0.8 else float(rng.uniform(-3.0, 3.0))
+            u = np.full(9, c)
+            kind = rng.integers(4)
+            if kind == 1:
+                u += rng.uniform(-1e-9, 1e-9, 9)
+            elif kind == 2:  # gaps at SWEEP_MATCH_TOL or one ulp either side
+                for j in rng.choice(9, size=rng.integers(1, 4), replace=False):
+                    u[j] = _near(rng, c, SWEEP_MATCH_TOL)
+            elif kind == 3:
+                u += rng.uniform(-3 * SWEEP_MATCH_TOL, 3 * SWEEP_MATCH_TOL, 9)
+            sets = ("I0", "I1", "I2") if rng.random() < in_i1 else ("I2",)
+            roots.append(Solution(tuple(u.tolist()), 0.0, "translation-invariant", sets))
+        newton.append(SolutionSet(0.5, NINE_STATES, tuple(roots)))
+        exact.append(values)
+    if not any(exact):
+        exact[0] = (0.0,)
+    return newton, exact
+
+
+def test_agreement_matches_the_padded_oracle_on_random_sweeps():
+    rng = np.random.default_rng(29)
+    verdicts, at_tol = [], 0
+    for _ in range(10_000):
+        newton, exact = _agreement_case(rng)
+        found = solver._agreement(newton, exact)
+        assert found == oracles._agreement(newton, exact)
+        verdicts += found
+        at_tol += any(
+            max(abs(x - c) for x in s.fields) == SWEEP_MATCH_TOL
+            for found_set, values in zip(newton, exact)
+            for s in found_set.solutions
+            for c in values
+        )
+    assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
+    assert at_tol > 100
 
 
 def test_sweep_csv_deterministic(nine_state):
