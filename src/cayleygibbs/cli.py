@@ -102,7 +102,7 @@ def _parse_spec(text: str) -> SubgroupSpec:
 
 
 def _load_system(args: argparse.Namespace) -> WeaklyPeriodicSystem:
-    if getattr(args, "system", None):
+    if args.system is not None:
         with open(args.system) as fh:
             return WeaklyPeriodicSystem.from_json(fh.read())
     spec = _parse_spec(args.spec)
@@ -277,7 +277,7 @@ def _cmd_solve(args) -> int:
 
 
 def _parse_thetas(args) -> list[float]:
-    if args.thetas:
+    if args.thetas is not None:
         try:
             values = [float(v) for v in args.thetas.split(",") if v.strip()]
         except ValueError:
@@ -343,12 +343,9 @@ def _cmd_compat(args) -> int:
 
 
 def _cmd_draw(args) -> int:
-    spec = _parse_spec(args.spec) if args.spec else None
-    k = spec.k if spec else args.k
-    if k is None:
-        raise ValueError("draw needs --spec or --k")
+    spec = _parse_spec(args.spec) if args.spec is not None else None
     if spec is None:
-        words = [(w, None) for w in enumerate_ball(k, args.radius).vertices()]
+        words = [(w, None) for w in enumerate_ball(args.k, args.radius).vertices()]
     else:
         words = list(labelled_ball(spec, args.radius))
     lines = [
@@ -357,10 +354,10 @@ def _cmd_draw(args) -> int:
         "  // further classes continue through a fixed palette",
         '  node [shape=circle, fontname="Helvetica"];',
     ]
-    for w, p in words:
+    for w, t in words:
         name = word_to_str(w)
         if spec is not None:
-            residue = p % spec.index
+            residue = t[0] % spec.index
             fill = CLASS_COLORS[residue % len(CLASS_COLORS)]
             lines.append(
                 f'  "{name}" [style=filled, fillcolor="{fill}", '
@@ -422,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
 
     p = add("solve", _cmd_solve, "multistart Newton on the field equations")
-    source = p.add_mutually_exclusive_group()
+    source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--spec")
     source.add_argument("--system", help="JSON file from the derive subcommand")
     p.add_argument("--theta", type=float, required=True)
@@ -430,10 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = add("sweep", _cmd_sweep, "CSV of solution counts across theta values")
-    source = p.add_mutually_exclusive_group()
+    source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--spec")
     source.add_argument("--system")
-    grid = p.add_mutually_exclusive_group()
+    grid = p.add_mutually_exclusive_group(required=True)
     grid.add_argument("--thetas", help="comma-separated list, e.g. 0.3,0.5,0.8")
     grid.add_argument("--range", help="lo:hi:step inclusive grid")
     p.add_argument("--starts", type=int, default=200)
@@ -443,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, required=True)
 
     p = add("compat", _cmd_compat, "finite-volume compatibility check (exit 2 on failure)")
-    source = p.add_mutually_exclusive_group()
+    source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--spec")
     source.add_argument("--system")
     p.add_argument("--theta", type=float, required=True)
@@ -451,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fields", required=True, help="JSON field vector (list or state map)")
 
     p = add("draw", _cmd_draw, "Graphviz DOT drawing of a ball, colored by class")
-    source = p.add_mutually_exclusive_group()
+    source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--k", type=int)
     source.add_argument("--spec")
     p.add_argument("--radius", type=int, required=True)
@@ -460,12 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command in ("solve", "sweep", "compat") and not (args.spec or args.system):
-        parser.error(f"{args.command} needs --spec or --system")
-    if args.command == "sweep" and not (args.thetas or args.range):
-        parser.error("sweep needs --thetas or --range")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except IllDefinedSystemError as exc:

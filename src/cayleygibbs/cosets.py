@@ -183,19 +183,68 @@ def position(x: Word, spec: SubgroupSpec) -> int:
     return p
 
 
-def labelled_ball(spec: SubgroupSpec, radius: int) -> Iterator[tuple[Word, int]]:
-    """Every word of the ball with its position, in ball enumeration order.
+Type = tuple[int, int]  # (position mod 2(2s+1), last letter); see type_table
+ROOT: Type = (0, 0)  # the root: position 0, no last letter
 
-    Each word is its parent's position stepped by its last letter, so the
-    walk costs one step per word instead of a rescan from the root.
+
+def type_table(spec: SubgroupSpec, radius: int | None = None) -> tuple[list[Type], list[Word], list[list[int]]]:
+    """The types of the ball's words (of every word if radius is None) in the ball order of their first words.
+
+    A type (position mod 2(2s+1), last letter) fixes a vertex's subtree: a
+    step reads only the parity and class of a position, and the last letter
+    is the successor a vertex lacks.  The child by letter c has type
+    (step(p, c) mod 2(2s+1), c), and ROOT has one for every letter.  Walked
+    breadth-first, children in letter order, so each first word is its
+    parent type's plus a letter.  Returns the types and first words by id
+    (ROOT is 0) and, for each type whose first word is shorter than radius,
+    its child ids in letter order: at most 2(2s+1)(k+1) + 1 rows of k + 1 ids.
     """
-    ball = enumerate_ball(spec.k, radius)
-    positions = [0]
-    yield IDENTITY, 0
-    for parents, sphere in zip(ball.spheres, ball.spheres[1:]):
-        fan = len(sphere) // len(parents)  # each parent's children are adjacent
-        positions = [step(positions[j // fan], w[-1], spec) for j, w in enumerate(sphere)]
-        yield from zip(sphere, positions)
+    period = 2 * spec.index
+    letters = range(1, spec.k + 2)
+    sets = [1 if c in spec.a1 else 2 if c in spec.a2 else 0 for c in letters]  # letters of one set step alike
+    m1, m2 = spec.m1, spec.m2
+    types, words, kids = [ROOT], [IDENTITY], []
+    ids = {ROOT: 0}
+    for (p, last), word in zip(types, words):  # both lists grow as types are met
+        if radius is not None and len(word) >= radius:
+            break
+        moved = (p, step(p, m1, spec) % period, step(p, m2, spec) % period)
+        row = []
+        for c, at in zip(letters, sets):
+            if c != last:
+                child = (moved[at], c)
+                if child not in ids:
+                    ids[child] = len(types)
+                    types.append(child)
+                    words.append(word + (c,))
+                row.append(ids[child])
+        kids.append(row)
+    return types, words, kids
+
+
+def typed_spheres(types: list[Type], kids: list[list[int]], radius: int) -> Iterator[tuple[list[Word], list[int]]]:
+    """Spheres 0 to radius of a type_table reaching radius, as (words, type ids) in ball order.
+
+    A word's children are its type's, each the word plus the child's last
+    letter, so no word is stepped; one sphere is kept at a time.
+    """
+    tails = [[(types[u][1],) for u in row] for row in kids]
+    words, ids = [IDENTITY], [0]
+    yield words, ids
+    for _ in range(radius):
+        words = [w + tail for w, t in zip(words, ids) for tail in tails[t]]
+        ids = [u for t in ids for u in kids[t]]
+        yield words, ids
+
+
+def labelled_ball(spec: SubgroupSpec, radius: int) -> Iterator[tuple[Word, Type]]:
+    """Every word of the ball with its type, in ball order; refusals as in enumerate_ball."""
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+    check_ball_cap(spec.k, radius)
+    types, _, kids = type_table(spec, radius)
+    for words, ids in typed_spheres(types, kids, radius):
+        yield from zip(words, [types[i] for i in ids])
 
 
 def label(x: Word, spec: SubgroupSpec) -> CosetLabel:
@@ -218,7 +267,7 @@ def coset_classes(spec: SubgroupSpec, radius: int) -> dict[int, list[Word]]:
     if radius < 2 * spec.s:
         raise ValueError(f"radius must be >= 2s = {2 * spec.s} to populate every class")
     classes: dict[int, list[Word]] = {}  # keyed as met, so the ball cap comes before any class
-    for x, p in labelled_ball(spec, radius):
+    for x, (p, _) in labelled_ball(spec, radius):
         classes.setdefault(p % spec.index, []).append(x)
     return dict(sorted(classes.items()))
 

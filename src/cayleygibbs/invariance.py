@@ -18,27 +18,24 @@ derivation refuses to certify.
 derive_system therefore builds the system straight from that offset table,
 in O(s) rows whatever k is.  Only a refusal walks the types: a vertex's
 subtree is fixed by its type (position mod 2(2s+1), last letter), and the
-reachable types are finite.  One comparison (_compare_types) walks the
-types breadth-first (_type_walk), meeting each first at its first word in
-ball order, and compares each type's successor profile with the first of
-its state; a refusal names the first words of two disagreeing types.
-check_invariance makes the same comparison, stopped at the radius; only
-when some type disagrees does it walk the words (_violation_walk), as
-(word, type) pairs looked up in the child lists, to name the violating
-words in ball order.  Tests check the table against the uncut walk on every
-letter choice with k <= 5 and s <= 4, and symbolically for every k and s.
+reachable types are finite.  The type table (cosets.type_table) is the one
+labelled walk of the tree.  _compare_types checks each type in it against
+the first type of its state; a refusal names the first words of two that
+disagree.  check_invariance makes the same comparison, stopped at the
+radius, and only when some type disagrees walks the table's spheres
+(_violation_walk) to name the violating words in ball order.  Tests check
+the table against the uncut walk on every letter choice with k <= 5 and
+s <= 4, and symbolically for every k and s.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, fields
-from typing import Iterator
 
-from cayleygibbs.cosets import SubgroupSpec, position, step
+from cayleygibbs.cosets import SubgroupSpec, Type, position, step, type_table, typed_spheres
 from cayleygibbs.words import (
-    IDENTITY,
     Word,
     check_ball_cap,
     check_work,
@@ -46,8 +43,6 @@ from cayleygibbs.words import (
 )
 
 StatePair = tuple[int, int]
-Type = tuple[int, int]  # (position mod 2(2s+1), last letter); see _type_walk
-ROOT: Type = (0, 0)  # the root: position 0, no last letter
 
 
 class IllDefinedSystemError(RuntimeError):
@@ -132,9 +127,9 @@ def check_invariance(spec: SubgroupSpec, radius: int) -> InvarianceReport:
     if radius < 2:
         raise ValueError(f"radius must be >= 2, got {radius}")
     words_checked = check_ball_cap(spec.k, radius) - 1
-    first, mismatched, children = _compare_types(spec, radius)
-    broken = {t: (*first[st], profile, False) for t, (st, _, profile) in mismatched.items()}
-    violations = _violation_walk(radius, children, broken) if broken else ()
+    first, mismatched, (types, _, kids) = _compare_types(spec, radius)
+    broken = {i: (*first[st], profile, False) for i, (st, profile) in mismatched.items()}
+    violations = _violation_walk(radius, types, kids, broken) if broken else ()
     return InvarianceReport(
         holds=not violations,
         radius=radius,
@@ -144,100 +139,48 @@ def check_invariance(spec: SubgroupSpec, radius: int) -> InvarianceReport:
     )
 
 
-def _compare_types(spec: SubgroupSpec, radius: int | None = None) -> tuple[dict, dict, dict]:
+def _compare_types(spec: SubgroupSpec, radius: int | None = None) -> tuple[dict, dict, tuple]:
     """Compare every type's successor profile with the first of its state.
 
-    Walks the types with first words up to length radius, or all of them.
-    Type (p, last) is in state (p, step(p, last)) mod 2s+1; its profile is
-    its children's classes in letter order.  Returns, in ball order: state
-    -> (first word, profile); type -> (state, first word, profile) for each
-    type whose sorted profile differs from its state's first one; and the
-    child types of the root and of every type walked.
+    Reads type_table(spec, radius + 1), where every type within radius has
+    its children, or the whole table.  Type (p, last) is in state
+    (p, step(p, last)) mod 2s+1 and its profile is its children's classes
+    in letter order.  Returns, in ball order, state -> (first word,
+    profile), type id -> (state, profile) for each type whose sorted
+    profile differs from its state's first one, and the table.
     """
     n = spec.index
+    types, words, kids = table = type_table(spec, None if radius is None else radius + 1)
     first: dict[StatePair, tuple[Word, tuple[int, ...]]] = {}
-    mismatched: dict[Type, tuple[StatePair, Word, tuple[int, ...]]] = {}
-    walk = _type_walk(spec)
-    root, _, kids = next(walk)  # the root has no state
-    children = {root: kids}
-    for t, x, kids in walk:
-        if radius is not None and len(x) > radius:
-            break
-        children[t] = kids
-        p, last = t
+    mismatched: dict[int, tuple[StatePair, tuple[int, ...]]] = {}
+    for i in range(1, len(kids)):  # ROOT, id 0, has no state
+        p, last = types[i]
         st = (p % n, step(p, last, spec) % n)
-        profile = tuple(q % n for q, _ in kids)
-        _, first_profile = first.setdefault(st, (x, profile))
+        profile = tuple(types[u][0] % n for u in kids[i])
+        _, first_profile = first.setdefault(st, (words[i], profile))
         if sorted(profile) != sorted(first_profile):
-            mismatched[t] = (st, x, profile)
-    return first, mismatched, children
+            mismatched[i] = (st, profile)
+    return first, mismatched, table
 
 
 def _violation_walk(
-    radius: int,
-    children: dict[Type, list[Type]],
-    broken: dict[Type, tuple],
+    radius: int, types: list[Type], kids: list[list[int]], broken: dict[int, tuple]
 ) -> tuple[InvarianceViolation, ...]:
-    """Every word of the ball whose type is broken, in ball order.
+    """Every word of the ball whose type id is broken, with its verdict, in ball order.
 
-    children maps the root and every type met within the radius to its
-    children's types, so it covers the children of every word inside the
-    radius.  The ball is walked sphere by sphere as (word, type) pairs,
-    keeping one sphere; a child's type, and so its verdict, is looked up,
-    so no word is stepped.  A sphere's violations are its parents' broken
-    children, in parent order and then letter order, which is ball order;
-    the last sphere is never built, only its violating words.
+    Spheres 0 to radius - 1 are walked (typed_spheres).  A sphere's
+    violations are its words' broken children, in word and then letter
+    order, which is ball order, so the last sphere is never built.
     """
-    # Per type, by id (the root is 0): the one-letter tails of its
-    # children, their type ids, and (tail, *verdict) per broken child.
-    ids = {t: i for i, t in enumerate(children)}
-    tails = [[(u[1],) for u in kids] for kids in children.values()]
-    kid_ids = [[ids.get(u) for u in kids] for kids in children.values()]  # None past the radius
-    bad = [[((u[1],), *broken[u]) for u in kids if u in broken] for kids in children.values()]
+    bad = [[((types[u][1],), *broken[u]) for u in row if u in broken] for row in kids]  # (tail, *verdict)
     violations: list[InvarianceViolation] = []
-    words: list[Word] = [IDENTITY]
-    word_types = [0]
-    for depth in range(1, radius + 1):
+    for words, ids in typed_spheres(types, kids, radius - 1):
         violations += [
             _violation(rep, w + tail, rep_profile, profile, shared)
-            for w, t in zip(words, word_types)
+            for w, t in zip(words, ids)
             for tail, rep, rep_profile, profile, shared in bad[t]
         ]
-        if depth < radius:
-            words = [w + tail for w, t in zip(words, word_types) for tail in tails[t]]
-            word_types = [u for t in word_types for u in kid_ids[t]]
     return tuple(violations)
-
-
-def _type_walk(spec: SubgroupSpec) -> Iterator[tuple[Type, Word, list[Type]]]:
-    """The root and every type reachable from it, with first words and child types.
-
-    Each type comes with its first word in ball order and its children's
-    types in letter order.  A type is (position mod 2(2s+1), last letter): a step reads only the
-    parity and the class of the position, and the last letter is the one
-    successor a vertex lacks.  The child by letter c sits at step(p, c), so
-    its type is that position mod 2(2s+1) and c; the root, ROOT, has a
-    child for every letter.  Breadth-first from the root, with children in
-    ascending letter order, types come out in the ball order of their first
-    words, and each word is its parent type's word plus a letter.  There
-    are at most 2(2s+1)(k+1) types besides the root.
-    """
-    period = 2 * spec.index
-    letters = range(1, spec.k + 2)
-    first = {ROOT: IDENTITY}
-    queue = deque(first)
-    while queue:
-        t = queue.popleft()
-        p, last = t
-        kids = []
-        for c in letters:
-            if c != last:
-                child = (step(p, c, spec) % period, c)
-                kids.append(child)
-                if child not in first:
-                    first[child] = first[t] + (c,)
-                    queue.append(child)
-        yield t, first[t], kids
 
 
 @dataclass(frozen=True)
@@ -380,12 +323,12 @@ def derive_system(spec: SubgroupSpec, allow_nonsingleton: bool = False) -> Weakl
     if m != len(spec.a2):
         steps = (spec.k + 1) * 2 * n * spec.k
         check_work(steps, f"type automaton for k={spec.k}, s={spec.s} takes up to {steps} steps")
-        first, mismatched, _ = _compare_types(spec)
-        st, word, profile = next(iter(mismatched.values()))
+        first, mismatched, (_, words, _) = _compare_types(spec)
+        i, (st, profile) = next(iter(mismatched.items()))
         rows = [dict(Counter((r, st[0]) for r in p)) for p in (first[st][1], profile)]
         raise IllDefinedSystemError(
             f"state {st}: {word_to_str(first[st][0])} gives {rows[0]} "
-            f"but {word_to_str(word)} gives {rows[1]}; successor counts "
+            f"but {word_to_str(words[i])} gives {rows[1]}; successor counts "
             "depend on the vertex, so the invariance property fails"
         )
     offsets = (-1, 0, 1) if m0 else (-1, 1)

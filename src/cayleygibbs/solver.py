@@ -325,21 +325,21 @@ def _newton_batch(M: np.ndarray, t: np.ndarray, U0: np.ndarray, layout: tuple) -
     work = np.empty((3, len(U), layout[0], dim))
     f, r = _residual(M, U, t[:, None])
     norm = np.max(np.abs(r), axis=1)
+    live, u, tl = np.arange(len(U)), U, t[:, None]
     # an accepted trial's norm is below a finite one, so only a start's can be NaN or inf
-    live = np.flatnonzero(np.isfinite(norm))
-    u, tl, f, r, norm = U[live], t[live, None], f[live], r[live], norm[live]
-    for _ in range(NEWTON_MAX_ITER):
+    ok = np.isfinite(norm)
+    for iteration in range(NEWTON_MAX_ITER + 1):
+        # retire: write out the converged rows, drop them and the failed ones
         done = norm <= NEWTON_TOL
-        if done.any():
-            U[live[done]] = u[done]
-            norms[live[done]] = norm[done]
-            keep = ~done
-            live, u, tl, f, r, norm = live[keep], u[keep], tl[keep], f[keep], r[keep], norm[keep]
-        if not live.size:
+        U[live[done]] = u[done]
+        norms[live[done]] = norm[done]
+        keep = ok & ~done
+        live, u, tl, f, r, norm = live[keep], u[keep], tl[keep], f[keep], r[keep], norm[keep]
+        if not live.size or iteration == NEWTON_MAX_ITER:
             return U, norms
         J = _jacobians(M, u, f, tl, layout, jacobians[: live.size], work[:, : live.size])
-        steps, solved = _solve_steps(J, -r)
-        pending = np.flatnonzero(solved)
+        steps, ok = _solve_steps(J, -r)
+        pending = np.flatnonzero(ok)
         for lams in LINE_SEARCH_STAGES:
             if not pending.size:
                 break
@@ -353,13 +353,7 @@ def _newton_batch(M: np.ndarray, t: np.ndarray, U0: np.ndarray, layout: tuple) -
                 u[won], f[won], r[won], norm[won] = accepted
                 hits.append(hit)
             pending = pending[~np.concatenate(hits)]
-        if pending.size or not solved.all():
-            solved[pending] = False  # no length lowered their norms
-            live, u, tl, f, r, norm = live[solved], u[solved], tl[solved], f[solved], r[solved], norm[solved]
-    done = norm <= NEWTON_TOL
-    U[live[done]] = u[done]
-    norms[live[done]] = norm[done]
-    return U, norms
+        ok[pending] = False  # no length lowered their norms
 
 
 def _starts(dim: int, cfg: SolverConfig) -> np.ndarray:

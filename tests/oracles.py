@@ -68,8 +68,8 @@ from cayleygibbs.cosets import (
     SubgroupSpec,
     _alternating,
     label,
-    labelled_ball,
     neighbor_counts,
+    position,
 )
 from cayleygibbs.invariance import (
     InvarianceReport,
@@ -390,10 +390,11 @@ def check_invariance(spec: SubgroupSpec, radius: int) -> InvarianceReport:
     first_rep: dict[StatePair, tuple[Word, tuple[int, ...], tuple[int, ...]]] = {}
     violations: list[InvarianceViolation] = []
     words_checked = 0
-    for x, p in labelled_ball(spec, radius):
+    for x in enumerate_ball(spec.k, radius).vertices():
         if x == IDENTITY:
             continue
         words_checked += 1
+        p = position(x, spec)
         near = neighbor_classes(p, spec)
         st = (p % spec.index, near[x[-1] - 1])
         profile = _drop_parent(near, x)
@@ -464,7 +465,8 @@ def check_class_counts(spec: SubgroupSpec, radius: int) -> ClassCountReport:
     vectors: dict[int, tuple[int, ...]] = {}
     passed = True
     permutations = True
-    for _, p in labelled_ball(spec, radius):
+    for x in enumerate_ball(spec.k, radius).vertices():
+        p = position(x, spec)
         near = neighbor_classes(p, spec)
         q = tuple(near.count(r) for r in range(spec.index))
         if vectors.setdefault(p % spec.index, q) != q:

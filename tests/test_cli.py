@@ -428,6 +428,32 @@ def test_draw_without_spec_is_uncolored(capsys):
     assert out.count(" -- ") == 3
 
 
+# sha256 of classes and draw stdout, taken before labelled balls were read
+# from the type table; the labels are integer arithmetic, so no probe gates them
+COSET_SHA256_GOLDEN = {
+    ("{k:3,s:2,A1:[1],A2:[2]}", "6"): (
+        "7bdb441cbbcfd35f94b47979a522656c26cf41673536b467dbbb067626af7936",
+        "d65f7ae56b5c7acd0c390dcc69b0ba845e142aa3fbeda01ab64739c450fc9e6a",
+    ),
+    ("{k:3,s:1,A1:[1,2],A2:[3]}", "4"): (
+        "5441bd49ef29c898585c4eedc169f50151713f6357e994751d7ad6849f44bab0",
+        "e7889dcd99103c519eca191b5022c1c74d443393cced8082258669498b3947df",
+    ),
+    ("{k:4,s:2,A1:[1],A2:[3]}", "4"): (
+        "e1e98d97c6881b3227003a757d4b8c040882f2695ff5f3db6bc4c7150c2765b0",
+        "47c381dfd3ab01344ea5badbea5a44b42222e9660ccfdd5d2314c8b3fa7f17b6",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec, radius", list(COSET_SHA256_GOLDEN))
+def test_classes_and_draw_stdout_sha256_golden(capsys, spec, radius):
+    for command, golden in zip(("classes", "draw"), COSET_SHA256_GOLDEN[spec, radius]):
+        code, out = run(capsys, command, "--spec", spec, "--radius", radius)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == golden, command
+
+
 def test_out_file_matches_stdout(capsys, tmp_path):
     _, stdout_text = run(capsys, "ball", "--k", "2", "--radius", "2")
     path = tmp_path / "ball.txt"
@@ -482,6 +508,49 @@ def test_conflicting_inputs_exit_1(capsys, monkeypatch, tmp_path, argv, message)
     assert exc.value.code == 1
     assert captured.out == ""
     assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--theta", "0.8"], "one of the arguments --spec --system is required"),
+        (["sweep", "--thetas", "0.8"], "one of the arguments --spec --system is required"),
+        (["sweep", "--spec", STANDARD], "one of the arguments --thetas --range is required"),
+        (["compat", "--theta", "0.8", "--fields", "zeros.json"], "one of the arguments --spec --system is required"),
+        (["draw", "--radius", "1"], "one of the arguments --k --spec is required"),
+    ],
+    ids=["solve-source", "sweep-source", "sweep-grid", "compat-source", "draw-source"],
+)
+def test_missing_input_prints_the_subcommand_usage(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: cayleygibbs {argv[0]} ")
+    assert f"cayleygibbs {argv[0]}: error: {message}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--spec", STANDARD, "--thetas="], "--thetas needs at least one value, got ''"),
+        (["sweep", "--spec", STANDARD, "--range="], "--range must be lo:hi:step, got ''"),
+        (["solve", "--system=", "--theta", "0.8"], "No such file or directory: ''"),
+        (["solve", "--spec=", "--theta", "0.8"], "bad spec JSON"),
+        (["draw", "--spec=", "--radius", "1"], "bad spec JSON"),
+    ],
+    ids=["sweep-thetas", "sweep-range", "solve-system", "solve-spec", "draw-spec"],
+)
+def test_empty_input_exits_1_with_its_own_message(capsys, argv, message):
+    # an empty value is given, so argparse accepts it and the handler refuses it
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
     assert "Traceback" not in captured.err
 
 

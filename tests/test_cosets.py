@@ -325,7 +325,8 @@ def test_labelled_ball_carries_positions():
     for spec in RULE_SPECS:
         pairs = list(labelled_ball(spec, 6))
         assert [x for x, _ in pairs] == list(enumerate_ball(spec.k, 6).vertices())
-        assert all(p == position(x, spec) for x, p in pairs)
+        period = 2 * spec.index
+        assert all(t == (position(x, spec) % period, x[-1] if x else 0) for x, t in pairs)
 
 
 def test_neighbor_counts_match_folded_projection():

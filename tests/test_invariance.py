@@ -605,7 +605,7 @@ def test_derive_refuses_exactly_where_invariance_fails_at_the_type_depth():
     assert len(specs) == 484
     refused = 0
     for spec in specs:
-        depth = max(len(x) for _, x, _ in invariance._type_walk(spec))
+        depth = max(len(x) for x in cosets.type_table(spec)[1])
         report = check_invariance(spec, depth)
         try:
             system = derive_system(spec, allow_nonsingleton=True)
@@ -684,7 +684,7 @@ def test_holding_derive_walks_no_types(monkeypatch):
     def refuse(*args):
         raise AssertionError("a holding derive walked the types")
 
-    monkeypatch.setattr(invariance, "_type_walk", refuse)
+    monkeypatch.setattr(invariance, "type_table", refuse)
     holding = (STANDARD, PAIRS, SubgroupSpec(k=5, s=4, a1={2}, a2={6}), SubgroupSpec(k=4, s=2, a1={1, 2}, a2={3, 4}))
     for spec in holding:
         system = derive_system(spec, allow_nonsingleton=True)
