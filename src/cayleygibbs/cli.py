@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage or input error, 2 a verification ran and
 failed.  All output is deterministic for fixed arguments: floats are
-printed with 17 significant digits in JSON and 12 in CSV.
+printed with 17 significant digits in JSON, and CSV theta values as their
+shortest round-trip repr.
 """
 
 from __future__ import annotations

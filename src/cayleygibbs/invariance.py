@@ -16,16 +16,17 @@ different profiles for one state; the checker reports the witnesses and the
 derivation refuses to certify.
 
 derive_system therefore builds the system straight from that offset table,
-in O(s) rows whatever k is.  Only a refusal walks the types: a vertex's
-subtree is fixed by its type (position mod 2(2s+1), last letter), and the
-reachable types are finite.  The type table (cosets.type_table) is the one
-labelled walk of the tree.  _compare_types checks each type in it against
-the first type of its state; a refusal names the first words of two that
-disagree.  check_invariance makes the same comparison, stopped at the
-radius, and only when some type disagrees walks the table's spheres
-(_violation_walk) to name the violating words in ball order.  Tests check
-the table against the uncut walk on every letter choice with k <= 5 and
-s <= 4, and symbolically for every k and s.
+in O(s) rows whatever k is.  A vertex's subtree is fixed by its type
+(position mod 2(2s+1), last letter), and a step reads only the set (A0, A1
+or A2) of a letter, so check_invariance decides its verdict on the
+letter-set quotient of the types: at most 3*2(2s+1) + 1 of them whatever k
+is (_quotient_verdict).  The full type table (cosets.type_table) names the
+violations, the refusal witnesses and labelled_ball's words: _compare_types
+checks each type in it against the first type of its state, and only a
+failing check walks its spheres (_violation_walk) to name the violating
+words in ball order.  Tests check the quotient against the table and the
+table against the uncut walk on every letter choice with k <= 5 and s <= 4,
+and the offset table symbolically for every k and s.
 """
 
 from __future__ import annotations
@@ -118,25 +119,55 @@ def check_invariance(spec: SubgroupSpec, radius: int) -> InvarianceReport:
     Equivalent to checking every pair x, y with equal classes and equal
     parent classes of the ball: profiles are compared as multisets of class
     residues, and the first word of each state in ball order stands in for
-    x.  A word's state and profile are fixed by its type, and so is the
-    first word of its state, so each type within the radius is compared
-    once (_compare_types).  Only when some type disagrees are the words
-    walked (_violation_walk), to list the violating words in ball order,
-    each with the proven constant False as shared_positions_equal.
+    x.  A word's state and profile are fixed by its letter-set quotient
+    type, so the verdict and states_seen come from the quotient types within
+    the radius (_quotient_verdict), whatever k is.  Only a failing check
+    reads the full type table: each type is compared once with the first
+    of its state (_compare_types), and the words are walked
+    (_violation_walk) to list the violating words in ball order, each with
+    the proven constant False as shared_positions_equal.
     """
     if radius < 2:
         raise ValueError(f"radius must be >= 2, got {radius}")
     words_checked = check_ball_cap(spec.k, radius) - 1
+    holds, states_seen = _quotient_verdict(spec, radius)
+    if holds:
+        return InvarianceReport(True, radius, words_checked, states_seen, ())
     first, mismatched, (types, _, kids) = _compare_types(spec, radius)
     broken = {i: (*first[st], profile, False) for i, (st, profile) in mismatched.items()}
-    violations = _violation_walk(radius, types, kids, broken) if broken else ()
-    return InvarianceReport(
-        holds=not violations,
-        radius=radius,
-        words_checked=words_checked,
-        states_seen=len(first),
-        violations=violations,
-    )
+    violations = _violation_walk(radius, types, kids, broken)
+    return InvarianceReport(False, radius, words_checked, states_seen, violations)
+
+
+def _quotient_verdict(spec: SubgroupSpec, radius: int) -> tuple[bool, int]:
+    """(holds, states_seen) over the quotient types of depth 1 to radius.
+
+    A quotient type is (position mod 2(2s+1), set of the last letter), the
+    set 0, 1 or 2 for A0, A1, A2 (None at the root).  Its children in set X
+    number |X|, one fewer when X is its own set, and have type
+    (step(p, X's letter) mod 2(2s+1), X).  Walked breadth-first; each type
+    is compared, as a class -> count profile, with the first of its state.
+    """
+    n, period = spec.index, 2 * spec.index
+    m1, m2 = spec.m1, spec.m2
+    sizes = (spec.a0_size, len(spec.a1), len(spec.a2))
+    queue, seen = [(0, None, 0)], set()  # (position, set of the last letter, depth)
+    first: dict[StatePair, dict[int, int]] = {}
+    holds = True
+    for p, at, depth in queue:  # the queue grows as types are met
+        if depth > radius:
+            break
+        moved = (p, step(p, m1, spec) % period, step(p, m2, spec) % period)
+        profile = {}
+        for x, size in enumerate(sizes):
+            if c := size - (x == at):
+                profile[moved[x] % n] = c  # p - 1, p and p + 1 are distinct classes
+                if (child := (moved[x], x)) not in seen:
+                    seen.add(child)
+                    queue.append((*child, depth + 1))
+        if depth:
+            holds &= first.setdefault((p % n, moved[at] % n), profile) == profile
+    return holds, len(first)
 
 
 def _compare_types(spec: SubgroupSpec, radius: int | None = None) -> tuple[dict, dict, tuple]:

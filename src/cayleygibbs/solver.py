@@ -824,10 +824,11 @@ def _agreement(newton: Sequence[SolutionSet], exact: Sequence[Sequence[float]]) 
 
 
 def sweep_to_csv(rows: Iterable[SweepRow]) -> str:
+    """The sweep CSV, each theta as its shortest round-trip repr, so distinct thetas print distinct rows."""
     lines = ["theta,n_ti,n_wp_I1,n_wp_I2,agreement"]
     for row in rows:
         lines.append(
-            f"{row.theta:.12g},{row.n_ti},{row.n_wp_i1},{row.n_wp_i2},"
+            f"{float(row.theta)!r},{row.n_ti},{row.n_wp_i1},{row.n_wp_i2},"
             f"{'true' if row.agreement else 'false'}"
         )
     return "\n".join(lines) + "\n"

@@ -144,6 +144,15 @@ def test_sweep_csv(capsys):
     assert lines[2].startswith("0.8,3,")
 
 
+def test_sweep_csv_tells_adjacent_thetas_apart(capsys):
+    # two floats one ulp apart, which 12 significant digits print alike
+    code, out = run(
+        capsys, "sweep", "--spec", STANDARD, "--thetas", "0.30000000000000004,0.3", "--starts", "5"
+    )
+    assert code == 0
+    assert out == "theta,n_ti,n_wp_I1,n_wp_I2,agreement\n0.30000000000000004,1,0,0,true\n0.3,1,0,0,true\n"
+
+
 # the sweep CSV of the commit before the batched Newton kernel, on the
 # benchmark's grid (--starts 50, two seeds) and criterion 7's grid (the
 # defaults: 200 starts, seed 0); it prints only counts, so it does not

@@ -593,32 +593,38 @@ def test_derive_refusal_message_is_pinned(spec, message):
 
 
 def test_derive_refuses_exactly_where_invariance_fails_at_the_type_depth():
-    # At the type automaton's depth (the longest first word of a type) the
-    # ball holds every type, so the checker cut at that radius and the uncut
-    # derivation compare the same types.
-    specs = [
-        SubgroupSpec(k=k, s=s, a1=a1, a2=a2)
-        for k in ORACLE_RADIUS
-        for s in (1, 2)
-        for a1, a2 in letter_choices(k)
-    ]
-    assert len(specs) == 484
-    refused = 0
-    for spec in specs:
-        depth = max(len(x) for x in cosets.type_table(spec)[1])
-        report = check_invariance(spec, depth)
-        try:
-            system = derive_system(spec, allow_nonsingleton=True)
-        except IllDefinedSystemError as exc:
-            refused += 1
-            assert not report.holds, spec
-            first = report.violations[0]
-            assert f": {word_to_str(first.x)} gives " in str(exc), spec
-            assert f" but {word_to_str(first.y)} gives " in str(exc), spec
-            continue
-        assert report.holds, spec
-        assert report.states_seen == len(system.states), spec
-    assert refused == 336
+    # The letter-set quotient gives the full table's verdict and state count
+    # (_compare_types) at every radius from 2 to the type automaton's depth
+    # (the longest first word of a type), on every letter choice of k <= 5,
+    # s <= 4.  At that depth the ball holds every type, so the checker cut
+    # there and the uncut derivation compare the same types.
+    compared = checked = refused = 0
+    for k in range(1, 6):
+        for s in range(1, 5):
+            for a1, a2 in letter_choices(k):
+                spec = SubgroupSpec(k=k, s=s, a1=a1, a2=a2)
+                depth = max(len(x) for x in cosets.type_table(spec)[1])
+                for radius in range(2, depth + 1):
+                    states, mismatched, _ = invariance._compare_types(spec, radius)
+                    verdict = invariance._quotient_verdict(spec, radius)
+                    assert verdict == (not mismatched, len(states)), (spec, radius)
+                    compared += 1
+                if k not in ORACLE_RADIUS or s > 2:
+                    continue
+                checked += 1
+                report = check_invariance(spec, depth)
+                try:
+                    system = derive_system(spec, allow_nonsingleton=True)
+                except IllDefinedSystemError as exc:
+                    refused += 1
+                    assert not report.holds, spec
+                    first = report.violations[0]
+                    assert f": {word_to_str(first.x)} gives " in str(exc), spec
+                    assert f" but {word_to_str(first.y)} gives " in str(exc), spec
+                    continue
+                assert report.holds, spec
+                assert report.states_seen == len(system.states), spec
+    assert (compared, checked, refused) == (20488, 484, 336)
 
 
 def test_derive_equals_the_type_walk_on_every_holding_spec():
@@ -691,6 +697,24 @@ def test_holding_derive_walks_no_types(monkeypatch):
         assert all(sum(row) == spec.k for row in system.counts)
     with pytest.raises(AssertionError, match="walked the types"):
         derive_system(SPLIT, allow_nonsingleton=True)
+
+
+def test_holding_invariance_walks_no_types(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a holding check walked the types")
+
+    monkeypatch.setattr(invariance, "type_table", refuse)
+    for spec, radius in ((STANDARD, 8), (PAIRS, 6), (SubgroupSpec(k=4, s=2, a1={1}, a2={3}), 6)):
+        assert check_invariance(spec, radius).holds
+    with pytest.raises(AssertionError, match="walked the types"):
+        check_invariance(SPLIT, 6)
+
+
+def test_invariance_at_k_3000():
+    # the quotient has at most 3*2(2s+1) + 1 types whatever k is; the full
+    # type table within radius 2 would step 3000 children of 9,002 types
+    report = check_invariance(SubgroupSpec(k=3000, s=1, a1={1}, a2={2}), 2)
+    assert (report.holds, report.words_checked, report.states_seen) == (True, 9006001, 7)
 
 
 def test_derive_at_k_3000():
