@@ -18,21 +18,21 @@ derivation refuses to certify.
 derive_system therefore builds the system straight from that offset table,
 in O(s) rows whatever k is.  A vertex's subtree is fixed by its type
 (position mod 2(2s+1), last letter), and a step reads only the set (A0, A1
-or A2) of a letter, so check_invariance decides its verdict on the
-letter-set quotient of the types: at most 3*2(2s+1) + 1 of them whatever k
-is (_quotient_verdict).  The full type table (cosets.type_table) names the
-violations, the refusal witnesses and labelled_ball's words: _compare_types
-checks each type in it against the first type of its state, and only a
-failing check walks its spheres (_violation_walk) to name the violating
-words in ball order.  Tests check the quotient against the table and the
-table against the uncut walk on every letter choice with k <= 5 and s <= 4,
-and the offset table symbolically for every k and s.
+or A2) of a letter, so one walk of the letter-set quotient of the types, at
+most 3*2(2s+1) + 1 of them whatever k is, gives check_invariance's verdict
+and derive_system's refusal with its two witness words (_quotient_walk).
+Only the violation listing reads the full type table (cosets.type_table):
+_compare_types checks each type in it against the first type of its state,
+and _violation_walk walks its spheres to name the violating words in ball
+order.  Tests check the quotient walk against the table on every letter
+choice with k <= 5 and s <= 4, and the offset table symbolically for every
+k and s.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from collections import Counter
 from dataclasses import dataclass, fields
 
 from cayleygibbs.cosets import SubgroupSpec, Type, position, step, type_table, typed_spheres
@@ -119,69 +119,91 @@ def check_invariance(spec: SubgroupSpec, radius: int) -> InvarianceReport:
     Equivalent to checking every pair x, y with equal classes and equal
     parent classes of the ball: profiles are compared as multisets of class
     residues, and the first word of each state in ball order stands in for
-    x.  A word's state and profile are fixed by its letter-set quotient
-    type, so the verdict and states_seen come from the quotient types within
-    the radius (_quotient_verdict), whatever k is.  Only a failing check
-    reads the full type table: each type is compared once with the first
-    of its state (_compare_types), and the words are walked
-    (_violation_walk) to list the violating words in ball order, each with
-    the proven constant False as shared_positions_equal.
+    x.  The verdict and states_seen come from the letter-set quotient walk
+    (_quotient_walk).  Only a failing check reads the full type table
+    (_compare_types) and walks its words (_violation_walk) to list the
+    violating words in ball order, with shared_positions_equal the proven
+    constant False.
     """
     if radius < 2:
         raise ValueError(f"radius must be >= 2, got {radius}")
     words_checked = check_ball_cap(spec.k, radius) - 1
-    holds, states_seen = _quotient_verdict(spec, radius)
-    if holds:
-        return InvarianceReport(True, radius, words_checked, states_seen, ())
+    states, mismatch = _quotient_walk(spec, radius)
+    if mismatch is None:
+        return InvarianceReport(True, radius, words_checked, len(states), ())
     first, mismatched, (types, _, kids) = _compare_types(spec, radius)
     broken = {i: (*first[st], profile, False) for i, (st, profile) in mismatched.items()}
     violations = _violation_walk(radius, types, kids, broken)
-    return InvarianceReport(False, radius, words_checked, states_seen, violations)
+    return InvarianceReport(False, radius, words_checked, len(states), violations)
 
 
-def _quotient_verdict(spec: SubgroupSpec, radius: int) -> tuple[bool, int]:
-    """(holds, states_seen) over the quotient types of depth 1 to radius.
+def _quotient_walk(spec: SubgroupSpec, radius: int) -> tuple[dict, tuple | None]:
+    """Compare each quotient type of depth 1 to radius with the first of its state.
 
-    A quotient type is (position mod 2(2s+1), set of the last letter), the
-    set 0, 1 or 2 for A0, A1, A2 (None at the root).  Its children in set X
-    number |X|, one fewer when X is its own set, and have type
-    (step(p, X's letter) mod 2(2s+1), X).  Walked breadth-first; each type
-    is compared, as a class -> count profile, with the first of its state.
+    Type (p, X), X the set 0, 1 or 2 of the last letter, has |Y| children,
+    one fewer if Y is X, of type ((p + Y's offset) mod 2(2s+1), Y).  Returns
+    state -> (class -> count profile, first word) in ball order, and the
+    first (state, profile, first word) unlike its state's, or None; a first
+    word is a link (parent's link, last letter).  A child takes its set's
+    least letter other than the parent's last, and children are queued, and
+    profiles built, in that letter order.  In ball order the first word
+    with a given sequence of sets takes, at each step, the least letter of
+    its set other than the previous one: swapping any other letter for it
+    keeps the sets and never moves the word later.  So each state's first
+    word, and the first word whose type disagrees with its state, are the
+    full type table's, and profile keys come in dict(Counter())'s order over
+    the children's classes in letter order.  The walk is O(s) whatever k is.
     """
     n, period = spec.index, 2 * spec.index
-    m1, m2 = spec.m1, spec.m2
+    a0 = itertools.islice(itertools.filterfalse((spec.a1 | spec.a2).__contains__, range(1, spec.k + 2)), 2)
+    letters = sorted((c, y) for y, least in enumerate((a0, sorted(spec.a1)[:2], sorted(spec.a2)[:2])) for c in least)
     sizes = (spec.a0_size, len(spec.a1), len(spec.a2))
-    queue, seen = [(0, None, 0)], set()  # (position, set of the last letter, depth)
-    first: dict[StatePair, dict[int, int]] = {}
-    holds = True
-    for p, at, depth in queue:  # the queue grows as types are met
+    orders = {}  # last letter -> (letter, set, count) of each child set, in letter order
+    for last, at in ((0, None), *letters):
+        kids = {}
+        for c, y in letters:  # a set whose only letter is the last one has no child
+            if c != last and y not in kids:
+                kids[y] = (c, y, sizes[y] - (y == at))
+        orders[last] = kids.values()
+    queue = [(0, None, 0, 0, None)]  # (position, set and letter of the last letter, depth, first word)
+    seen, first, mismatch = set(), {}, None
+    for p, at, last, depth, link in queue:  # the queue grows as types are met
         if depth > radius:
             break
-        moved = (p, step(p, m1, spec) % period, step(p, m2, spec) % period)
+        moves = ((0, 1, -1), (0, -1, 1))[p & 1]  # how far A0, A1 and A2 move an even, odd position (step)
         profile = {}
-        for x, size in enumerate(sizes):
-            if c := size - (x == at):
-                profile[moved[x] % n] = c  # p - 1, p and p + 1 are distinct classes
-                if (child := (moved[x], x)) not in seen:
-                    seen.add(child)
-                    queue.append((*child, depth + 1))
+        for c, y, count in orders[last]:
+            child = ((p + moves[y]) % period, y)
+            profile[child[0] % n] = count  # p - 1, p and p + 1 are distinct classes
+            if child not in seen:
+                seen.add(child)
+                queue.append((*child, c, depth + 1, (link, c)))
         if depth:
-            holds &= first.setdefault((p % n, moved[at] % n), profile) == profile
-    return holds, len(first)
+            st = (p % n, (p + moves[at]) % n)
+            if first.setdefault(st, (profile, link))[0] != profile and mismatch is None:
+                mismatch = (st, profile, link)
+    return first, mismatch
 
 
-def _compare_types(spec: SubgroupSpec, radius: int | None = None) -> tuple[dict, dict, tuple]:
-    """Compare every type's successor profile with the first of its state.
+def _word(link: tuple | None) -> Word:
+    letters = []
+    while link:
+        link, c = link
+        letters.append(c)
+    return tuple(letters[::-1])
 
-    Reads type_table(spec, radius + 1), where every type within radius has
-    its children, or the whole table.  Type (p, last) is in state
-    (p, step(p, last)) mod 2s+1 and its profile is its children's classes
-    in letter order.  Returns, in ball order, state -> (first word,
-    profile), type id -> (state, profile) for each type whose sorted
-    profile differs from its state's first one, and the table.
+
+def _compare_types(spec: SubgroupSpec, radius: int) -> tuple[dict, dict, tuple]:
+    """Compare every type within radius with the first of its state.
+
+    Reads type_table(spec, radius + 1).  Type (p, last) is in state (p,
+    step(p, last)) mod 2s+1; its profile is its children's classes in
+    letter order.  Returns, in ball order, state -> (first word, profile),
+    type id -> (state, profile) for each type whose sorted profile differs
+    from its state's first one, and the table.
     """
     n = spec.index
-    types, words, kids = table = type_table(spec, None if radius is None else radius + 1)
+    types, words, kids = table = type_table(spec, radius + 1)
     first: dict[StatePair, tuple[Word, tuple[int, ...]]] = {}
     mismatched: dict[int, tuple[StatePair, tuple[int, ...]]] = {}
     for i in range(1, len(kids)):  # ROOT, id 0, has no state
@@ -228,23 +250,15 @@ class WeaklyPeriodicSystem:
     counts: tuple[tuple[int, ...], ...]
     spec: SubgroupSpec | None = None
 
-    def state_index(self, state: StatePair) -> int:
-        return self.states.index(state)
-
     def row(self, state: StatePair) -> dict[StatePair, int]:
-        i = self.state_index(state)
-        return {
-            self.states[j]: n for j, n in enumerate(self.counts[i]) if n
-        }
+        return {su: n for su, n in zip(self.states, self.counts[self.states.index(state)]) if n}
 
     def to_json(self) -> str:
         payload = {
             "states": [list(st) for st in self.states],
             "counts": {
-                f"{st[0]},{st[1]}": {
-                    f"{su[0]},{su[1]}": n for su, n in self.row(st).items()
-                }
-                for st in self.states
+                f"{st[0]},{st[1]}": {f"{su[0]},{su[1]}": n for su, n in zip(self.states, row) if n}
+                for st, row in zip(self.states, self.counts)
             },
             "k": self.k,
             "s": self.s,
@@ -339,10 +353,10 @@ def derive_system(spec: SubgroupSpec, allow_nonsingleton: bool = False) -> Weakl
     When (number of states)^2, the size of the dense counts table, exceeds
     the vertex cap, ResourceLimitError is raised before any state is built.
 
-    With |A1| != |A2| the system is ill defined: the uncut type walk
-    (_compare_types) runs, after ResourceLimitError if its bound of
-    (k+1)*2(2s+1)*k steps exceeds the vertex cap, and IllDefinedSystemError
-    names the first word, in ball order, of each of two disagreeing types.
+    With |A1| != |A2| the system is ill defined: the quotient walk runs,
+    after ResourceLimitError if its 3*2(2s+1) + 1 types exceed the vertex
+    cap, and IllDefinedSystemError names the first word, in ball order, of
+    each of two disagreeing types, whatever k is.
     """
     if spec.k == 1:
         raise ValueError("k = 1 gives a line graph with no branching; unsupported")
@@ -352,15 +366,14 @@ def derive_system(spec: SubgroupSpec, allow_nonsingleton: bool = False) -> Weakl
         )
     m, m0, n = len(spec.a1), spec.a0_size, spec.index
     if m != len(spec.a2):
-        steps = (spec.k + 1) * 2 * n * spec.k
-        check_work(steps, f"type automaton for k={spec.k}, s={spec.s} takes up to {steps} steps")
-        first, mismatched, (_, words, _) = _compare_types(spec)
-        i, (st, profile) = next(iter(mismatched.items()))
-        rows = [dict(Counter((r, st[0]) for r in p)) for p in (first[st][1], profile)]
+        check_work(bound := 3 * 2 * n + 1, f"letter-set quotient for s={spec.s} has up to {bound} types")
+        first, (st, profile, link) = _quotient_walk(spec, bound)  # no first word is longer than the types
+        x, y = (
+            f"{word_to_str(_word(w))} gives {dict(((r, st[0]), c) for r, c in p.items())}"
+            for p, w in (first[st], (profile, link))
+        )
         raise IllDefinedSystemError(
-            f"state {st}: {word_to_str(first[st][0])} gives {rows[0]} "
-            f"but {word_to_str(words[i])} gives {rows[1]}; successor counts "
-            "depend on the vertex, so the invariance property fails"
+            f"state {st}: {x} but {y}; successor counts depend on the vertex, so the invariance property fails"
         )
     offsets = (-1, 0, 1) if m0 else (-1, 1)
     size = len(offsets) * n

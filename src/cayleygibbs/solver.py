@@ -17,14 +17,14 @@ start reaches bit for bit the root a start-by-start iteration reaches
 (_newton_batch), though its line search tries the step lengths in three
 stacked stages: the residual is one np.matmul matrix-vector product per
 vector (_residual), and the central-difference Jacobian perturbs
-structurally orthogonal columns together (Curtis, Powell and Reid, 1974),
-3 DSatur groups for every singleton system (Coleman and More, 1983), so
-a row costs 6 matrix-vector products, not 2 * states (_jacobians).  The
-constant roots +-h*·1 are added wherever multistart missed them.  On the
-four-block subspace the quadratic branch is the nonzero
-translation-invariant pair and the quartic cofactor has no positive root,
-so that subspace holds no non-constant fixed point; the exact path builds
-the pair as +-log(x)·1.
+structurally orthogonal columns together (Curtis, Powell and Reid, 1974)
+in DSatur colour groups alone, 3 for every singleton system (Coleman and
+More, 1983), so a row costs 6 matrix-vector products, not 2 * states
+(_jacobians).  The constant roots +-h*·1 are added wherever multistart
+missed them.  On the four-block subspace the quadratic branch is the
+nonzero translation-invariant pair and the quartic cofactor has no
+positive root, so that subspace holds no non-constant fixed point; the
+exact path builds the pair as +-log(x)·1.
 
 A run sets only SolverConfig (starts, rng_seed).  The rest are
 constants: NEWTON_TOL, NEWTON_MAX_ITER, FD_STEP, LINE_SEARCH_HALVINGS
@@ -45,16 +45,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from cayleygibbs.cosets import SubgroupSpec
-from cayleygibbs.invariance import StatePair, WeaklyPeriodicSystem, derive_system, state_of
-from cayleygibbs.words import (
-    Word,
-    check_ball_cap,
-    check_work,
-    enumerate_ball,
-    parent,
-    word_to_str,
-)
+from cayleygibbs.cosets import SubgroupSpec, type_table, typed_spheres
+from cayleygibbs.invariance import StatePair, WeaklyPeriodicSystem, derive_system
+from cayleygibbs.words import check_ball_cap, check_work, word_to_str
 
 # coordinate spread below this means a constant (translation-invariant) vector
 TI_SPREAD = 1e-8
@@ -185,22 +178,17 @@ def _column_groups(pattern: np.ndarray) -> list[list[int]]:
 
     Columns clash when they share a true row.  The groups colour the clash
     graph by DSatur (Brelaz, 1979: next the column whose neighbours hold
-    most colours, then with most neighbours, then lowest), or by first fit
-    in index order where that gives fewer.
+    most colours, then with most neighbours, then lowest).
     """
     clash = pattern.T @ pattern
     near = [np.flatnonzero(row).tolist() for row in clash]
     dim = len(near)
-    dsatur, held = [-1] * dim, [set() for _ in range(dim)]
+    colour, held = [-1] * dim, [set() for _ in range(dim)]
     for _ in range(dim):
-        j = max((v for v in range(dim) if dsatur[v] < 0), key=lambda v: (len(held[v]), len(near[v]), -v))
-        dsatur[j] = min(set(range(dim)) - held[j])
+        j = max((v for v in range(dim) if colour[v] < 0), key=lambda v: (len(held[v]), len(near[v]), -v))
+        colour[j] = min(set(range(dim)) - held[j])
         for v in near[j]:
-            held[v].add(dsatur[j])
-    first_fit: list[int] = []
-    for j in range(dim):
-        first_fit.append(min(set(range(dim)) - {first_fit[v] for v in near[j] if v < j}))
-    colour = min(dsatur, first_fit, key=max)
+            held[v].add(colour[j])
     return [[j for j in range(dim) if colour[j] == c] for c in range(max(colour, default=-1) + 1)]
 
 
@@ -857,14 +845,14 @@ def verify_compatibility(
     2cosh(beta s + b_w) on its parent's spin s, which is exp(f(b_w) s) up to
     a constant, f = edge_field.  So the level-n marginal is the level-(n-1)
     measure exactly when b_p = sum over the children w of p of f(b_w) at
-    every vertex p of sphere n-1 (Kolmogorov consistency on the tree).  The
-    radius-n ball is walked once: every vertex of spheres n and n-1 takes
-    the field of its state under the system's subgroup spec, so the check
-    does not read the system's counts, and a vertex whose state the system
-    lacks raises ValueError.  max_deviation is the largest |b_p - sum| over
-    sphere n-1, children added in sphere order; it passes within
-    COMPAT_TOL.  configs_checked is 2^V(n), the number of level-n
-    configurations the identity covers.
+    every vertex p of sphere n-1 (Kolmogorov consistency on the tree).  A
+    vertex's type (cosets.type_table) fixes its state and its children's
+    types, so each sphere's types are walked once and each takes the field
+    of its state; the counts are not read.  A vertex whose state the system
+    lacks raises ValueError, the first of sphere n, then of sphere n-1.
+    max_deviation is the largest |b_p - sum| over sphere n-1, children
+    added in letter order; it passes within COMPAT_TOL.  configs_checked
+    is 2^V(n), the number of level-n configurations.
 
     n must be at least 2, since the root has no state.  Before any ball is
     built, V(n) is held to the vertex cap (check_ball_cap), and then a
@@ -887,25 +875,23 @@ def verify_compatibility(
             f"2^{bits} configurations have {digits} digits, over the {limit}-digit limit for printing an int"
         )
     values = {st: float(v) for st, v in zip(system.states, fields)}
-
-    def fields_on(sphere: Sequence[Word]) -> dict[Word, float]:
-        boundary = {}
-        for w in sphere:
-            st = state_of(w, spec)
+    types, _, kids = type_table(spec, n)
+    spheres = [{0: None}]  # each sphere's types once, in the order its vertices meet them, with their states
+    for _ in range(n):  # a type's position fixes its parent's, so its state is (its class, a parent's class)
+        spheres.append({u: (types[u][0] % spec.index, types[t][0] % spec.index) for t in spheres[-1] for u in kids[t]})
+    own, out = spheres[-2:]
+    field = {}  # type id -> the field of its state
+    for m in (n, n - 1):
+        for t, st in spheres[m].items():
             if st not in values:
-                raise ValueError(
-                    f"the system has no state {st[0]},{st[1]}, where outer vertex {word_to_str(w)} lands"
-                )
-            boundary[w] = values[st]
-        return boundary
-
-    ball = enumerate_ball(spec.k, n)
-    outer = fields_on(ball.spheres[-1])
-    own = fields_on(ball.spheres[-2])
-    summed = dict.fromkeys(own, 0.0)
-    for w, f in zip(outer, edge_field(np.array(list(outer.values())), theta).tolist()):
-        summed[parent(w)] += f
-    deviation = float(np.max(np.abs(np.array(list(own.values())) - list(summed.values()))))
+                words, ids = list(typed_spheres(types, kids, n))[m]
+                where = word_to_str(words[ids.index(t)])
+                raise ValueError(f"the system has no state {st[0]},{st[1]}, where outer vertex {where} lands")
+            field[t] = values[st]
+    edge = dict(zip(out, edge_field(np.array([field[u] for u in out]), theta).tolist()))
+    # children added one at a time in letter order, as sphere order adds them; sum() compensates from 3.12
+    summed = [functools.reduce(float.__add__, (edge[u] for u in kids[t]), 0.0) for t in own]
+    deviation = float(np.max(np.abs(np.array([field[t] for t in own]) - summed)))
     return CompatibilityReport(
         passed=deviation <= COMPAT_TOL,
         n=n,

@@ -44,6 +44,13 @@ QuarticReport) certify the I1 quartic cofactor on a fixed mesh of
 probability off _volume_distribution (looked up on this module so tests can
 replace it).
 
+compatibility_deviation is the word-by-word walk that
+cayleygibbs.solver.verify_compatibility's type-table read replaced, kept
+verbatim: it enumerates the radius-n ball, labels every word of spheres
+n-1 and n with state_of and sums each parent's children in sphere order.
+verify_compatibility must give the same max_deviation bit for bit and the
+same missing-state error.
+
 _agreement and _pattern_hits (with _pattern_layout) are the array forms of
 the sweep's exact-branch cross-check and of pattern membership that
 cayleygibbs.solver replaced, kept verbatim: _agreement pads every theta's
@@ -76,6 +83,7 @@ from cayleygibbs.invariance import (
     InvarianceViolation,
     StatePair,
     WeaklyPeriodicSystem,
+    state_of,
 )
 from cayleygibbs.solver import (
     INVARIANT_PATTERNS,
@@ -88,7 +96,7 @@ from cayleygibbs.solver import (
     count_matrix,
     edge_field,
 )
-from cayleygibbs.words import IDENTITY, Word, enumerate_ball, multiply, parent, reduce_word, successors
+from cayleygibbs.words import IDENTITY, Word, enumerate_ball, multiply, parent, reduce_word, successors, word_to_str
 
 
 def _jacobian(F, u: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -182,6 +190,31 @@ def finite_volume_probability(
         code = (code << 1) | (sigma[w] == 1)
     _, probs = _volume_distribution(k, n, theta, boundary)
     return float(probs[code])
+
+
+def compatibility_deviation(fields: Sequence[float], system: WeaklyPeriodicSystem, theta: Theta, n: int) -> float:
+    """max |b_p - sum over the children w of p of f(b_w)| over sphere n-1, word by word."""
+    spec = system.spec
+    values = {st: float(v) for st, v in zip(system.states, fields)}
+
+    def fields_on(sphere: Sequence[Word]) -> dict[Word, float]:
+        boundary = {}
+        for w in sphere:
+            st = state_of(w, spec)
+            if st not in values:
+                raise ValueError(
+                    f"the system has no state {st[0]},{st[1]}, where outer vertex {word_to_str(w)} lands"
+                )
+            boundary[w] = values[st]
+        return boundary
+
+    ball = enumerate_ball(spec.k, n)
+    outer = fields_on(ball.spheres[-1])
+    own = fields_on(ball.spheres[-2])
+    summed = dict.fromkeys(own, 0.0)
+    for w, f in zip(outer, edge_field(np.array(list(outer.values())), theta).tolist()):
+        summed[parent(w)] += f
+    return float(np.max(np.abs(np.array(list(own.values())) - list(summed.values()))))
 
 
 def apply_recursion(system: WeaklyPeriodicSystem, h: Sequence[float], theta: Theta) -> np.ndarray:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import pickle
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -298,11 +299,11 @@ def test_system_file_over_the_vertex_cap_raises(monkeypatch):
 
 
 def test_derive_refusal_over_the_vertex_cap_raises(monkeypatch):
-    # only a refusal walks the type automaton: up to (k+1) * 2(2s+1) * k = 36 steps at k=2, s=1
-    monkeypatch.setenv("CAYLEYGIBBS_MAX_BALL", "35")
-    with pytest.raises(ResourceLimitError, match="^type automaton for k=2, s=1 takes up to 36 steps, cap is 35$"):
+    # only a refusal walks the letter-set quotient: up to 3 * 2(2s+1) + 1 = 19 types at s=1, whatever k is
+    monkeypatch.setenv("CAYLEYGIBBS_MAX_BALL", "18")
+    with pytest.raises(ResourceLimitError, match="^letter-set quotient for s=1 has up to 19 types, cap is 18$"):
         derive_system(SPLIT, allow_nonsingleton=True)
-    monkeypatch.setenv("CAYLEYGIBBS_MAX_BALL", "36")
+    monkeypatch.setenv("CAYLEYGIBBS_MAX_BALL", "19")
     with pytest.raises(IllDefinedSystemError):
         derive_system(SPLIT, allow_nonsingleton=True)
 
@@ -593,12 +594,16 @@ def test_derive_refusal_message_is_pinned(spec, message):
 
 
 def test_derive_refuses_exactly_where_invariance_fails_at_the_type_depth():
-    # The letter-set quotient gives the full table's verdict and state count
-    # (_compare_types) at every radius from 2 to the type automaton's depth
-    # (the longest first word of a type), on every letter choice of k <= 5,
-    # s <= 4.  At that depth the ball holds every type, so the checker cut
-    # there and the uncut derivation compare the same types.
+    # The letter-set quotient walk gives the full table's verdict and state
+    # count (_compare_types) at every radius from 2 to the type automaton's
+    # depth (the longest first word of a type), on every letter choice of
+    # k <= 5, s <= 4.  Uncut, it gives every state's first word and profile
+    # in key order, and the first disagreeing type's, as the full table
+    # does, and derive_system's refusal reads as the full table's did.  At
+    # the depth the ball holds every type, so the checker cut there and the
+    # uncut derivation compare the same types.
     compared = checked = refused = 0
+    suffix = "; successor counts depend on the vertex, so the invariance property fails"
     for k in range(1, 6):
         for s in range(1, 5):
             for a1, a2 in letter_choices(k):
@@ -606,9 +611,26 @@ def test_derive_refuses_exactly_where_invariance_fails_at_the_type_depth():
                 depth = max(len(x) for x in cosets.type_table(spec)[1])
                 for radius in range(2, depth + 1):
                     states, mismatched, _ = invariance._compare_types(spec, radius)
-                    verdict = invariance._quotient_verdict(spec, radius)
-                    assert verdict == (not mismatched, len(states)), (spec, radius)
+                    quotient, mismatch = invariance._quotient_walk(spec, radius)
+                    assert (mismatch is None, len(quotient)) == (not mismatched, len(states)), (spec, radius)
                     compared += 1
+                first, mismatched, (_, words, _) = invariance._compare_types(spec, depth)  # the whole table
+                quotient, mismatch = invariance._quotient_walk(spec, 3 * 2 * spec.index + 1)
+                rows = [(st, invariance._word(w), list(p.items())) for st, (p, w) in quotient.items()]
+                assert rows == [(st, x, list(Counter(p).items())) for st, (x, p) in first.items()], spec
+                assert (mismatch is None) == (not mismatched) == (len(a1) == len(a2)), spec
+                if mismatch is not None:
+                    i, (st, profile) = next(iter(mismatched.items()))
+                    witness = (mismatch[0], invariance._word(mismatch[2]), list(mismatch[1].items()))
+                    assert witness == (st, words[i], list(Counter(profile).items())), spec
+                    if k > 1:
+                        x_row, y_row = [dict(Counter((r, st[0]) for r in p)) for p in (first[st][1], profile)]
+                        message = (
+                            f"state {st}: {word_to_str(first[st][0])} gives {x_row} "
+                            f"but {word_to_str(words[i])} gives {y_row}{suffix}"
+                        )
+                        with pytest.raises(IllDefinedSystemError, match=f"^{re.escape(message)}$"):
+                            derive_system(spec, allow_nonsingleton=True)
                 if k not in ORACLE_RADIUS or s > 2:
                     continue
                 checked += 1
@@ -638,7 +660,8 @@ def test_derive_equals_the_type_walk_on_every_holding_spec():
     ]
     assert len(specs) == 856
     for spec in specs:
-        first, mismatched, _ = invariance._compare_types(spec)
+        depth = max(len(x) for x in cosets.type_table(spec)[1])  # cut there, the table is whole
+        first, mismatched, _ = invariance._compare_types(spec, depth)
         assert not mismatched, spec
         rows = {st: Counter((r, st[0]) for r in profile) for st, (_, profile) in first.items()}
         system = derive_system(spec, allow_nonsingleton=True)
@@ -687,15 +710,17 @@ def test_offset_table_holds_for_every_k_and_s():
 
 
 def test_holding_derive_walks_no_types(monkeypatch):
+    # a holding derive reads the offset table; a refusal reads the
+    # letter-set quotient walk, not the full type table
     def refuse(*args):
-        raise AssertionError("a holding derive walked the types")
+        raise AssertionError("a derive walked the full type table")
 
     monkeypatch.setattr(invariance, "type_table", refuse)
     holding = (STANDARD, PAIRS, SubgroupSpec(k=5, s=4, a1={2}, a2={6}), SubgroupSpec(k=4, s=2, a1={1, 2}, a2={3, 4}))
     for spec in holding:
         system = derive_system(spec, allow_nonsingleton=True)
         assert all(sum(row) == spec.k for row in system.counts)
-    with pytest.raises(AssertionError, match="walked the types"):
+    with pytest.raises(IllDefinedSystemError, match="^state \\(0, 1\\): a1.a3 gives "):
         derive_system(SPLIT, allow_nonsingleton=True)
 
 
@@ -715,6 +740,21 @@ def test_invariance_at_k_3000():
     # type table within radius 2 would step 3000 children of 9,002 types
     report = check_invariance(SubgroupSpec(k=3000, s=1, a1={1}, a2={2}), 2)
     assert (report.holds, report.words_checked, report.states_seen) == (True, 9006001, 7)
+
+
+@pytest.mark.parametrize("k", [1291, 10**8])
+def test_derive_refuses_with_witnesses_at_any_k(k):
+    # the refusal walks at most 3 * 2(2s+1) + 1 quotient types whatever k
+    # is; the full type table took (k+1) * 2(2s+1) * k steps, over the
+    # default vertex cap from k = 1291 at s = 1
+    a0 = k - 2  # A0 holds every letter from 4 to k + 1
+    message = (
+        f"state (2, 2): a2.a4 gives {{(1, 2): 2, (0, 2): 1, (2, 2): {a0 - 1}}} "
+        f"but a1.a2.a4 gives {{(0, 2): 2, (1, 2): 1, (2, 2): {a0 - 1}}}; "
+        "successor counts depend on the vertex, so the invariance property fails"
+    )
+    with pytest.raises(IllDefinedSystemError, match=f"^{re.escape(message)}$"):
+        derive_system(SubgroupSpec(k=k, s=1, a1={1, 3}, a2={2}), allow_nonsingleton=True)
 
 
 def test_derive_at_k_3000():

@@ -35,7 +35,7 @@ from oracles import (
 from oracles import _volume_distribution as spin_matrix_distribution
 
 import cayleygibbs.solver as solver
-from cayleygibbs.cosets import SubgroupSpec, check_cosets
+from cayleygibbs.cosets import SubgroupSpec, check_cosets, type_table
 from cayleygibbs.invariance import WeaklyPeriodicSystem, check_invariance, derive_system, state_of
 from cayleygibbs.solver import (
     INVARIANT_PATTERNS,
@@ -1322,18 +1322,52 @@ def test_marginal_identity_past_the_old_config_cap(k, n):
 
 
 def test_compatibility_enumerates_each_ball_once(nine_state, monkeypatch):
+    # one type table to radius n per call, and no word-by-word ball walk
     radii = []
 
-    def counted(k, radius):
+    def counted(spec, radius):
         radii.append(radius)
-        return enumerate_ball(k, radius)
+        return type_table(spec, radius)
 
-    monkeypatch.setattr(solver, "enumerate_ball", counted)
+    monkeypatch.setattr(solver, "type_table", counted)
+    assert not hasattr(solver, "enumerate_ball") and not hasattr(solver, "state_of")
     fields = solve_i1_exact(Theta(0.8)).solution_set.solutions[-1].fields
     for n in (2, 3, 6):
         radii.clear()
         assert verify_compatibility(fields, nine_state, Theta(0.8), n=n).passed
         assert radii == [n]
+
+
+@pytest.mark.parametrize("k, nmax", [(2, 9), (3, 6), (4, 5)])
+def test_compatibility_matches_the_word_by_word_walk(k, nmax):
+    # the type table's spheres give the word-by-word walk's max_deviation bit
+    # for bit, on random fields off the equation, and, for a system lacking
+    # a state, its missing-state error or its deviation
+    def outcome(check, *args):
+        try:
+            return check(*args).hex()
+        except ValueError as exc:
+            return str(exc)
+
+    def production(*args):
+        return verify_compatibility(*args).max_deviation
+
+    rng = np.random.default_rng(k)
+    refused = 0
+    for s, (a1, a2) in itertools.product((1, 2, 3), (({1}, {2}), ({2}, {k + 1}))):
+        system = derive_system(SubgroupSpec(k=k, s=s, a1=a1, a2=a2))
+        for n in range(2, nmax + 1):
+            for scale in (0.0, 1e-3, 0.5, 3.0, 20.0):
+                fields = rng.uniform(-scale, scale, len(system.states)).tolist()
+                args = (fields, system, Theta(rng.uniform(0.05, 0.99)), n)
+                assert outcome(production, *args) == outcome(oracles.compatibility_deviation, *args), (s, a1, n)
+        for drop in range(len(system.states)):
+            lacking = dataclasses.replace(system, states=system.states[:drop] + system.states[drop + 1 :])
+            args = (rng.uniform(-1, 1, len(lacking.states)).tolist(), lacking, Theta(0.8), 3)
+            expect = outcome(oracles.compatibility_deviation, *args)
+            assert outcome(production, *args) == expect, (s, a1, drop)
+            refused += expect.startswith("the system has no state")
+    assert refused > 0
 
 
 @pytest.mark.parametrize("k, n", [(2, 12), (3, 8), (4, 6)])
@@ -1386,7 +1420,7 @@ def test_digit_limit_bounds_the_ball_before_it_is_built(monkeypatch):
     def unreachable(*args):
         raise AssertionError("a ball was built past the digit limit")
 
-    monkeypatch.setattr(solver, "enumerate_ball", unreachable)
+    monkeypatch.setattr(solver, "type_table", unreachable)
     nine = derive_system(STANDARD)
     with pytest.raises(
         ValueError,
@@ -1417,8 +1451,8 @@ def test_no_digit_limit_leaves_the_vertex_cap(monkeypatch):
         ("80", lambda: derive_system(STANDARD), "system for k=2, s=1 has 9 states, a table of 81 counts, cap is 80"),
         ("80", functools.partial(WeaklyPeriodicSystem.from_json, derive_system(STANDARD).to_json()),
          "system for k=2, s=1 has 9 states, a table of 81 counts, cap is 80"),
-        ("35", lambda: derive_system(SubgroupSpec(k=2, s=1, a1={1, 3}, a2={2}), allow_nonsingleton=True),
-         "type automaton for k=2, s=1 takes up to 36 steps, cap is 35"),
+        ("18", lambda: derive_system(SubgroupSpec(k=2, s=1, a1={1, 3}, a2={2}), allow_nonsingleton=True),
+         "letter-set quotient for s=1 has up to 19 types, cap is 18"),
         ("728", lambda: solve_fixed_points(derive_system(STANDARD), Theta(0.8)),
          "Newton on 9 states takes 729 multiply-adds per Jacobian, cap is 728"),
     ],
