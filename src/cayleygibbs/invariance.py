@@ -23,10 +23,10 @@ most 3*2(2s+1) + 1 of them whatever k is, gives check_invariance's verdict
 and derive_system's refusal with its two witness words (_quotient_walk).
 Only the violation listing reads the full type table (cosets.type_table):
 _compare_types checks each type in it against the first type of its state,
-and _violation_walk walks its spheres to name the violating words in ball
-order.  Tests check the quotient walk against the table on every letter
-choice with k <= 5 and s <= 4, and the offset table symbolically for every
-k and s.
+and _violation_walk names the violating words in ball order, building only
+the words with a broken type below them within the radius.  Tests check the
+quotient walk against the table on every letter choice with k <= 5 and
+s <= 4, and the offset table symbolically for every k and s.
 """
 
 from __future__ import annotations
@@ -35,8 +35,9 @@ import itertools
 import json
 from dataclasses import dataclass, fields
 
-from cayleygibbs.cosets import SubgroupSpec, Type, position, step, type_table, typed_spheres
+from cayleygibbs.cosets import SubgroupSpec, Type, position, step, type_table
 from cayleygibbs.words import (
+    IDENTITY,
     Word,
     check_ball_cap,
     check_work,
@@ -62,8 +63,9 @@ def state_of(x: Word, spec: SubgroupSpec) -> StatePair:
 class InvarianceViolation:
     """Two words of one state whose successor class profiles differ.
 
-    Records have slots: no ``__dict__`` and no weakrefs.  check_invariance
-    fills them through _violation, which skips the generated ``__init__``.
+    Records have slots: no ``__dict__`` and no weakrefs.  _violation_walk
+    fills each one in place through its slot setters (_VIOLATION_SETTERS),
+    skipping the generated ``__init__``.
 
     ``shared_positions_equal`` tells whether the neighbour classes agree at
     every letter neither word ends in.  It is always False.  Two words of
@@ -85,23 +87,6 @@ class InvarianceViolation:
 
 # The setters of InvarianceViolation's slot descriptors, in field order.
 _VIOLATION_SETTERS = tuple(getattr(InvarianceViolation, f.name).__set__ for f in fields(InvarianceViolation))
-_set_x, _set_y, _set_profile_x, _set_profile_y, _set_shared = _VIOLATION_SETTERS
-
-
-def _violation(x, y, profile_x, profile_y, shared_positions_equal) -> InvarianceViolation:
-    """InvarianceViolation(x, y, ...), built without the generated __init__.
-
-    The frozen class's __init__ sets each field through
-    object.__setattr__; writing the slots through their descriptors gives
-    the same record at about half the cost.
-    """
-    v = object.__new__(InvarianceViolation)
-    _set_x(v, x)
-    _set_y(v, y)
-    _set_profile_x(v, profile_x)
-    _set_profile_y(v, profile_y)
-    _set_shared(v, shared_positions_equal)
-    return v
 
 
 @dataclass(frozen=True)
@@ -121,9 +106,9 @@ def check_invariance(spec: SubgroupSpec, radius: int) -> InvarianceReport:
     residues, and the first word of each state in ball order stands in for
     x.  The verdict and states_seen come from the letter-set quotient walk
     (_quotient_walk).  Only a failing check reads the full type table
-    (_compare_types) and walks its words (_violation_walk) to list the
-    violating words in ball order, with shared_positions_equal the proven
-    constant False.
+    (_compare_types) and walks the words that lead to a broken type
+    (_violation_walk) to list the violating words in ball order, with
+    shared_positions_equal the proven constant False.
     """
     if radius < 2:
         raise ValueError(f"radius must be >= 2, got {radius}")
@@ -221,18 +206,36 @@ def _violation_walk(
 ) -> tuple[InvarianceViolation, ...]:
     """Every word of the ball whose type id is broken, with its verdict, in ball order.
 
-    Spheres 0 to radius - 1 are walked (typed_spheres).  A sphere's
-    violations are its words' broken children, in word and then letter
-    order, which is ball order, so the last sphere is never built.
+    reach[d] holds the type ids with a broken type among their descendants
+    at most d levels below.  A word at depth j is extended only to the
+    children whose type is in reach[radius - j - 1], so the walk builds just
+    the words on a path to a violation and never the last sphere.  A
+    sphere's violations are its words' broken children, in word and then
+    letter order, which is ball order.  Each record is filled in place
+    through the slot setters, bound to locals once per call: the frozen
+    class's __init__ sets each field through object.__setattr__ at about
+    twice the cost.
     """
-    bad = [[((types[u][1],), *broken[u]) for u in row if u in broken] for row in kids]  # (tail, *verdict)
+    new, (set_x, set_y, set_profile_x, set_profile_y, set_shared) = object.__new__, _VIOLATION_SETTERS
+    tails = [(last,) for _, last in types]
+    bad = [[(tails[u], *broken[u]) for u in row if u in broken] for row in kids]  # (tail, *verdict)
+    reach = [set()]
+    for _ in range(radius - 1):
+        below = broken.keys() | reach[-1]
+        reach.append({t for t, row in enumerate(kids) if not below.isdisjoint(row)})
     violations: list[InvarianceViolation] = []
-    for words, ids in typed_spheres(types, kids, radius - 1):
-        violations += [
-            _violation(rep, w + tail, rep_profile, profile, shared)
-            for w, t in zip(words, ids)
-            for tail, rep, rep_profile, profile, shared in bad[t]
-        ]
+    sphere = [(IDENTITY, 0)]  # (word, type id)
+    for inside in reversed(reach):
+        for w, t in sphere:
+            for tail, rep, rep_profile, profile, shared in bad[t]:
+                v = new(InvarianceViolation)
+                set_x(v, rep)
+                set_y(v, w + tail)
+                set_profile_x(v, rep_profile)
+                set_profile_y(v, profile)
+                set_shared(v, shared)
+                violations.append(v)
+        sphere = [(w + tails[u], u) for w, t in sphere for u in kids[t] if u in inside]
     return tuple(violations)
 
 

@@ -22,6 +22,13 @@ state.  Both must return equal reports, violations included.
 shared_positions_equal is computed here from the neighbour classes,
 while production stores the proven constant False.
 
+_violation_walk (with _violation) is the sphere walk that
+cayleygibbs.invariance._violation_walk's pruned walk replaced, kept
+verbatim: it builds every word of spheres 0 to radius - 1 through
+cayleygibbs.cosets.typed_spheres and each record through _violation.  On
+the same type table and broken types both must return the same records in
+the same order.
+
 successor_labels, check_class_counts (with matching_permutation) and the
 hardcoded nine-state table (reference_counts, matches_reference) are second
 implementations that only tests compare the package against; they are kept
@@ -73,12 +80,15 @@ from cayleygibbs import cosets, solver
 from cayleygibbs.cosets import (
     CosetLabel,
     SubgroupSpec,
+    Type,
     _alternating,
     label,
     neighbor_counts,
     position,
+    typed_spheres,
 )
 from cayleygibbs.invariance import (
+    _VIOLATION_SETTERS,
     InvarianceReport,
     InvarianceViolation,
     StatePair,
@@ -446,6 +456,45 @@ def check_invariance(spec: SubgroupSpec, radius: int) -> InvarianceReport:
         states_seen=len(first_rep),
         violations=tuple(violations),
     )
+
+
+_set_x, _set_y, _set_profile_x, _set_profile_y, _set_shared = _VIOLATION_SETTERS
+
+
+def _violation(x, y, profile_x, profile_y, shared_positions_equal) -> InvarianceViolation:
+    """InvarianceViolation(x, y, ...), built without the generated __init__.
+
+    The frozen class's __init__ sets each field through
+    object.__setattr__; writing the slots through their descriptors gives
+    the same record at about half the cost.
+    """
+    v = object.__new__(InvarianceViolation)
+    _set_x(v, x)
+    _set_y(v, y)
+    _set_profile_x(v, profile_x)
+    _set_profile_y(v, profile_y)
+    _set_shared(v, shared_positions_equal)
+    return v
+
+
+def _violation_walk(
+    radius: int, types: list[Type], kids: list[list[int]], broken: dict[int, tuple]
+) -> tuple[InvarianceViolation, ...]:
+    """Every word of the ball whose type id is broken, with its verdict, in ball order.
+
+    Spheres 0 to radius - 1 are walked (typed_spheres).  A sphere's
+    violations are its words' broken children, in word and then letter
+    order, which is ball order, so the last sphere is never built.
+    """
+    bad = [[((types[u][1],), *broken[u]) for u in row if u in broken] for row in kids]  # (tail, *verdict)
+    violations: list[InvarianceViolation] = []
+    for words, ids in typed_spheres(types, kids, radius - 1):
+        violations += [
+            _violation(rep, w + tail, rep_profile, profile, shared)
+            for w, t in zip(words, ids)
+            for tail, rep, rep_profile, profile, shared in bad[t]
+        ]
+    return tuple(violations)
 
 
 def _drop_parent(near: tuple[int, ...], x: Word) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import pickle
+import random
 import re
 from collections import Counter
 from itertools import combinations
@@ -356,6 +357,76 @@ def test_invariance_matches_word_by_word_oracle_on_every_refute_group():
     assert broken == 28  # every group but |A1| = |A2| = 2 at k = 3, 4 and s = 1, 2
 
 
+def assert_same_records(got, expected):
+    """The same records in the same order, each of the same type, repr and hash."""
+    assert type(got) is tuple
+    assert [type(v) for v in got] == [InvarianceViolation] * len(expected)
+    assert [repr(v) for v in got] == [repr(v) for v in expected]
+    assert [hash(v) for v in got] == [hash(v) for v in expected]
+    assert got == expected
+
+
+def broken_types(spec, radius):
+    """The arguments check_invariance passes to _violation_walk, for any spec."""
+    first, mismatched, (types, words, kids) = invariance._compare_types(spec, radius)
+    broken = {i: (*first[st], profile, False) for i, (st, profile) in mismatched.items()}
+    return types, words, kids, broken
+
+
+PRUNING_RADII = {2: range(2, 9), 3: range(2, 6), 4: range(2, 5)}
+
+
+def test_pruned_walk_matches_the_sphere_walk_on_every_small_spec():
+    cases = [
+        (SubgroupSpec(k=k, s=s, a1=a1, a2=a2), radius)
+        for k, radii in PRUNING_RADII.items()
+        for s in (1, 2, 3)
+        for a1, a2 in letter_choices(k)
+        for radius in radii
+    ]
+    cases += [(spec, WORKLOAD_RADIUS[spec.k]) for spec in refute_groups()]
+    assert len(cases) == 3 * (12 * 7 + 50 * 4 + 180 * 3) + 32
+    listed = 0
+    for spec, radius in cases:
+        types, _, kids, broken = broken_types(spec, radius)
+        got = invariance._violation_walk(radius, types, kids, broken)
+        assert_same_records(got, oracles._violation_walk(radius, types, kids, broken))
+        listed += len(got)
+    assert listed > 100_000
+
+
+@pytest.mark.parametrize(
+    "spec, radius",
+    [(STANDARD, 7), (SPLIT, 8), (PAIRS, 5), (SubgroupSpec(k=3, s=2, a1={1}, a2={2, 3}), 6),
+     (SubgroupSpec(k=4, s=1, a1={1, 2, 5}, a2={4}), 4)],
+    ids=["k2-single", "k2-split", "k3-pairs", "k3-s2", "k4-triple"],
+)
+def test_pruned_walk_matches_the_sphere_walk_on_synthetic_broken_types(spec, radius):
+    # Any set of type ids may be marked broken.  Up to the depth at which
+    # every type is met, the deepest types sit only in the last sphere; the
+    # root's children sit in the first.  A walk that drops a word there lists
+    # fewer records than the sphere walk.
+    last_sphere_only = 0
+    for r in range(2, radius + 1):
+        types, words, kids, _ = broken_types(spec, r)
+        within = range(1, len(kids))  # the ids whose first word lies within the radius
+        deepest = max(len(words[u]) for u in within)
+        last_sphere_only += deepest == r
+        choices = [
+            [u for u in within if len(words[u]) == deepest],
+            [kids[0][0]],
+            [kids[0][-1]],
+            list(within),
+            *(sorted(random.Random(seed).sample(within, 3)) for seed in range(5)),
+        ]
+        for ids in choices:
+            broken = {u: (words[u], (u,), (u, u), False) for u in ids}
+            got = invariance._violation_walk(r, types, kids, broken)
+            assert got
+            assert_same_records(got, oracles._violation_walk(r, types, kids, broken))
+    assert last_sphere_only >= 3
+
+
 def test_invariance_violation_record():
     v = InvarianceViolation((1, 3), (2, 1, 2), (1, 2), (2, 2), False)
     names = ("x", "y", "profile_x", "profile_y", "shared_positions_equal")
@@ -407,7 +478,10 @@ def test_violation_setters_follow_field_order():
     assert [d.__name__ for d in descriptors] == names
     assert descriptors == [vars(InvarianceViolation)[name] for name in names]
     fields = ((1, 3), (2, 1, 2), (1, 2), (2, 2), False)
-    assert invariance._violation(*fields) == InvarianceViolation(*fields)
+    walked = check_invariance(SPLIT, radius=4).violations[0]
+    assert dataclasses.astuple(walked) == fields
+    assert walked == InvarianceViolation(*fields)
+    assert repr(walked) == repr(InvarianceViolation(*fields))
 
 
 def test_walked_records_pickle_round_trip():
