@@ -221,7 +221,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_invariance(args) -> int:
     spec = _parse_spec(args.spec)
-    report = check_invariance(spec, args.radius)
+    report = check_invariance(spec, args.radius, limit=10)
     doc = {
         "holds": report.holds,
         "radius": report.radius,
@@ -235,7 +235,7 @@ def _cmd_invariance(args) -> int:
                 "profile_y": list(v.profile_y),
                 "shared_positions_equal": v.shared_positions_equal,
             }
-            for v in report.violations[:10]
+            for v in report.violations
         ],
     }
     _emit(_format_json(doc) + "\n", args.out)

@@ -15,18 +15,23 @@ at r+d, its parent's side.  With |A1| != |A2| the two parities give
 different profiles for one state; the checker reports the witnesses and the
 derivation refuses to certify.
 
-derive_system therefore builds the system straight from that offset table,
-in O(s) rows whatever k is.  A vertex's subtree is fixed by its type
-(position mod 2(2s+1), last letter), and a step reads only the set (A0, A1
-or A2) of a letter, so one walk of the letter-set quotient of the types, at
-most 3*2(2s+1) + 1 of them whatever k is, gives check_invariance's verdict
-and derive_system's refusal with its two witness words (_quotient_walk).
-Only the violation listing reads the full type table (cosets.type_table):
-_compare_types checks each type in it against the first type of its state,
-and _violation_walk names the violating words in ball order, building only
-the words with a broken type below them within the radius.  Tests check the
-quotient walk against the table on every letter choice with k <= 5 and
-s <= 4, and the offset table symbolically for every k and s.
+derive_system therefore builds the system straight from that offset table
+(_offset_rule), in O(s) rows whatever k is, and check_invariance
+decides every |A1| = |A2| spec on it: the check holds, and states_seen
+counts the states a breadth-first walk of the table meets within the
+radius (_offset_states).  For |A1| != |A2|: a vertex's subtree is fixed by
+its type (position mod 2(2s+1), last letter), and a step reads only the set
+(A0, A1 or A2) of a letter, so one walk of the letter-set quotient of the
+types, at most 3*2(2s+1) + 1 of them whatever k is, gives check_invariance's
+verdict and states_seen and derive_system's refusal with its two witness
+words (_quotient_walk).  Only the violation listing reads the full type
+table (cosets.type_table): _compare_types checks each type in it against
+the first type of its state, and _violation_walk names the violating words
+in ball order, building only the words with a broken type below them within
+the radius, and only up to the caller's limit.  Tests check the quotient
+walk against the table, and the offset walk's state count against the
+quotient walk's, on every letter choice with k <= 5 and s <= 4, and the
+offset table symbolically for every k and s.
 """
 
 from __future__ import annotations
@@ -98,28 +103,66 @@ class InvarianceReport:
     violations: tuple[InvarianceViolation, ...]
 
 
-def check_invariance(spec: SubgroupSpec, radius: int) -> InvarianceReport:
+def check_invariance(spec: SubgroupSpec, radius: int, *, limit: int | None = None) -> InvarianceReport:
     """Test whether successor class profiles depend only on the state pair.
 
     Equivalent to checking every pair x, y with equal classes and equal
     parent classes of the ball: profiles are compared as multisets of class
     residues, and the first word of each state in ball order stands in for
-    x.  The verdict and states_seen come from the letter-set quotient walk
-    (_quotient_walk).  Only a failing check reads the full type table
-    (_compare_types) and walks the words that lead to a broken type
-    (_violation_walk) to list the violating words in ball order, with
-    shared_positions_equal the proven constant False.
+    x.  With |A1| = |A2| the offset table holds on the whole tree (see the
+    module docstring), so the check holds and states_seen counts the states
+    within the radius (_offset_states).  Otherwise the verdict and
+    states_seen come from the letter-set quotient walk (_quotient_walk), and
+    a failing check reads the full type table (_compare_types) and walks the
+    words that lead to a broken type (_violation_walk) to list the violating
+    words in ball order, at most limit of them, with shared_positions_equal
+    the proven constant False.
     """
     if radius < 2:
         raise ValueError(f"radius must be >= 2, got {radius}")
     words_checked = check_ball_cap(spec.k, radius) - 1
+    if len(spec.a1) == len(spec.a2):
+        return InvarianceReport(True, radius, words_checked, _offset_states(spec, radius), ())
     states, mismatch = _quotient_walk(spec, radius)
     if mismatch is None:
         return InvarianceReport(True, radius, words_checked, len(states), ())
     first, mismatched, (types, _, kids) = _compare_types(spec, radius)
     broken = {i: (*first[st], profile, False) for i, (st, profile) in mismatched.items()}
-    violations = _violation_walk(radius, types, kids, broken)
+    violations = _violation_walk(radius, types, kids, broken, limit)
     return InvarianceReport(False, radius, words_checked, len(states), violations)
+
+
+def _offset_rule(m: int, m0: int) -> dict[int | None, tuple[tuple[int, int], ...]]:
+    """The offset table for |A1| = |A2| = m and |A0| = m0, by parent offset.
+
+    A vertex whose parent sits d in {-1, 0, +1} classes from its own has m
+    children one class down, m0 at its class and m one class up, one fewer
+    at d, its parent's side; the root, d None, loses none.  Maps d to the
+    (child offset, count) pairs with a nonzero count.
+    """
+    return {
+        d: tuple((e, c - (e == d)) for e, c in ((-1, m), (0, m0), (1, m)) if c - (e == d))
+        for d in (-1, 0, 1, None)
+    }
+
+
+def _offset_states(spec: SubgroupSpec, radius: int) -> int:
+    """The number of states (class, parent class) of the words of depth 1 to radius.
+
+    For |A1| = |A2| only: a breadth-first walk of the offset table from the
+    root's children, a state kept as (class, parent offset), stopped at the
+    radius or at a layer with no new state, so it meets at most 3(2s+1)
+    states whatever k is.
+    """
+    rule, n = _offset_rule(len(spec.a1), spec.a0_size), spec.index
+    layer = {(e % n, -e) for e, _ in rule[None]}
+    seen = set(layer)
+    for _ in range(radius - 1):
+        layer = {((r + e) % n, -e) for r, d in layer for e, _ in rule[d]} - seen
+        if not layer:
+            break
+        seen |= layer
+    return len(seen)
 
 
 def _quotient_walk(spec: SubgroupSpec, radius: int) -> tuple[dict, tuple | None]:
@@ -202,19 +245,22 @@ def _compare_types(spec: SubgroupSpec, radius: int) -> tuple[dict, dict, tuple]:
 
 
 def _violation_walk(
-    radius: int, types: list[Type], kids: list[list[int]], broken: dict[int, tuple]
+    radius: int, types: list[Type], kids: list[list[int]], broken: dict[int, tuple], limit: int | None = None
 ) -> tuple[InvarianceViolation, ...]:
-    """Every word of the ball whose type id is broken, with its verdict, in ball order.
+    """The words of the ball whose type id is broken, with their verdicts, in ball order.
+
+    Only the first limit of them are listed, or all when limit is None.
 
     reach[d] holds the type ids with a broken type among their descendants
     at most d levels below.  A word at depth j is extended only to the
     children whose type is in reach[radius - j - 1], so the walk builds just
     the words on a path to a violation and never the last sphere.  A
     sphere's violations are its words' broken children, in word and then
-    letter order, which is ball order.  Each record is filled in place
-    through the slot setters, bound to locals once per call: the frozen
-    class's __init__ sets each field through object.__setattr__ at about
-    twice the cost.
+    letter order, which is ball order.  The walk stops at the limit'th
+    record, before the next one or the next sphere is built.  Each record is
+    filled in place through the slot setters, bound to locals once per call:
+    the frozen class's __init__ sets each field through object.__setattr__
+    at about twice the cost.
     """
     new, (set_x, set_y, set_profile_x, set_profile_y, set_shared) = object.__new__, _VIOLATION_SETTERS
     tails = [(last,) for _, last in types]
@@ -223,20 +269,22 @@ def _violation_walk(
     for _ in range(radius - 1):
         below = broken.keys() | reach[-1]
         reach.append({t for t, row in enumerate(kids) if not below.isdisjoint(row)})
-    violations: list[InvarianceViolation] = []
-    sphere = [(IDENTITY, 0)]  # (word, type id)
-    for inside in reversed(reach):
-        for w, t in sphere:
-            for tail, rep, rep_profile, profile, shared in bad[t]:
-                v = new(InvarianceViolation)
-                set_x(v, rep)
-                set_y(v, w + tail)
-                set_profile_x(v, rep_profile)
-                set_profile_y(v, profile)
-                set_shared(v, shared)
-                violations.append(v)
-        sphere = [(w + tails[u], u) for w, t in sphere for u in kids[t] if u in inside]
-    return tuple(violations)
+
+    def walk():
+        sphere = [(IDENTITY, 0)]  # (word, type id)
+        for inside in reversed(reach):
+            for w, t in sphere:
+                for tail, rep, rep_profile, profile, shared in bad[t]:
+                    v = new(InvarianceViolation)
+                    set_x(v, rep)
+                    set_y(v, w + tail)
+                    set_profile_x(v, rep_profile)
+                    set_profile_y(v, profile)
+                    set_shared(v, shared)
+                    yield v
+            sphere = [(w + tails[u], u) for w, t in sphere for u in kids[t] if u in inside]
+
+    return tuple(itertools.islice(walk(), limit))
 
 
 @dataclass(frozen=True)
@@ -386,12 +434,10 @@ def derive_system(spec: SubgroupSpec, allow_nonsingleton: bool = False) -> Weakl
     states = tuple(sorted((r, (r + d) % n) for r in range(n) for d in offsets))
     index = {st: i for i, st in enumerate(states)}
     counts = []
+    rule = _offset_rule(m, m0)
     for r, q in states:
         row = [0] * size
-        for e, c in ((-1, m), (0, m0), (1, m)):
-            child = (r + e) % n
-            c -= child == q  # one fewer on the parent's side
-            if c:  # with A0 empty, (r, r) is no state and gets no children
-                row[index[child, r]] = c
+        for e, c in rule[(q - r + 1) % n - 1]:
+            row[index[(r + e) % n, r]] = c
         counts.append(tuple(row))
     return WeaklyPeriodicSystem(k=spec.k, s=spec.s, states=states, counts=tuple(counts), spec=spec)

@@ -139,14 +139,17 @@ def check_ball_cap(k: int, radius: int) -> int:
     """The number of words of length <= radius; refuses a ball over the vertex cap.
 
     Spheres are summed only until the cap is passed, at most cap.bit_length()
-    of them for k >= 2 (each at least doubles); k = 1, the line, is 2*radius + 1."""
+    of them for k >= 2 (each at least doubles); k = 1, the line, is 2*radius + 1.
+    The cap is read once, and the refusal reads as check_work's."""
     cap = _vertex_cap()
     total, m = (2 * radius + 1, radius) if k == 1 else (1, 0)
     while m < radius and total <= cap:
         m += 1
         total += sphere_size(k, m)
-    counted = total if m == radius else f"more than {cap}"
-    return check_work(total, f"ball of radius {radius} for k={k} has {counted} vertices")
+    if total > cap:
+        counted = total if m == radius else f"more than {cap}"
+        raise ResourceLimitError(f"ball of radius {radius} for k={k} has {counted} vertices, cap is {cap}")
+    return total
 
 
 def enumerate_ball(k: int, radius: int) -> Ball:

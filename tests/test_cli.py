@@ -18,9 +18,9 @@ import pytest
 import cayleygibbs
 from cayleygibbs.cli import build_parser, main
 from cayleygibbs.cosets import SubgroupSpec
-from cayleygibbs.invariance import derive_system
+from cayleygibbs.invariance import check_invariance, derive_system
 from cayleygibbs.solver import Theta, solve_i1_exact, verify_compatibility
-from cayleygibbs.words import ball_size
+from cayleygibbs.words import ball_size, word_to_str
 
 STANDARD = '{"k": 2, "s": 1, "A1": [1], "A2": [2]}'
 SPLIT = '{"k": 2, "s": 1, "A1": [1, 3], "A2": [2]}'
@@ -80,6 +80,17 @@ def test_invariance_exit_codes(capsys):
     doc = json.loads(out)
     assert doc["holds"] is False
     assert doc["violations"]
+
+
+def test_invariance_prints_the_first_ten_violations(capsys):
+    # the CLI asks check_invariance for the ten records it prints, so a
+    # 6.3M-word ball lists as fast as a small one
+    head = check_invariance(SubgroupSpec(k=2, s=1, a1={1, 3}, a2={2}), 8).violations[:10]
+    code, out = run(capsys, "invariance", "--spec", SPLIT, "--radius", "21")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["holds"], doc["words_checked"]) == (False, 6_291_453)
+    assert [(v["x"], v["y"]) for v in doc["violations"]] == [(word_to_str(v.x), word_to_str(v.y)) for v in head]
 
 
 def test_qvec_root(capsys):

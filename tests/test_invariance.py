@@ -14,6 +14,7 @@ from cayleygibbs import cosets, invariance, words
 from cayleygibbs.cosets import SubgroupSpec, label
 from cayleygibbs.invariance import (
     IllDefinedSystemError,
+    InvarianceReport,
     InvarianceViolation,
     WeaklyPeriodicSystem,
     check_invariance,
@@ -807,6 +808,75 @@ def test_holding_invariance_walks_no_types(monkeypatch):
         assert check_invariance(spec, radius).holds
     with pytest.raises(AssertionError, match="walked the types"):
         check_invariance(SPLIT, 6)
+
+
+def test_offset_states_equal_the_quotient_walk_at_every_radius(monkeypatch):
+    # A holding check counts its states on the offset table; the letter-set
+    # quotient walk counts the same states at every radius, up to the depth
+    # by which the quotient's 3 * 2(2s+1) + 1 types are all met.  The cap is
+    # raised so that check_invariance counts, not builds, the deep balls.
+    monkeypatch.setenv("CAYLEYGIBBS_MAX_BALL", str(10**60))
+    compared = 0
+    for k in range(1, 6):
+        for s in range(1, 5):
+            for a1, a2 in letter_choices(k):
+                if len(a1) != len(a2):
+                    continue
+                spec = SubgroupSpec(k=k, s=s, a1=a1, a2=a2)
+                for radius in range(2, 3 * 2 * spec.index + 2):
+                    quotient, mismatch = invariance._quotient_walk(spec, radius)
+                    assert mismatch is None, (spec, radius)
+                    report = check_invariance(spec, radius)
+                    assert (report.holds, report.states_seen) == (True, len(quotient)), (spec, radius)
+                    compared += 1
+    assert compared == 216 * (18 + 30 + 42 + 54)
+
+
+def test_holding_invariance_walks_no_quotient(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a holding check walked the letter-set quotient")
+
+    monkeypatch.setattr(invariance, "_quotient_walk", refuse)
+    for spec, radius in ((STANDARD, 8), (PAIRS, 6), (SubgroupSpec(k=4, s=2, a1={1}, a2={3}), 6)):
+        report = check_invariance(spec, radius)
+        assert report == InvarianceReport(True, radius, ball_size(spec.k, radius) - 1, report.states_seen, ())
+    assert check_invariance(STANDARD, 8).states_seen == 9
+    with pytest.raises(AssertionError, match="walked the letter-set quotient"):
+        check_invariance(SPLIT, 6)
+
+
+def test_limited_listing_builds_only_its_records(monkeypatch):
+    # radius 21 at k = 2 is a ball of 6.3M words and, unlimited, about 1.4M
+    # records; the limited walk fills only the records it returns
+    built = []
+    setters = list(invariance._VIOLATION_SETTERS)
+    set_x = setters[0]
+    setters[0] = lambda v, x: (built.append(x), set_x(v, x))
+    monkeypatch.setattr(invariance, "_VIOLATION_SETTERS", tuple(setters))
+    assert ball_size(2, 21) == 6_291_454
+    report = check_invariance(SPLIT, 21, limit=10)
+    assert (report.holds, report.words_checked, len(report.violations), len(built)) == (False, 6_291_453, 10, 10)
+    assert report.violations == check_invariance(SPLIT, 8).violations[:10]
+
+
+LIMIT_RADII = {2: range(2, 9), 3: range(2, 7), 4: range(2, 6)}
+
+
+def test_limited_listing_is_the_head_of_the_full_one():
+    compared = 0
+    for k, radii in LIMIT_RADII.items():
+        for s in (1, 2):
+            for a1, a2 in letter_choices(k):
+                if len(a1) == len(a2):
+                    continue
+                spec = SubgroupSpec(k=k, s=s, a1=a1, a2=a2)
+                for radius in radii:
+                    full = check_invariance(spec, radius)
+                    for limit in (0, 1, 10):
+                        head = dataclasses.replace(full, violations=full.violations[:limit])
+                        assert repr(check_invariance(spec, radius, limit=limit)) == repr(head), (spec, radius)
+                    compared += 1
+    assert compared == 2 * (7 * 6 + 5 * 32 + 4 * 130)
 
 
 def test_invariance_at_k_3000():

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from cayleygibbs import words
 from cayleygibbs.words import (
     IDENTITY,
     ResourceLimitError,
@@ -235,6 +236,17 @@ def test_ball_far_over_the_cap_is_refused_uncounted(monkeypatch, k, radius, coun
     message = f"^ball of radius {radius} for k={k} has {counted} vertices, cap is 10000000$"
     with pytest.raises(ResourceLimitError, match=message):
         check_ball_cap(k, radius)
+
+
+def test_ball_cap_reads_the_cap_once(monkeypatch):
+    reads = []
+    cap = words._vertex_cap
+    monkeypatch.setattr(words, "_vertex_cap", lambda: reads.append(1) or cap())
+    monkeypatch.setenv("CAYLEYGIBBS_MAX_BALL", "94")
+    assert check_ball_cap(2, 5) == 94
+    with pytest.raises(ResourceLimitError, match="^ball of radius 6 for k=2 has 190 vertices, cap is 94$"):
+        check_ball_cap(2, 6)
+    assert len(reads) == 2
 
 
 def test_ball_cap_env_override(monkeypatch):
