@@ -74,10 +74,6 @@ class SubgroupSpec:
             raise SpecError("A1 and A2 must be disjoint")
 
     @property
-    def a0(self) -> frozenset[int]:
-        return frozenset(range(1, self.k + 2)) - self.a1 - self.a2
-
-    @property
     def a0_size(self) -> int:
         return self.k + 1 - len(self.a1) - len(self.a2)
 
@@ -93,10 +89,6 @@ class SubgroupSpec:
     def index(self) -> int:
         """Number of coset classes."""
         return 2 * self.s + 1
-
-    @property
-    def is_singleton(self) -> bool:
-        return len(self.a1) == 1 and len(self.a2) == 1
 
     def to_json(self) -> str:
         payload = {
@@ -187,8 +179,8 @@ Type = tuple[int, int]  # (position mod 2(2s+1), last letter); see type_table
 ROOT: Type = (0, 0)  # the root: position 0, no last letter
 
 
-def type_table(spec: SubgroupSpec, radius: int | None = None) -> tuple[list[Type], list[Word], list[list[int]]]:
-    """The types of the ball's words (of every word if radius is None) in the ball order of their first words.
+def type_table(spec: SubgroupSpec, radius: int) -> tuple[list[Type], list[Word], list[list[int]]]:
+    """The types of the ball's words in the ball order of their first words.
 
     A type (position mod 2(2s+1), last letter) fixes a vertex's subtree: a
     step reads only the parity and class of a position, and the last letter
@@ -206,7 +198,7 @@ def type_table(spec: SubgroupSpec, radius: int | None = None) -> tuple[list[Type
     types, words, kids = [ROOT], [IDENTITY], []
     ids = {ROOT: 0}
     for (p, last), word in zip(types, words):  # both lists grow as types are met
-        if radius is not None and len(word) >= radius:
+        if len(word) >= radius:
             break
         moved = (p, step(p, m1, spec) % period, step(p, m2, spec) % period)
         row = []

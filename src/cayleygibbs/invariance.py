@@ -15,9 +15,10 @@ at r+d, its parent's side.  With |A1| != |A2| the two parities give
 different profiles for one state; the checker reports the witnesses and the
 derivation refuses to certify.
 
-derive_system therefore builds the system straight from that offset table
-(_offset_rule), in O(s) rows whatever k is, and check_invariance
-decides every |A1| = |A2| spec on it: the check holds, and states_seen
+derive_system therefore builds the system of every |A1| = |A2| spec,
+singleton or not, straight from that offset table (_offset_rule), in O(s)
+rows whatever k is, and check_invariance decides every such spec on the
+same table: the check holds, and states_seen
 counts the states a breadth-first walk of the table meets within the
 radius (_offset_states).  For |A1| != |A2|: a vertex's subtree is fixed by
 its type (position mod 2(2s+1), last letter), and a step reads only the set
@@ -393,8 +394,11 @@ def _state_index(index: dict[StatePair, int], key: object, n: int) -> int:
     return index[st]
 
 
-def derive_system(spec: SubgroupSpec, allow_nonsingleton: bool = False) -> WeaklyPeriodicSystem:
-    """Derive the weakly periodic system from the offset table.
+def derive_system(spec: SubgroupSpec, *, allow_nonsingleton: bool = False) -> WeaklyPeriodicSystem:
+    """Derive the weakly periodic system from the offset table, or refuse it.
+
+    The spec alone decides the result; allow_nonsingleton is still accepted
+    from callers that pass it, and has no effect.
 
     With |A1| = |A2| = m and |A0| = m0 the states are (r, r+d) mod 2s+1
     for every class r, with d = -1 and +1, and d = 0 when A0 is nonempty.
@@ -411,10 +415,6 @@ def derive_system(spec: SubgroupSpec, allow_nonsingleton: bool = False) -> Weakl
     """
     if spec.k == 1:
         raise ValueError("k = 1 gives a line graph with no branching; unsupported")
-    if not spec.is_singleton and not allow_nonsingleton:
-        raise ValueError(
-            "derivation requires singleton A1 and A2 (pass allow_nonsingleton to probe anyway)"
-        )
     m, m0, n = len(spec.a1), spec.a0_size, spec.index
     if m != len(spec.a2):
         check_work(bound := 3 * 2 * n + 1, f"letter-set quotient for s={spec.s} has up to {bound} types")

@@ -29,8 +29,9 @@ cayleygibbs.cosets.typed_spheres and each record through _violation.  On
 the same type table and broken types both must return the same records in
 the same order.
 
-successor_labels, check_class_counts (with matching_permutation) and the
-hardcoded nine-state table (reference_counts, matches_reference) are second
+successor_labels, check_class_counts (with matching_permutation), the
+hardcoded nine-state table (reference_counts, matches_reference) and the
+level-by-level ball walk of successor rows (ball_successor_rows) are second
 implementations that only tests compare the package against; they are kept
 here, not in cayleygibbs.
 
@@ -541,7 +542,7 @@ def check_class_counts(spec: SubgroupSpec, radius: int) -> ClassCountReport:
     Also verifies a coordinate permutation matching every vertex's count
     vector to the root's exists.  Only meaningful for singleton specs.
     """
-    if not spec.is_singleton:
+    if not len(spec.a1) == len(spec.a2) == 1:
         raise ValueError("class count equality requires singleton A1 and A2")
     base = neighbor_counts(IDENTITY, spec)
     vectors: dict[int, tuple[int, ...]] = {}
@@ -563,19 +564,23 @@ def check_class_counts(spec: SubgroupSpec, radius: int) -> ClassCountReport:
     )
 
 
-def reference_counts(k: int) -> dict[StatePair, dict[StatePair, int]]:
-    """The nine-state successor-count table for s = 1 singleton specs.
+def reference_counts(k: int, m: int = 1) -> dict[StatePair, dict[StatePair, int]]:
+    """The nine-state successor-count table for s = 1 specs with |A1| = |A2| = m.
 
     States are (class, parent class) over classes 0..2; the table holds for
-    every k >= 2 with the same sparsity pattern.
+    every k >= 2 with the same sparsity pattern.  With m0 = k + 1 - 2m
+    residual letters; when m0 = 0 no vertex shares its parent's class, and
+    the three states (i, i) drop out.
     """
+    m0 = k + 1 - 2 * m
     table: dict[StatePair, dict[StatePair, int]] = {}
     for i in range(3):
         down = (i - 1) % 3
         up = (i + 1) % 3
-        table[(i, i)] = {(i, i): k - 2, (up, i): 1, (down, i): 1}
-        table[(i, down)] = {(i, i): k - 1, (up, i): 1}
-        table[(i, up)] = {(i, i): k - 1, (down, i): 1}
+        if m0:
+            table[(i, i)] = {(i, i): m0 - 1, (up, i): m, (down, i): m}
+        table[(i, down)] = {(i, i): m0, (up, i): m, (down, i): m - 1}
+        table[(i, up)] = {(i, i): m0, (up, i): m - 1, (down, i): m}
     return {st: {su: n for su, n in row.items() if n} for st, row in sorted(table.items())}
 
 
@@ -587,6 +592,38 @@ def matches_reference(system: WeaklyPeriodicSystem) -> bool:
     if set(system.states) != set(expected):
         return False
     return all(system.row(st) == expected[st] for st in system.states)
+
+
+def ball_successor_rows(spec: SubgroupSpec, radius: int) -> dict[StatePair, dict[tuple, int]]:
+    """Successor-state counts of the ball's words, labelled level by level from the root.
+
+    Every word's position is its parent's stepped by its last letter
+    (cosets.step, tabulated over the positions of depth at most radius + 1),
+    and each of its k successors' positions is its own stepped by that
+    successor's letter.  Maps each state (class, parent class) of a word of
+    depth 1 to radius to {successor-state count row: number of words}; the
+    row is a tuple of (state, count) pairs, sorted, with no zero count.  A
+    numpy walk: the radius-6 ball at k = 5 has 23,437 words.
+    """
+    n, letters, span = spec.index, np.arange(1, spec.k + 2), radius + 1
+    moves = np.array([[cosets.step(p, c, spec) for c in letters] for p in range(-span, span + 1)])
+    pos, parents, last = np.zeros(1, dtype=int), np.zeros(1, dtype=int), np.zeros(1, dtype=int)
+    dims = (n, n) + (spec.k + 1,) * n  # a word's class, its parent's, and its count of successors in each class
+    keys = []
+    for depth in range(radius + 1):
+        kids = moves[pos + span]  # each word's position after each letter
+        open_ = letters != last[:, None]  # a reduced word never repeats its last letter
+        if depth:
+            counts = [((kids % n == j) & open_).sum(axis=1) for j in range(n)]
+            keys.append(np.ravel_multi_index((pos % n, parents % n, *counts), dims))
+        rows, cols = np.nonzero(open_)
+        pos, parents, last = kids[rows, cols], pos[rows], letters[cols]
+    found, words = np.unique(np.concatenate(keys), return_counts=True)
+    table: dict[StatePair, dict] = {}
+    for (r, q, *counts), m in zip(zip(*(a.tolist() for a in np.unravel_index(found, dims))), words.tolist()):
+        row = tuple(((j, r), c) for j, c in enumerate(counts) if c)
+        table.setdefault((r, q), {})[row] = m
+    return table
 
 
 def _rep_residue(rep: Word, spec: SubgroupSpec) -> int:

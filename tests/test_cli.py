@@ -138,6 +138,45 @@ def test_derive_file_feeds_compat(capsys, tmp_path):
     assert json.loads(out)["passed"] is True
 
 
+PAIRS = "{k:4,s:1,A1:[1,2],A2:[3,4]}"  # |A1| = |A2| = 2, A0 = {5}
+
+
+def test_pair_spec_derives_solves_sweeps_and_passes_compat(capsys, tmp_path):
+    # every |A1| = |A2| spec derives: m = 2 children one class down and up,
+    # m0 = 1 at the vertex's class, one fewer on its parent's side
+    code, out = run(capsys, "derive", "--spec", PAIRS)
+    assert code == 0
+    counts = {
+        f"{r},{(r + d) % 3}": {f"{(r + e) % 3},{r}": c - (e == d) for e, c in ((-1, 2), (0, 1), (1, 2)) if c - (e == d)}
+        for r in range(3)
+        for d in (-1, 0, 1)
+    }
+    assert json.loads(out)["counts"] == counts
+    code, out = run(capsys, "solve", "--spec", PAIRS, "--theta", "0.8", "--starts", "20")
+    assert code == 0
+    constant = [s for s in json.loads(out)["solutions"] if s["kind"] == "translation-invariant"]
+    assert len(constant) == 3 and all(s["invariant_sets"] == ["I0", "I1", "I2"] for s in constant)
+    code, out = run(capsys, "sweep", "--spec", PAIRS, "--thetas", "0.2,0.8", "--starts", "20")
+    assert code == 0
+    assert out.split("\n")[:3] == ["theta,n_ti,n_wp_I1,n_wp_I2,agreement", "0.2,1,0,0,true", "0.8,3,0,0,true"]
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps([0.0] * 9))
+    code, out = run(capsys, "compat", "--spec", PAIRS, "--theta", "0.8", "--n", "3", "--fields", str(zero))
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
+def test_derive_refuses_unequal_letter_sets_with_witnesses(capsys):
+    code = main(["derive", "--spec", "{k:2,s:1,A1:[1,3],A2:[2]}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "verification failed: state (0, 1): a1.a3 gives {(1, 0): 1, (2, 0): 1} but a2.a1.a2 gives {(2, 0): 2}; "
+        "successor counts depend on the vertex, so the invariance property fails\n"
+    )
+
+
 def test_solve_output_deterministic(capsys):
     _, first = run(capsys, "solve", "--spec", STANDARD, "--theta", "0.7", "--starts", "30")
     _, second = run(capsys, "solve", "--spec", STANDARD, "--theta", "0.7", "--starts", "30")

@@ -146,6 +146,19 @@ def assert_ball_certifies(system, spec, radius):
 SPLIT_K3 = SubgroupSpec(k=3, s=2, a1={1, 3}, a2={2})  # A0 = {4}: classes agree at that letter
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [PAIRS, SPLIT, SPLIT_K3, SubgroupSpec(k=4, s=1, a1={1, 2}, a2={3, 5})],
+    ids=["pairs", "split", "split-k3", "pairs-k4"],
+)
+def test_ball_successor_rows_matches_the_word_by_word_rows(spec):
+    # the level-by-level numpy walk of the acceptance tests against ball_rows
+    for radius in (2, 4, 5):
+        rows = ball_rows(spec, radius)
+        expected = {st: Counter(tuple(sorted(counts.items())) for counts in reps) for st, reps in rows.items()}
+        assert oracles.ball_successor_rows(spec, radius) == expected, radius
+
+
 @pytest.mark.parametrize("spec", [PAIRS, SPLIT, SPLIT_K3], ids=["pairs", "split", "split-k3"])
 def test_invariance_matches_relabelling_oracle(spec):
     states_seen, expected = relabelling_walk(spec, radius=6)
@@ -304,10 +317,10 @@ def test_derive_refusal_over_the_vertex_cap_raises(monkeypatch):
     # only a refusal walks the letter-set quotient: up to 3 * 2(2s+1) + 1 = 19 types at s=1, whatever k is
     monkeypatch.setenv("CAYLEYGIBBS_MAX_BALL", "18")
     with pytest.raises(ResourceLimitError, match="^letter-set quotient for s=1 has up to 19 types, cap is 18$"):
-        derive_system(SPLIT, allow_nonsingleton=True)
+        derive_system(SPLIT)
     monkeypatch.setenv("CAYLEYGIBBS_MAX_BALL", "19")
     with pytest.raises(IllDefinedSystemError):
-        derive_system(SPLIT, allow_nonsingleton=True)
+        derive_system(SPLIT)
 
 
 @pytest.mark.parametrize(
@@ -499,7 +512,7 @@ def test_equal_size_letter_sets_hold_and_derive():
     assert report.holds
     # A0 is empty, so no vertex shares its parent's class: 3 * 2 states.
     assert report.states_seen == 6
-    system = derive_system(PAIRS, allow_nonsingleton=True)
+    system = derive_system(PAIRS)
     assert len(system.states) == 6
     assert all(sum(row) == PAIRS.k for row in system.counts)
     assert_ball_certifies(system, PAIRS, radius=7)
@@ -593,14 +606,24 @@ def test_derive_rejects_k1():
         derive_system(SubgroupSpec(k=1, s=1, a1={1}, a2={2}))
 
 
-def test_derive_rejects_nonsingleton_by_default():
-    with pytest.raises(ValueError):
-        derive_system(SPLIT)
-
-
 def test_derive_detects_ill_defined_counts():
-    with pytest.raises(IllDefinedSystemError):
-        derive_system(SPLIT, allow_nonsingleton=True)
+    # the spec alone decides: |A1| != |A2| is refused as ill defined, which
+    # the CLI reports as a failed verification, not as a bad argument
+    with pytest.raises(IllDefinedSystemError) as exc:
+        derive_system(SPLIT)
+    assert not isinstance(exc.value, ValueError)
+
+
+def test_allow_nonsingleton_has_no_effect():
+    # the keyword is still accepted, with either value, and changes nothing
+    def outcome(spec, **kwargs):
+        try:
+            return repr(derive_system(spec, **kwargs))
+        except IllDefinedSystemError as exc:
+            return type(exc), str(exc)
+
+    for spec in (PAIRS, SPLIT):
+        assert outcome(spec, allow_nonsingleton=False) == outcome(spec) == outcome(spec, allow_nonsingleton=True)
 
 
 ORACLE_SPECS = [
@@ -626,9 +649,9 @@ def test_derive_matches_ball_oracle(spec):
     assert well_defined == (len(spec.a1) == len(spec.a2))
     if not well_defined:
         with pytest.raises(IllDefinedSystemError):
-            derive_system(spec, allow_nonsingleton=True)
+            derive_system(spec)
         return
-    assert_ball_certifies(derive_system(spec, allow_nonsingleton=True), spec, radius)
+    assert_ball_certifies(derive_system(spec), spec, radius)
 
 
 # The refusal names the first word, in ball order, of each of two types of
@@ -663,7 +686,7 @@ REFUSALS = [
 @pytest.mark.parametrize("spec, message", REFUSALS, ids=[_spec_id(spec) for spec, _ in REFUSALS])
 def test_derive_refusal_message_is_pinned(spec, message):
     with pytest.raises(IllDefinedSystemError) as exc:
-        derive_system(spec, allow_nonsingleton=True)
+        derive_system(spec)
     suffix = "; successor counts depend on the vertex, so the invariance property fails"
     assert str(exc.value) == message + suffix
 
@@ -683,7 +706,8 @@ def test_derive_refuses_exactly_where_invariance_fails_at_the_type_depth():
         for s in range(1, 5):
             for a1, a2 in letter_choices(k):
                 spec = SubgroupSpec(k=k, s=s, a1=a1, a2=a2)
-                depth = max(len(x) for x in cosets.type_table(spec)[1])
+                types = 2 * 2 * spec.index * (spec.k + 1) + 1  # no first word is longer
+                depth = max(len(x) for x in cosets.type_table(spec, types)[1])
                 for radius in range(2, depth + 1):
                     states, mismatched, _ = invariance._compare_types(spec, radius)
                     quotient, mismatch = invariance._quotient_walk(spec, radius)
@@ -705,13 +729,13 @@ def test_derive_refuses_exactly_where_invariance_fails_at_the_type_depth():
                             f"but {word_to_str(words[i])} gives {y_row}{suffix}"
                         )
                         with pytest.raises(IllDefinedSystemError, match=f"^{re.escape(message)}$"):
-                            derive_system(spec, allow_nonsingleton=True)
+                            derive_system(spec)
                 if k not in ORACLE_RADIUS or s > 2:
                     continue
                 checked += 1
                 report = check_invariance(spec, depth)
                 try:
-                    system = derive_system(spec, allow_nonsingleton=True)
+                    system = derive_system(spec)
                 except IllDefinedSystemError as exc:
                     refused += 1
                     assert not report.holds, spec
@@ -735,11 +759,12 @@ def test_derive_equals_the_type_walk_on_every_holding_spec():
     ]
     assert len(specs) == 856
     for spec in specs:
-        depth = max(len(x) for x in cosets.type_table(spec)[1])  # cut there, the table is whole
+        types = 2 * 2 * spec.index * (spec.k + 1) + 1  # no first word is longer
+        depth = max(len(x) for x in cosets.type_table(spec, types)[1])  # cut there, the table is whole
         first, mismatched, _ = invariance._compare_types(spec, depth)
         assert not mismatched, spec
         rows = {st: Counter((r, st[0]) for r in profile) for st, (_, profile) in first.items()}
-        system = derive_system(spec, allow_nonsingleton=True)
+        system = derive_system(spec)
         assert system.states == tuple(sorted(rows)), spec
         assert system.counts == tuple(tuple(rows[st][su] for su in system.states) for st in system.states), spec
 
@@ -793,10 +818,10 @@ def test_holding_derive_walks_no_types(monkeypatch):
     monkeypatch.setattr(invariance, "type_table", refuse)
     holding = (STANDARD, PAIRS, SubgroupSpec(k=5, s=4, a1={2}, a2={6}), SubgroupSpec(k=4, s=2, a1={1, 2}, a2={3, 4}))
     for spec in holding:
-        system = derive_system(spec, allow_nonsingleton=True)
+        system = derive_system(spec)
         assert all(sum(row) == spec.k for row in system.counts)
     with pytest.raises(IllDefinedSystemError, match="^state \\(0, 1\\): a1.a3 gives "):
-        derive_system(SPLIT, allow_nonsingleton=True)
+        derive_system(SPLIT)
 
 
 def test_holding_invariance_walks_no_types(monkeypatch):
@@ -898,7 +923,7 @@ def test_derive_refuses_with_witnesses_at_any_k(k):
         "successor counts depend on the vertex, so the invariance property fails"
     )
     with pytest.raises(IllDefinedSystemError, match=f"^{re.escape(message)}$"):
-        derive_system(SubgroupSpec(k=k, s=1, a1={1, 3}, a2={2}), allow_nonsingleton=True)
+        derive_system(SubgroupSpec(k=k, s=1, a1={1, 3}, a2={2}))
 
 
 def test_derive_at_k_3000():

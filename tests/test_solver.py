@@ -306,6 +306,14 @@ def test_certified_patterns_are_those_restrict_accepts():
         assert system.states == NINE_STATES
         assert certified_patterns(system) == ("I0", "I1", "I2"), k
     assert certified_patterns(derive_system(SubgroupSpec(k=2, s=2, a1={1}, a2={2}))) == ()
+    # |A1| = |A2| = m >= 2 at s = 1: all six patterns when |A0| = m as well,
+    # none when A0 is empty (six states), and I0, I1, I2 otherwise
+    for k in range(3, 13):
+        for m in range(2, (k + 1) // 2 + 1):
+            system = derive_system(SubgroupSpec(k=k, s=1, a1=range(1, m + 1), a2=range(m + 1, 2 * m + 1)))
+            m0 = k + 1 - 2 * m
+            expected = () if m0 == 0 else tuple(INVARIANT_PATTERNS) if m0 == m else ("I0", "I1", "I2")
+            assert certified_patterns(system) == expected, (k, m)
 
 
 def test_solutions_name_only_certified_patterns():
@@ -619,7 +627,7 @@ GROUPED_SYSTEMS = {
         for a2 in ({2}, {3})
     },
     **{
-        f"pairs-k{spec.k}-s{spec.s}": (lambda spec=spec: derive_system(spec, allow_nonsingleton=True), groups)
+        f"pairs-k{spec.k}-s{spec.s}": (lambda spec=spec: derive_system(spec), groups)
         for spec, groups in zip(PAIR_SPECS, [3, 4, 5, 4])
     },
     "edited": (_edited_table, 4),  # first fit: 5
@@ -703,7 +711,7 @@ def test_grouped_jacobian_matches_the_column_oracle_bit_for_bit(name):
         lambda: derive_system(STANDARD),
         lambda: derive_system(SubgroupSpec(k=3, s=2, a1={1}, a2={2})),
         lambda: derive_system(SubgroupSpec(k=8, s=3, a1={1}, a2={3})),
-        lambda: derive_system(PAIR_SPECS[2], allow_nonsingleton=True),
+        lambda: derive_system(PAIR_SPECS[2]),
         _edited_table,
         _dense_table,
     ],
@@ -1451,7 +1459,7 @@ def test_no_digit_limit_leaves_the_vertex_cap(monkeypatch):
         ("80", lambda: derive_system(STANDARD), "system for k=2, s=1 has 9 states, a table of 81 counts, cap is 80"),
         ("80", functools.partial(WeaklyPeriodicSystem.from_json, derive_system(STANDARD).to_json()),
          "system for k=2, s=1 has 9 states, a table of 81 counts, cap is 80"),
-        ("18", lambda: derive_system(SubgroupSpec(k=2, s=1, a1={1, 3}, a2={2}), allow_nonsingleton=True),
+        ("18", lambda: derive_system(SubgroupSpec(k=2, s=1, a1={1, 3}, a2={2})),
          "letter-set quotient for s=1 has up to 19 types, cap is 18"),
         ("728", lambda: solve_fixed_points(derive_system(STANDARD), Theta(0.8)),
          "Newton on 9 states takes 729 multiply-adds per Jacobian, cap is 728"),
