@@ -606,12 +606,18 @@ def test_derive_rejects_k1():
         derive_system(SubgroupSpec(k=1, s=1, a1={1}, a2={2}))
 
 
-def test_derive_detects_ill_defined_counts():
+def test_derive_rejects_nonsingleton_by_default():
     # the spec alone decides: |A1| != |A2| is refused as ill defined, which
     # the CLI reports as a failed verification, not as a bad argument
     with pytest.raises(IllDefinedSystemError) as exc:
         derive_system(SPLIT)
     assert not isinstance(exc.value, ValueError)
+
+
+def test_derive_detects_ill_defined_counts():
+    for spec in (SPLIT, SPLIT_K3):
+        with pytest.raises(IllDefinedSystemError):
+            derive_system(spec)
 
 
 def test_allow_nonsingleton_has_no_effect():
