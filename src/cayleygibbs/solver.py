@@ -16,19 +16,17 @@ STACK_BUDGET allows; solving one theta is the one-theta case.  Each
 start reaches bit for bit the root a start-by-start iteration reaches
 (_newton_batch), though its line search tries the step lengths in three
 stacked stages: the residual is one np.matmul matrix-vector product per
-vector (_residual), and the central-difference Jacobian perturbs
-structurally orthogonal columns together (Curtis, Powell and Reid, 1974)
-in DSatur colour groups alone, 3 for every singleton system (Coleman and
-More, 1983), so a row costs 6 matrix-vector products, not 2 * states
-(_jacobians).  The constant roots +-h*·1 are added wherever multistart
-missed them.  On the four-block subspace the quadratic branch is the
-nonzero translation-invariant pair and the quartic cofactor has no
-positive root, so that subspace holds no non-constant fixed point; the
-exact path builds the pair as +-log(x)·1.
+vector (_residual), and the Jacobian is exact, I - M diag(f'(u)) with f'
+in closed form (_slope), one broadcast multiply per row (_jacobians).
+The constant roots +-h*·1 are added wherever multistart missed them.  On
+the four-block subspace the quadratic branch is the nonzero
+translation-invariant pair and the quartic cofactor has no positive root,
+so that subspace holds no non-constant fixed point; the exact path builds
+the pair as +-log(x)·1.
 
 A run sets only SolverConfig (starts, rng_seed).  The rest are
-constants: NEWTON_TOL, NEWTON_MAX_ITER, FD_STEP, LINE_SEARCH_HALVINGS
-(in LINE_SEARCH_STAGES), START_BOX, STACK_BUDGET, DEDUPE_EPS,
+constants: NEWTON_TOL, NEWTON_MAX_ITER, LINE_SEARCH_HALVINGS (in
+LINE_SEARCH_STAGES), START_BOX, STACK_BUDGET, DEDUPE_EPS,
 FLAT_MERGE_RADIUS, FLAT_MERGE_RESIDUAL, TI_SPREAD (constant vectors and
 pattern blocks), EXACT_RESIDUAL_TOL, SWEEP_MATCH_TOL and COMPAT_TOL.
 """
@@ -125,13 +123,11 @@ class SolutionSet:
 
 # a chunk holds max(1, STACK_BUDGET // dim**2) (theta, start) rows, so up
 # to 256 states its Jacobians stay within STACK_BUDGET elements (512 KB),
-# its three (rows, groups, dim) difference stacks within 3 groups / dim of
-# that, and each stack of line-search trials within STACK_BUDGET.  Memory
-# grows with neither the starts nor the thetas.  A chunk runs as many
+# and each stack of line-search trials within STACK_BUDGET.  Memory grows
+# with neither the starts nor the thetas.  A chunk runs as many
 # iterations as its slowest row, mostly per-call overhead at 9 and 15
 # states, so rows are capped by memory alone
 STACK_BUDGET = 1 << 16
-FD_STEP = 1e-6
 LINE_SEARCH_HALVINGS = 30
 # the step lengths 2**-j, j < LINE_SEARCH_HALVINGS, in the line search's
 # three stacked stages: 1, then 1/2 to 1/8, then the rest
@@ -153,17 +149,16 @@ FLAT_MERGE_RADIUS = 1e-2
 FLAT_MERGE_RESIDUAL = 1e-10
 
 
-def _residual(M: np.ndarray, U: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
-    """f(U) and F(U) = U - M f(U) on the last axis of a vector or a stack of vectors.
+def _residual(M: np.ndarray, U: np.ndarray, t) -> np.ndarray:
+    """F(U) = U - M f(U) on the last axis of a vector or a stack of vectors.
 
     t is theta, a float or an array that broadcasts against U.  np.matmul
     against f(U)[..., None] makes one matrix-vector product per stacked
     vector, bit for bit M @ f(u); u @ M.T, einsum and (M @ f(U).T).T sum in
     another order, which moves the last bit at k >= 3.
     """
-    f = _edge(U, t)
-    F = np.matmul(M, f[..., None])[..., 0]
-    return f, np.subtract(U, F, out=F)
+    F = np.matmul(M, _edge(U, t)[..., None])[..., 0]
+    return np.subtract(U, F, out=F)
 
 
 def _edge(U: np.ndarray, t) -> np.ndarray:
@@ -173,91 +168,29 @@ def _edge(U: np.ndarray, t) -> np.ndarray:
     return np.arctanh(f, out=f)
 
 
-def _column_groups(pattern: np.ndarray) -> list[list[int]]:
-    """The columns of a boolean pattern in groups whose supports are pairwise disjoint.
+def _slope(U: np.ndarray, t) -> np.ndarray:
+    """f'(U) = theta (1 - tanh^2 U) / (1 - theta^2 tanh^2 U) of an array at theta t.
 
-    Columns clash when they share a true row.  The groups colour the clash
-    graph by DSatur (Brelaz, 1979: next the column whose neighbours hold
-    most colours, then with most neighbours, then lowest).
+    With e = exp(-|h|)^2 in [0, 1], f' = 4 theta e / ((1 - theta)(1 + theta)
+    (1 + e^2) + 2 e (1 + theta^2)): no term is negative, so nothing cancels
+    and f' is within a few ulps while it is a normal float (|h| < 354), where
+    1 - tanh^2 h is 0 from |h| ~ 19.  No finite h overflows (-2|h| would
+    past 9e307), and e underflows silently, by numpy's default.
     """
-    clash = pattern.T @ pattern
-    near = [np.flatnonzero(row).tolist() for row in clash]
-    dim = len(near)
-    colour, held = [-1] * dim, [set() for _ in range(dim)]
-    for _ in range(dim):
-        j = max((v for v in range(dim) if colour[v] < 0), key=lambda v: (len(held[v]), len(near[v]), -v))
-        colour[j] = min(set(range(dim)) - held[j])
-        for v in near[j]:
-            held[v].add(colour[j])
-    return [[j for j in range(dim) if colour[j] == c] for c in range(max(colour, default=-1) + 1)]
+    e = np.exp(-np.abs(U))
+    e *= e
+    return 4.0 * t * e / ((1.0 - t) * (1.0 + t) * (1.0 + e * e) + 2.0 * (1.0 + t * t) * e)
 
 
-def _difference_layout(M: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """How _jacobians perturbs and scatters: groups, own, src, dst.
-
-    The pattern is P = (M != 0) | I, whose column j holds the rows of F that
-    u_j enters.  Its columns are grouped by _column_groups.  own[j] is
-    group(j) * dim + j, where column j's perturbed coordinate sits in a
-    flattened (groups, dim) stack; for every true P[i, j], src holds
-    group(j) * dim + i, the flat place of F_i in that stack, and dst
-    i * dim + j, the flat place of J[i, j].
-    """
-    dim = len(M)
-    pattern = (M != 0) | np.eye(dim, dtype=bool)
-    groups = _column_groups(pattern)
-    group = np.empty(dim, dtype=np.intp)
-    for g, columns in enumerate(groups):
-        group[columns] = g
-    rows, cols = np.nonzero(pattern)
-    return len(groups), group * dim + np.arange(dim), group[cols] * dim + rows, rows * dim + cols
-
-
-def _jacobians(
-    M: np.ndarray,
-    u: np.ndarray,
-    f: np.ndarray,
-    t: np.ndarray,
-    layout: tuple[int, np.ndarray, np.ndarray, np.ndarray],
-    J: np.ndarray,
-    work: np.ndarray,
-) -> np.ndarray:
-    """Central-difference Jacobians of F at every row u_b, into J[b], in column groups.
-
-    f is _edge(u, t).  Bit for bit the column-by-column difference
-    (F(u + FD_STEP e_j) - F(u - FD_STEP e_j)) / (2 FD_STEP) of
-    tests/oracles.py.  One side's point for group g is u_b + step on g's
-    columns and, elsewhere, u_b + step * 0.0: u_b on the - side, and on
-    the + side v = u_b + 0.0, whose f is f + v * 0.0 (f keeps its
-    argument's sign; f + 0.0 would lose the -0.0 f of a negative subnormal
-    can give).  For a row i that u_j enters, every other column j' of j's
-    group has M[i, j'] = 0 and j' != i, so its term in F_i is an exact
-    zero and F_i at the group's point is F_i at u_b + step e_j.  J's other
-    entries are +0.0 there, so the caller zeroes J once and only the
-    pattern's entries are written.  work is three (rows, groups, dim)
-    buffers the caller owns, filled by broadcast copies (a broadcast add
-    would allocate ufunc buffers).
-    """
-    _, own, src, dst = layout
-    n = len(u)
-    plus, minus, stack = work
-    lifted = u + 0.0
-    for step, out, off, f_off in ((FD_STEP, plus, lifted, f + lifted * 0.0), (-FD_STEP, minus, u, f)):
-        moved = u + step
-        stack[...] = f_off[:, None, :]
-        stack.reshape(n, -1)[:, own] = _edge(moved, t)
-        np.matmul(M, stack[..., None], out=out[..., None])
-        stack[...] = off[:, None, :]
-        stack.reshape(n, -1)[:, own] = moved
-        np.subtract(stack, out, out=out)
-    plus -= minus
-    plus /= 2 * FD_STEP
-    J.reshape(n, -1)[:, dst] = plus.reshape(n, -1)[:, src]
-    return J
+def _jacobians(M: np.ndarray, u: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The exact Jacobians I - M diag(f'(u_b)) of F(u) = u - M f(u) at every row u_b, at theta t[b], into out."""
+    J = np.multiply(M, _slope(u, t)[:, None, :], out=out)
+    return np.subtract(np.eye(len(M)), J, out=J)
 
 
 def _max_norm(M: np.ndarray, U: np.ndarray, t) -> np.ndarray:
     """max|F(U)| over the last axis (see _residual)."""
-    return np.max(np.abs(_residual(M, U, t)[1]), axis=-1)
+    return np.max(np.abs(_residual(M, U, t)), axis=-1)
 
 
 def _solve_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -280,38 +213,34 @@ def _line_search_stage(
 ) -> tuple[np.ndarray, ...]:
     """Trials u + lam * steps in one (rows, lams, dim) stack: the rows that lower norm.
 
-    Returns hit, and per hit row the first lam's point, f, residual and
+    Returns hit, and per hit row the first lam's point, residual and
     max-norm below norm, each with the bits of that trial alone.
     """
     trial = u[:, None, :] + lams[:, None] * steps[:, None, :]
-    f, r = _residual(M, trial, t[:, None])
+    r = _residual(M, trial, t[:, None])
     norms = np.max(np.abs(r), axis=2)
     # lams fall, so the first lam that lowers a row's norm is the largest that does
     lam = np.max(np.where(norms < norm[:, None], lams, 0.0), axis=1)
     first = lams == lam[:, None]
-    return lam > 0.0, trial[first], f[first], r[first], norms[first]
+    return lam > 0.0, trial[first], r[first], norms[first]
 
 
-def _newton_batch(M: np.ndarray, t: np.ndarray, U0: np.ndarray, layout: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _newton_batch(M: np.ndarray, t: np.ndarray, U0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton on u = M f(u) from every row of U0 at once, row b at theta t[b].
 
     Returns the roots and their residual max-norms; a row that finds none
     keeps its start and a NaN norm.  Each row follows the scalar rule
     exactly: stop at a norm <= NEWTON_TOL, fail at a non-finite norm or a
     singular Jacobian (_jacobians), take the first step length 1, 1/2, ...,
-    2**(1 - LINE_SEARCH_HALVINGS) that strictly lowers the norm (else fail),
-    and after NEWTON_MAX_ITER iterations keep the point only if its norm is
-    <= NEWTON_TOL.  Each of the LINE_SEARCH_STAGES is one stacked call on
-    the rows still pending while they fit STACK_BUDGET, and an accepted
-    trial's f, residual and norm carry into the next iteration.
+    2**(1 - LINE_SEARCH_HALVINGS) that strictly lowers the norm (else fail,
+    _line_search), and after NEWTON_MAX_ITER iterations keep the point only
+    if its norm is <= NEWTON_TOL.
     """
     U = U0.astype(float)
     norms = np.full(len(U), np.nan)
-    dim = U.shape[1]
-    # zeroed once: entries off M's pattern stay +0.0 (see _jacobians)
-    jacobians = np.zeros((len(U), dim, dim))
-    work = np.empty((3, len(U), layout[0], dim))
-    f, r = _residual(M, U, t[:, None])
+    # rewritten each iteration: a new array faults its pages in again (+30% at 213 states)
+    jacobians = np.empty((len(U), U.shape[1], U.shape[1]))
+    r = _residual(M, U, t[:, None])
     norm = np.max(np.abs(r), axis=1)
     live, u, tl = np.arange(len(U)), U, t[:, None]
     # an accepted trial's norm is below a finite one, so only a start's can be NaN or inf
@@ -322,26 +251,38 @@ def _newton_batch(M: np.ndarray, t: np.ndarray, U0: np.ndarray, layout: tuple) -
         U[live[done]] = u[done]
         norms[live[done]] = norm[done]
         keep = ok & ~done
-        live, u, tl, f, r, norm = live[keep], u[keep], tl[keep], f[keep], r[keep], norm[keep]
+        live, u, tl, r, norm = live[keep], u[keep], tl[keep], r[keep], norm[keep]
         if not live.size or iteration == NEWTON_MAX_ITER:
             return U, norms
-        J = _jacobians(M, u, f, tl, layout, jacobians[: live.size], work[:, : live.size])
-        steps, ok = _solve_steps(J, -r)
-        pending = np.flatnonzero(ok)
-        for lams in LINE_SEARCH_STAGES:
-            if not pending.size:
-                break
-            per = max(1, STACK_BUDGET // (lams.size * dim))
-            hits = []
-            for lo in range(0, pending.size, per):
-                idx = pending[lo : lo + per]
-                rows = idx if idx.size < live.size else slice(None)  # all rows: views, not copies
-                hit, *accepted = _line_search_stage(M, u[rows], steps[rows], tl[rows], norm[rows], lams)
-                won = idx[hit]
-                u[won], f[won], r[won], norm[won] = accepted
-                hits.append(hit)
-            pending = pending[~np.concatenate(hits)]
-        ok[pending] = False  # no length lowered their norms
+        ok = _line_search(M, u, r, norm, tl, *_solve_steps(_jacobians(M, u, tl, jacobians[: live.size]), -r))
+
+
+def _line_search(
+    M: np.ndarray, u: np.ndarray, r: np.ndarray, norm: np.ndarray, t: np.ndarray, steps: np.ndarray, ok: np.ndarray
+) -> np.ndarray:
+    """One iteration's line search on the rows with ok (a step): ok less the rows no length moves.
+
+    Each of the LINE_SEARCH_STAGES is one stacked call on the rows still
+    pending while they fit STACK_BUDGET; an accepted trial's point, residual
+    and norm are written into u, r and norm.  The steps and the last stage's
+    trials are gone on return, before the next Jacobians are taken.
+    """
+    pending = np.flatnonzero(ok)
+    for lams in LINE_SEARCH_STAGES:
+        if not pending.size:
+            break
+        per = max(1, STACK_BUDGET // (lams.size * u.shape[1]))
+        hits = []
+        for lo in range(0, pending.size, per):
+            idx = pending[lo : lo + per]
+            rows = idx if idx.size < len(u) else slice(None)  # all rows: views, not copies
+            hit, *accepted = _line_search_stage(M, u[rows], steps[rows], t[rows], norm[rows], lams)
+            won = idx[hit]
+            u[won], r[won], norm[won] = accepted
+            hits.append(hit)
+        pending = pending[~np.concatenate(hits)]
+    ok[pending] = False
+    return ok
 
 
 def _starts(dim: int, cfg: SolverConfig) -> np.ndarray:
@@ -357,11 +298,11 @@ def _multistart(
 
     Every theta runs Newton from the same starts (_starts).  The (theta,
     start) rows of all thetas go through the batched kernel in order, in
-    chunks of max(1, STACK_BUDGET // dim**2) rows, each row at its theta,
-    with one column layout for the stream.  As soon as a theta's last row
-    is done, its candidates are deduped (_dedupe) and yielded, so the
-    stream holds one chunk and one theta's candidates at a time.  A root's
-    residual is its max-norm under _residual, bit for bit max|u - M @ f(u)|.
+    chunks of max(1, STACK_BUDGET // dim**2) rows, each row at its theta.
+    As soon as a theta's last row is done, its candidates are deduped
+    (_dedupe) and yielded, so the stream holds one chunk and one theta's
+    candidates at a time.  A root's residual is its max-norm under
+    _residual, bit for bit max|u - M @ f(u)|.
     """
     dim = len(M)
     starts = _starts(dim, cfg)
@@ -369,13 +310,12 @@ def _multistart(
     t = np.array([theta.value for theta in thetas])
     chunk = max(1, STACK_BUDGET // (dim * dim))
     total = len(t) * per
-    layout = _difference_layout(M)
     roots: list[np.ndarray] = []
     norms: list[np.ndarray] = []
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
         rows = np.arange(lo, hi)
-        U, norm = _newton_batch(M, t[rows // per], starts[rows % per], layout)
+        U, norm = _newton_batch(M, t[rows // per], starts[rows % per])
         for i in range(lo // per, (hi - 1) // per + 1):
             part = slice(max(lo, i * per) - lo, min(hi, (i + 1) * per) - lo)
             found = ~np.isnan(norm[part])
@@ -513,8 +453,8 @@ def solve_fixed_points(
     equality patterns it satisfies among those restrict certifies for the
     system.  One start's Newton iteration solves a dense states x states
     system, of the order of states**3 multiply-adds, while its Jacobian
-    costs 2 * groups * states**2 (6 * states**2 for a singleton system) and
-    its line search one to three stacked residuals; a system over the
+    costs states**2 multiplies and its line search one to three stacked
+    residuals; a system over the
     vertex cap by states**3 raises ResourceLimitError before the first
     iteration, with the message it always gave ("... multiply-adds per
     Jacobian").

@@ -1,8 +1,13 @@
 """Reference implementations that tests compare production code against.
 
-_jacobian and _newton are the start-by-start damped Newton iteration the
-batched kernel in cayleygibbs.solver replaced, kept verbatim: the kernel
-must give, for every start, the same root bit for bit or the same None.
+_newton is the start-by-start damped Newton iteration the batched kernel
+in cayleygibbs.solver replaced: the kernel must give, for every start,
+the same root bit for bit or the same None.  It takes its Jacobian as a
+function; closed_jacobian builds the kernel's closed form I - M diag(f')
+column by column, so the two iterations agree bit for bit.  _jacobian,
+the column-by-column central difference Newton took before, is the
+reference the closed form is checked against within its truncation
+error.
 
 _volume_distribution is the finite-volume Gibbs distribution by brute
 force: it builds all 2^V(n) spin configurations of the radius-n ball as a
@@ -120,7 +125,20 @@ def _jacobian(F, u: np.ndarray, step: float = 1e-6) -> np.ndarray:
     return J
 
 
-def _newton(F, u0: np.ndarray, tol: float, max_iter: int) -> np.ndarray | None:
+def closed_jacobian(M: np.ndarray, theta: float):
+    """u -> I - M diag(f'(u)), the Jacobian of u - M f(u), built column by column with solver._slope's f'."""
+
+    def jacobian(u: np.ndarray) -> np.ndarray:
+        slope = solver._slope(u, theta)
+        J = np.eye(len(M))
+        for j in range(len(M)):
+            J[:, j] -= M[:, j] * slope[j]
+        return J
+
+    return jacobian
+
+
+def _newton(F, jacobian, u0: np.ndarray, tol: float, max_iter: int) -> np.ndarray | None:
     u = u0.astype(float)
     for _ in range(max_iter):
         r = F(u)
@@ -130,7 +148,7 @@ def _newton(F, u0: np.ndarray, tol: float, max_iter: int) -> np.ndarray | None:
         if norm <= tol:
             return u
         try:
-            step = np.linalg.solve(_jacobian(F, u), -r)
+            step = np.linalg.solve(jacobian(u), -r)
         except np.linalg.LinAlgError:
             return None
         lam = 1.0

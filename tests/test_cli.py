@@ -225,23 +225,23 @@ def test_sweep_csv_golden(capsys, extra):
 
 
 # sha256 of solve stdout at --theta 0.9 --starts 50 --seed 0, taken on the
-# commit before Newton's Jacobian was taken in column groups.  The fields
-# print 17 digits, so the goldens pin every root's bits, which hang on how
-# numpy and its BLAS round tanh, arctanh, the stacked matrix-vector products
-# and the batched solve.  Builds that round those differently (another SIMD
+# commit that took Newton's Jacobian in closed form.  The fields print 17
+# digits, so the goldens pin every root's bits, which hang on how numpy and
+# its BLAS round tanh, arctanh, exp, the stacked matrix-vector products and
+# the batched solve.  Builds that round those differently (another SIMD
 # dispatch or OpenBLAS core type moves the last bits) are recognised by
-# _rounding_probe, a package-free fingerprint of those four operations, and
+# _rounding_probe, a package-free fingerprint of those five operations, and
 # the goldens are asserted on the build they were taken on: numpy 2.4.6 with
 # scipy-openblas 0.3.31 on an AVX-512 x86-64 CPU.
-SOLVE_GOLDEN_PROBE = "897586a641098a4b"
+SOLVE_GOLDEN_PROBE = "586968056b3743ff"
 SOLVE_SHA256_GOLDEN = {
-    "{k:3,s:2,A1:[1],A2:[2]}": "82be8bb0ef6c48df8eb8c36bd44b0031ac71243882e1cdfa3ef0200d72a1a7b2",
-    "{k:8,s:3,A1:[1],A2:[2]}": "ec263d693e7bac98222412be505f8d64aed891d7f8cfe8c2b3d23c72eeeb4887",
+    "{k:3,s:2,A1:[1],A2:[2]}": "9f0af20dff228cd8b633f1c04886d25c7c6230d78dbb4cd451d3d643f77f9859",
+    "{k:8,s:3,A1:[1],A2:[2]}": "317d4df74435f9d2e8af4fe6203180b632264090f7f373b05ed204a37ab12eca",
 }
 
 
 def _rounding_probe():
-    """A hash of the bits numpy gives for Newton's four kinds of floating-point operation."""
+    """A hash of the bits numpy gives for Newton's five kinds of floating-point operation."""
     rng = np.random.default_rng(0)
     x = rng.uniform(-5.0, 5.0, size=(64, 21))
     f = np.arctanh(0.9 * np.tanh(x))
@@ -250,7 +250,8 @@ def _rounding_probe():
         M[i, [(i + 1) % 21, (i + 7) % 21, (i + 14) % 21]] = [6.0, 1.0, 1.0]
     products = np.matmul(M, f[..., None])
     steps = np.linalg.solve(np.eye(21) - M * 0.05 * rng.uniform(size=(64, 1, 21)), x[..., None])
-    return hashlib.sha256(f.tobytes() + products.tobytes() + steps.tobytes()).hexdigest()[:16]
+    slopes = np.exp(-np.abs(x))
+    return hashlib.sha256(f.tobytes() + products.tobytes() + steps.tobytes() + slopes.tobytes()).hexdigest()[:16]
 
 
 @pytest.mark.parametrize("spec", list(SOLVE_SHA256_GOLDEN))

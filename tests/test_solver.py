@@ -26,6 +26,7 @@ from oracles import (
     _newton,
     apply_recursion,
     check_quartic_positivity,
+    closed_jacobian,
     expand,
     finite_volume_probability,
     quartic_coefficients,
@@ -403,12 +404,12 @@ def _oracle_roots(M, theta, starts, tol=solver.NEWTON_TOL, max_iter=solver.NEWTO
     def F(u):
         return u - M @ edge_field(u, theta)
 
-    return [_newton(F, u0, tol, max_iter) for u0 in starts]
+    return [_newton(F, closed_jacobian(M, theta.value), u0, tol, max_iter) for u0 in starts]
 
 
 def _kernel_roots(M, theta, starts):
     """The batched kernel at one theta: per start, the root or None."""
-    U, norms = solver._newton_batch(M, np.full(len(starts), theta.value), starts, solver._difference_layout(M))
+    U, norms = solver._newton_batch(M, np.full(len(starts), theta.value), starts)
     return [None if np.isnan(norm) else u for u, norm in zip(U, norms)]
 
 
@@ -461,7 +462,7 @@ def test_batched_newton_drops_a_singular_start_alone(nine_state, monkeypatch):
     th = Theta(0.8)
     starts = _starts(9, 5, n=12)
     clean = _oracle_roots(M, th, starts)
-    singular = _jacobian(lambda u: u - M @ edge_field(u, th), starts[6])
+    singular = closed_jacobian(M, th.value)(starts[6])
     real_solve = np.linalg.solve
     stacked_calls = []
 
@@ -488,9 +489,9 @@ def test_multistart_in_several_chunks_matches_oracle(nine_state, monkeypatch):
     chunks, roots = [], []
     batch = solver._newton_batch
 
-    def recording(M, t, U0, layout):
+    def recording(M, t, U0):
         chunks.append(len(U0))
-        U, norms = batch(M, t, U0, layout)
+        U, norms = batch(M, t, U0)
         roots.extend(None if np.isnan(norm) else u for u, norm in zip(U, norms))
         return U, norms
 
@@ -569,29 +570,27 @@ def test_an_iteration_makes_at_most_three_stacked_line_search_calls(k, s, starts
     assert max(len(calls) for calls in iterations) == 3
 
 
-def test_the_column_layout_is_built_once_per_stream(monkeypatch):
-    # k = 8, s = 3 has 21 states: 148 rows a chunk, so 3 thetas x 201 starts
-    # take 5 chunks, and the grouping is taken once for all of them
+def test_a_stream_runs_every_theta_in_chunks_of_the_budget(monkeypatch):
+    # k = 8, s = 3 has 21 states: 148 rows a chunk, so the 3 thetas above
+    # 1/8 x 201 starts take 5 chunks, chunks spanning thetas
     system = derive_system(SubgroupSpec(k=8, s=3, a1={1}, a2={2}))
-    builds, batches = [], []
-    layout, batch = solver._difference_layout, solver._newton_batch
+    batches = []
+    batch = solver._newton_batch
 
-    def recording_layout(M):
-        builds.append(len(M))
-        return layout(M)
-
-    def recording_batch(M, t, U0, layout):
+    def recording_batch(M, t, U0):
         batches.append(len(U0))
-        return batch(M, t, U0, layout)
+        return batch(M, t, U0)
 
-    monkeypatch.setattr(solver, "_difference_layout", recording_layout)
     monkeypatch.setattr(solver, "_newton_batch", recording_batch)
     solver._solution_sets(system, [Theta(0.1), Theta(0.5), Theta(0.7), Theta(0.9)], SolverConfig(starts=200))
     assert batches == [148] * 4 + [11]
-    assert builds == [21]
 
 
-# === the grouped central-difference Jacobian ===
+# === the closed-form Jacobian ===
+#
+# J = I - M diag(f'(u)).  The systems, points and test names below are
+# those the column-grouped central difference that J replaced was checked
+# on.
 
 
 def _edited_table():
@@ -602,7 +601,7 @@ def _edited_table():
 
 
 def _dense_table():
-    """Nine states at k = 9, every count 1: no two columns can share a group."""
+    """Nine states at k = 9, every count 1: every entry of J is on the pattern."""
     doc = json.loads(derive_system(STANDARD).to_json())
     names = list(doc["counts"])
     return WeaklyPeriodicSystem.from_json(
@@ -617,90 +616,83 @@ PAIR_SPECS = [
     SubgroupSpec(k=5, s=1, a1={1, 2}, a2={3, 4}),
 ]
 
-# (system, its number of column groups); every singleton system gives 3,
-# where first fit in index order gives 4
 GROUPED_SYSTEMS = {
     **{
-        f"k{k}-s{s}-{min(a2)}": (lambda k=k, s=s, a2=a2: derive_system(SubgroupSpec(k=k, s=s, a1={1}, a2=a2)), 3)
+        f"k{k}-s{s}-{min(a2)}": lambda k=k, s=s, a2=a2: derive_system(SubgroupSpec(k=k, s=s, a1={1}, a2=a2))
         for k in range(2, 9)
         for s in range(1, 6)
         for a2 in ({2}, {3})
     },
-    **{
-        f"pairs-k{spec.k}-s{spec.s}": (lambda spec=spec: derive_system(spec), groups)
-        for spec, groups in zip(PAIR_SPECS, [3, 4, 5, 4])
-    },
-    "edited": (_edited_table, 4),  # first fit: 5
-    "dense": (_dense_table, 9),
+    **{f"pairs-k{spec.k}-s{spec.s}": lambda spec=spec: derive_system(spec) for spec in PAIR_SPECS},
+    "edited": _edited_table,
+    "dense": _dense_table,
 }
 
+DIFFERENCE_STEP = 1e-6  # the step of oracles._jacobian
 
-def _grouped_jacobians(M, U, theta):
-    layout = solver._difference_layout(M)
-    n, dim = U.shape
-    J = np.zeros((n, dim, dim))
-    work = np.empty((3, n, layout[0], dim))
-    t = np.full((n, 1), theta)
-    return solver._jacobians(M, U, solver._edge(U, t), t, layout, J, work)
+
+def _closed_jacobians(M, U, theta):
+    return solver._jacobians(M, U, np.full((len(U), 1), theta), np.empty((len(U), len(M), len(M))))
+
+
+def _difference_bound(M, u, theta):
+    """How far the central difference of F at u may lie from F's Jacobian.
+
+    Rounding: F_i is u_i - sum_j M_ij f(u_j) with |f| < atanh theta, so one
+    evaluation is off by a few ulps of |u| + k atanh theta, and u_j +- step
+    by half an ulp of u_j, which moves F_i by at most (1 + k) times that;
+    both are divided by 2 step.  Truncation, step**2 / 6 times the third
+    derivative of F, is below step**2 * k, since that of f is at most
+    2 theta in size.
+    """
+    k = M.sum(axis=1).max()
+    scale = np.abs(u).max() + k * math.atanh(theta)
+    rounding = 8 * np.spacing(scale) + (1 + k) * np.spacing(np.abs(u).max())
+    return rounding / (2 * DIFFERENCE_STEP) + DIFFERENCE_STEP**2 * k
 
 
 def _assert_oracle_jacobian(M, u, theta, J):
-    expect = _jacobian(lambda v: v - M @ edge_field(v, Theta(theta)), u)
+    """J is the column-built closed form bit for bit, sign bits too, and the central difference within its error."""
+    expect = closed_jacobian(M, theta)(u)
     assert np.array_equal(J, expect)
     assert np.array_equal(np.signbit(J), np.signbit(expect))
-
-
-def _first_fit_groups(pattern):
-    """First fit in index order: column j joins the first group whose rows its own miss."""
-    covered, groups = [], []
-    for j, column in enumerate(pattern.T):
-        support = set(np.flatnonzero(column).tolist())
-        for rows, members in zip(covered, groups):
-            if rows.isdisjoint(support):
-                rows |= support
-                members.append(j)
-                break
-        else:
-            covered.append(support)
-            groups.append([j])
-    return groups
+    central = _jacobian(lambda v: v - M @ edge_field(v, Theta(theta)), u, DIFFERENCE_STEP)
+    assert np.max(np.abs(J - central)) <= _difference_bound(M, u, theta)
 
 
 @pytest.mark.parametrize("name", list(GROUPED_SYSTEMS))
 def test_column_groups_are_disjoint_first_fit_and_cover_every_column(name):
-    # disjoint, deterministic, covering, and never more groups than first fit
-    build, expect = GROUPED_SYSTEMS[name]
-    M = count_matrix(build())
-    pattern = (M != 0) | np.eye(len(M), dtype=bool)
-    groups = solver._column_groups(pattern)
-    assert len(groups) == expect == solver._difference_layout(M)[0]
-    first_fit = len(_first_fit_groups(pattern))
-    assert len(groups) <= first_fit
-    if name.startswith("k"):  # a singleton system
-        assert first_fit == 4
-    assert solver._column_groups(pattern.copy()) == groups
-    assert sorted(j for group in groups for j in group) == list(range(len(M)))
-    for group in groups:
-        assert group == sorted(group)
-        for a, b in itertools.combinations(group, 2):
-            assert not np.any(pattern[:, a] & pattern[:, b])
+    # every column is a group of its own: column j of J is +0.0 off the
+    # rows u_j enters, P = (M != 0) | I, nonzero on them, and moves with
+    # u_j alone
+    M = count_matrix(GROUPED_SYSTEMS[name]())
+    dim = len(M)
+    pattern = (M != 0) | np.eye(dim, dtype=bool)
+    U = np.random.default_rng(dim).uniform(-5.0, 5.0, size=(2, dim))
+    J = _closed_jacobians(M, U, 0.8)
+    assert np.all(J[:, ~pattern] == 0.0) and not np.any(np.signbit(J[:, ~pattern]))
+    assert np.all(J[:, pattern] != 0.0)
+    for j in range(dim):
+        moved = U.copy()
+        moved[:, np.arange(dim) != j] += 1.0
+        assert np.array_equal(_closed_jacobians(M, moved, 0.8)[:, :, j], J[:, :, j])
 
 
 @pytest.mark.parametrize("name", list(GROUPED_SYSTEMS))
 def test_grouped_jacobian_matches_the_column_oracle_bit_for_bit(name):
     # value and sign bit of every entry, off the pattern (+0.0) included, at
-    # random points, at zero, and at points holding -0.0 coordinates
-    M = count_matrix(GROUPED_SYSTEMS[name][0]())
+    # random points, at zero, and at points holding -0.0 coordinates and
+    # the smallest negative subnormal
+    M = count_matrix(GROUPED_SYSTEMS[name]())
     dim = len(M)
     U = np.random.default_rng(dim).uniform(-5.0, 5.0, size=(7, dim))
     U[0] = 0.0
     U[1] = -0.0
     U[2, ::2] = -0.0
     U[3, 1::3] = 0.0
-    # at theta <= 1/2, f of the smallest negative subnormal underflows to -0.0
     U[6, ::2] = -5e-324
     for theta in (0.3, 0.8, 0.97):
-        J = _grouped_jacobians(M, U, theta)
+        J = _closed_jacobians(M, U, theta)
         for u, got in zip(U, J):
             _assert_oracle_jacobian(M, u, theta, got)
 
@@ -722,19 +714,48 @@ def test_grouped_jacobian_matches_the_oracle_at_newton_iterates(build, monkeypat
     seen = []
     jacobians = solver._jacobians
 
-    def recording(M, u, f, t, layout, J, work):
-        assert np.array_equal(f, solver._edge(u, t)) and np.array_equal(np.signbit(f), np.signbit(solver._edge(u, t)))
-        got = jacobians(M, u, f, t, layout, J, work)
+    def recording(M, u, t, out):
+        got = jacobians(M, u, t, out)
         seen.extend(zip(u.copy(), t[:, 0].copy(), got.copy()))
         return got
 
     monkeypatch.setattr(solver, "_jacobians", recording)
     starts = _starts(len(M), 2, n=8)
     t = np.repeat([0.6, 0.9], len(starts))
-    solver._newton_batch(M, t, np.vstack([starts, starts]), solver._difference_layout(M))
+    solver._newton_batch(M, t, np.vstack([starts, starts]))
     assert len(seen) > len(t)
     for u, theta, J in seen:
         _assert_oracle_jacobian(M, u, theta, J)
+
+
+SLOPE_POINTS = [0.0, 5e-324, 1e-8, 0.5, 1.0, 5.0, 19.0, 30.0, 300.0, 1000.0, 1e308]
+
+
+@pytest.mark.parametrize("theta", [0.05, 0.5, 0.97])
+def test_slope_is_the_sympy_derivative_within_four_ulps(theta, recwarn):
+    # f' stays within a few ulps where 1 - tanh^2 h rounds to 0 (|h| from
+    # about 19), and is 0.0 where f' rounds to it; sympy's derivative of
+    # artanh(theta tanh h) is evaluated at 1200 digits, enough for h = 1000
+    sp = pytest.importorskip("sympy")
+    mpmath = pytest.importorskip("mpmath")
+    h_, t_ = sp.symbols("h theta")
+    slope = sp.lambdify((h_, t_), sp.diff(sp.atanh(t_ * sp.tanh(h_)), h_), "mpmath")
+    h = np.array([x for v in SLOPE_POINTS for x in (v, -v)])
+    got = solver._slope(h, theta)
+    with mpmath.workdps(1200):
+        expect = np.array([float(slope(mpmath.mpf(v), mpmath.mpf(theta))) for v in h.tolist()])
+    assert np.all(np.abs(got - expect) <= 4 * np.spacing(expect)), (got, expect)
+    assert got[h.tolist().index(1000.0)] == 0.0
+    # J at those points, each spread over the nine coordinates: finite, and
+    # within the central difference's error where u +- step is finite
+    M = count_matrix(derive_system(STANDARD))
+    U = np.resize(h, (len(h), 9))
+    J = _closed_jacobians(M, U, theta)
+    assert np.all(np.isfinite(J))
+    for u, got_j in zip(U, J):
+        if np.abs(u).max() < 1e300:
+            _assert_oracle_jacobian(M, u, theta, got_j)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 # === the exact polynomial path ===
@@ -1042,9 +1063,9 @@ def _swept_and_solo(system, thetas, cfg, monkeypatch):
         swept.extend(sets(system, thetas, cfg))
         return swept
 
-    def recording_batch(M, t, U0, layout):
+    def recording_batch(M, t, U0):
         chunks.append(t.tolist())
-        return batch(M, t, U0, layout)
+        return batch(M, t, U0)
 
     monkeypatch.setattr(solver, "_solution_sets", recording_sets)
     monkeypatch.setattr(solver, "_newton_batch", recording_batch)
@@ -1107,9 +1128,9 @@ def test_sweep_chunks_are_sized_by_the_stack_budget(k, s, starts, calls, monkeyp
     rows = []
     batch = solver._newton_batch
 
-    def recording(M, t, U0, layout):
+    def recording(M, t, U0):
         rows.append(len(U0))
-        return batch(M, t, U0, layout)
+        return batch(M, t, U0)
 
     monkeypatch.setattr(solver, "_newton_batch", recording)
     theta_sweep(system, [round(0.1 + 0.05 * i, 2) for i in range(18)], SolverConfig(starts=starts))
@@ -1134,9 +1155,9 @@ def test_zero_only_thetas_agree_with_the_full_stream(tmp_path, monkeypatch):
     rows = []
     batch = solver._newton_batch
 
-    def recording(M, t, U0, layout):
+    def recording(M, t, U0):
         rows.extend(t.tolist())
-        return batch(M, t, U0, layout)
+        return batch(M, t, U0)
 
     monkeypatch.setattr(solver, "_newton_batch", recording)
     for system in _zero_only_systems(tmp_path):
